@@ -30,7 +30,6 @@ EXIT_THRESHOLD = 3
 _NUMERIC_ERRORS = (
     evolve.NumericEvolutionError,
     kernel.ResolutionError,
-    metrics.BlockLeakageError,
     metrics.GridMismatchError,
 )
 
@@ -63,6 +62,9 @@ def _initial_vector(cfg: RunConfig):
     norm = np.linalg.norm(amps)
     if norm == 0.0:
         raise ConfigError("explicit initial state must be nonzero")
+    if cfg.system == "pair" and (amps[0] != 0.0 or amps[3] != 0.0):
+        raise ConfigError("a pair initial state must lie in the {|01>, |10>} block"
+                          " (zero amplitude on |00> and |11>)")
     return amps / norm
 
 

@@ -10,7 +10,9 @@ block a run).
 """
 from __future__ import annotations
 
+import cmath
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
@@ -25,6 +27,12 @@ INITIAL_PRESETS = ("zero", "one", "plus", "pair01")
 SWEEPABLE = ("T", "J0", "noise.amplitude", "noise.omega_cut", "J12")
 
 PRESET_NAMES = ("fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b")
+
+#: Most noise components N = floor(omega_cut / omega0) a run may ask for:
+#: 400 times fig4b's 25 000, and 80 MB of random phases per realization.
+MAX_NOISE_COMPONENTS = 10**7
+# Keys that say where and how a run is written, not what it computes.
+_UNHASHED_KEYS = ("out", "timestamps")
 
 
 class ConfigError(ValueError):
@@ -209,8 +217,13 @@ def effective_items(cfg: RunConfig) -> list[tuple[str, str]]:
 
 
 def config_hash(cfg: RunConfig, exclude: tuple = ()) -> str:
-    """Short digest of the effective configuration (reproducibility stamp)."""
-    blob = "\n".join(f"{k}={v}" for k, v in effective_items(cfg) if k not in exclude)
+    """Short digest of the effective configuration (reproducibility stamp).
+
+    The output directory and the timestamp switch do not change what a run
+    computes, so they are left out.
+    """
+    skip = _UNHASHED_KEYS + tuple(exclude)
+    blob = "\n".join(f"{k}={v}" for k, v in effective_items(cfg) if k not in skip)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -221,6 +234,13 @@ def validate(cfg: RunConfig) -> list[str]:
     not block execution.
     """
     bad = []
+    for key, value in (("T", cfg.total_time), ("dt", cfg.dt), ("J0", cfg.j0),
+                       ("J12", cfg.j12), ("omega_spec", cfg.omega_spec),
+                       ("noise.amplitude", cfg.noise_amplitude),
+                       ("noise.omega0", cfg.noise_omega0),
+                       ("noise.omega_cut", cfg.noise_omega_cut)):
+        if value is not None and not math.isfinite(value):
+            bad.append(f"{key} must be finite")
     if cfg.mode not in MODES:
         bad.append(f"mode must be one of {', '.join(MODES)}")
     if cfg.system not in SYSTEMS:
@@ -242,13 +262,20 @@ def validate(cfg: RunConfig) -> list[str]:
     if cfg.j12 < 0.0:
         bad.append("J12 must be non-negative")
     init = cfg.effective_initial()
-    if init not in INITIAL_PRESETS and not _looks_explicit(init):
-        bad.append("initial_state must be a named preset or comma-separated amplitudes")
+    if init not in INITIAL_PRESETS:
+        amps = _explicit_amplitudes(init)
+        if amps is None:
+            bad.append("initial_state must be a named preset or comma-separated amplitudes")
+        elif not all(cmath.isfinite(amp) for amp in amps):
+            bad.append("initial_state amplitudes must be finite")
     if cfg.has_noise:
         if cfg.noise_omega_cut is None:
             bad.append("noise.omega_cut required when noise.amplitude is set")
         elif not (cfg.noise_omega0 > 0.0 and cfg.noise_omega_cut >= cfg.noise_omega0):
             bad.append("NoiseSpec invariant: need noise.omega_cut >= noise.omega0 > 0")
+        elif cfg.noise_omega_cut / cfg.noise_omega0 >= MAX_NOISE_COMPONENTS + 1:
+            bad.append(f"noise.omega_cut / noise.omega0 asks for more than "
+                       f"{MAX_NOISE_COMPONENTS} noise components")
         try:
             NoiseNormalization(cfg.noise_normalization)
         except ValueError:
@@ -287,14 +314,14 @@ def blocking(violations: list[str]) -> list[str]:
     return [v for v in violations if not v.startswith("warning:")]
 
 
-def _looks_explicit(text: str) -> bool:
+def _explicit_amplitudes(text: str) -> list[complex] | None:
+    """Comma-separated complex amplitudes, or None if text is not such a list."""
     if "," not in text:
-        return False
+        return None
     try:
-        [complex(part) for part in text.split(",")]
+        return [complex(part) for part in text.split(",")]
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def apply_sweep_value(cfg: RunConfig, value: float) -> RunConfig:

@@ -1,12 +1,14 @@
 """Time evolution engines and the rotating-frame pulse decomposition.
 
-Two independent integrators are provided.  `evolve_stepwise` is the
-production engine: a product of exact step unitaries with the Hamiltonian
-(and noise) sampled at step midpoints.  `evolve_oracle` is a classic
-fourth-order Runge-Kutta integration at a tenth of the step size, used to
-cross-check the stepwise engine; it evaluates the noise analytically at the
-integrator nodes unless asked to sample-and-hold at the same midpoints the
-stepwise engine uses.
+Every schedule is evolved as its exact 2x2 sectors (see `model.Sector`):
+the full state is split into sector states on input and rebuilt only at
+the output of `final_state_*`.  Two independent integrators share one step
+loop.  `evolve_stepwise` is the production engine: a product of exact step
+unitaries with the Hamiltonian (and noise) sampled at step midpoints.
+`evolve_oracle` is a classic fourth-order Runge-Kutta integration at a
+tenth of the step size, used to cross-check the stepwise engine; it
+evaluates the noise analytically at the integrator nodes unless asked to
+sample-and-hold at the same midpoints the stepwise engine uses.
 
 `decompose_pulse` factors a two-level run into spectrometer-style pulse
 steps: per step an equatorial rotation whose phase lives in the accumulated
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import metrics, model, smallmat
 from .model import (NoiseRealization, SingleQubitSchedule, SpectatorSchedule,
-                    TwoQubitSchedule, h_pair, h_single, h_spectator, noise_values)
+                    h_single, noise_values)
 
 
 class NumericEvolutionError(RuntimeError):
@@ -65,16 +67,6 @@ class AdiabaticFrameState:
     phases: np.ndarray
 
 
-def _hamiltonian_builder(schedule):
-    if isinstance(schedule, SingleQubitSchedule):
-        return lambda t, c: h_single(schedule, t, c)
-    if isinstance(schedule, TwoQubitSchedule):
-        return lambda t, c: h_pair(schedule, t, c)
-    if isinstance(schedule, SpectatorSchedule):
-        return lambda t, c: h_spectator(schedule, t, c)
-    raise TypeError(f"unknown schedule type {type(schedule).__name__}")
-
-
 def _plan_steps(total_time: float, dt: float):
     """Step boundaries: uniform dt with the last step truncated onto T."""
     n = int(np.ceil(total_time / dt - 1e-9))
@@ -114,64 +106,6 @@ def _schedule_meta(schedule, noise, cfg):
     return meta
 
 
-class _Recorder:
-    """Accumulates per-time metrics with continuity-tracked eigenlevel.
-
-    Tracking runs on the direction operator a(t) sx + b(t) sz, whose
-    eigenvectors are untouched by the noise prefactor (the noise only
-    rescales eigenvalues, including through zero in strong-noise runs).
-    """
-
-    def __init__(self, schedule):
-        self.schedule = schedule
-        self.j0_rad = (schedule.base if isinstance(schedule, SpectatorSchedule) else schedule).j0_rad
-        self._ref = None
-        self.times = []
-        self.rows = {name: [] for name in ("pop0", "pop1", "im_coherence",
-                                           "fidelity_e0", "gap", "noise")}
-
-    def record(self, state, t, c):
-        sched = self.schedule
-        if isinstance(sched, SingleQubitSchedule):
-            pop0, pop1, im = metrics.basis_metrics(state, "computational")
-            block = state
-        elif isinstance(sched, TwoQubitSchedule):
-            pop0, pop1, im = metrics.basis_metrics(state, "pair-block")
-            block = np.array([state[1], state[2]])
-        else:
-            pop0, pop1, im = metrics.reduced_qubit_metrics(state)
-            block = metrics.reduced_density(state)
-        a, b = sched.ab(t)
-        k = float(np.hypot(a, b))
-        es = smallmat.eigh(a * smallmat.SIGMA_X + b * smallmat.SIGMA_Z)
-        if self._ref is None:
-            if block.ndim == 2:
-                scores = [float(np.real(v.conj() @ block @ v)) for v in es.vectors.T]
-            else:
-                scores = [abs(np.vdot(v, block)) ** 2 for v in es.vectors.T]
-            idx = int(np.argmax(scores))
-        else:
-            idx = int(np.argmax(np.abs(self._ref.conj() @ es.vectors)))
-        v = es.vectors[:, idx]
-        self._ref = v
-        if block.ndim == 2:
-            fid = float(np.real(v.conj() @ block @ v))
-        else:
-            fid = float(abs(np.vdot(v, block)) ** 2)
-        gap = (self.j0_rad + c) * (es.values[1 - idx] - es.values[idx])
-        self.times.append(t)
-        for name, value in (("pop0", pop0), ("pop1", pop1), ("im_coherence", im),
-                            ("fidelity_e0", fid), ("gap", gap), ("noise", c)):
-            self.rows[name].append(value)
-
-    def trajectory(self, meta) -> metrics.Trajectory:
-        return metrics.Trajectory(
-            times=np.array(self.times),
-            meta=meta,
-            **{name: np.array(col) for name, col in self.rows.items()},
-        )
-
-
 def _noise_at(noise, times) -> np.ndarray:
     if noise is None:
         return np.zeros(len(times))
@@ -182,43 +116,147 @@ def _noise_at(noise, times) -> np.ndarray:
     return values
 
 
-def _check_initial(initial, dim) -> np.ndarray:
+def _propagate(schedule, noise, cfg, initial, make_step, store_every):
+    """The step loop both engines share.
+
+    `make_step(schedule, noise, starts, durations)` returns the engine's
+    advance(k, psi) over the sector states psi, shape (n_sectors, 2).
+    Returns the record times and the sector states at t = 0 and after each
+    record step.  With cfg.renormalize, each recorded state has its norm
+    restored to the value at t = 0: every sector evolves unitarily, so
+    this removes rounding drift only.
+    """
     state = np.asarray(initial, dtype=complex)
-    if state.shape != (dim,):
-        raise ValueError(f"initial state must have dimension {dim}")
+    if state.shape != (schedule.dim,):
+        raise ValueError(f"initial state must have dimension {schedule.dim}")
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
-    return state.copy()
+    starts, durations = _plan_steps(schedule.total_time, cfg.dt)
+    advance = make_step(schedule, noise, starts, durations)
+    # Record every store_every-th step and the last; None records the last only.
+    n = len(starts)
+    steps = np.arange(n)
+    record = steps[((steps + 1) % (store_every or n) == 0) | (steps == n - 1)]
+    psi = model.sector_states(schedule, state)
+    norm0 = np.linalg.norm(psi)
+    states = [psi]
+    next_rec = 0
+    for k in range(n):
+        psi = advance(k, psi)
+        if not np.all(np.isfinite(psi)):
+            raise NumericEvolutionError(f"non-finite state after step {k}")
+        if record[next_rec] == k:
+            if cfg.renormalize:
+                psi = psi * (norm0 / np.linalg.norm(psi))
+            next_rec += 1
+            states.append(psi)
+    times = np.concatenate([[0.0], starts[record] + durations[record]])
+    return times, np.array(states)
+
+
+def _full_state(schedule, initial, psi) -> np.ndarray:
+    """The full state with its sector amplitudes replaced by psi.
+
+    Amplitudes outside every sector (|00> and |11> of the pair model) are
+    annihilated by the Hamiltonian and keep their initial values.
+    """
+    state = np.array(initial, dtype=complex)
+    state[np.array([sec.indices for sec in schedule.sectors])] = psi
+    return state
+
+
+def _trajectory(schedule, noise, cfg, times, states, engine) -> metrics.Trajectory:
+    """Per-record metrics with the continuity-tracked eigenlevel.
+
+    Tracking runs on the direction operator a(t) sx + b(t) sz, whose
+    eigenvectors are untouched by the noise prefactor (the noise only
+    rescales eigenvalues, including through zero in strong-noise runs).
+    Its levels are +-k with closed-form real eigenvectors (b + k, a) and
+    (-a, b + k), normalized.  They never cross on [0, T], so continuity
+    tracking keeps the level chosen at t = 0: the one of larger overlap
+    with the initial state, the lower one on a tie.
+    """
+    c = _noise_at(noise, times)
+    a, b = schedule.ab(times)
+    k = np.hypot(a, b)
+    norm = np.hypot(b + k, a)
+    upper = np.stack([(b + k) / norm, a / norm], axis=-1)
+    lower = np.stack([-a / norm, (b + k) / norm], axis=-1)
+    rho = metrics.reduced_density(states)
+
+    def overlap(v, r):
+        # v is real, so <v|rho|v> only sees the real (symmetric) part of rho.
+        return np.einsum("...i,...ij,...j->...", v, r.real, v)
+
+    track_upper = overlap(upper[0], rho[0]) > overlap(lower[0], rho[0])
+    pop0, pop1, im = metrics.reduced_qubit_metrics(states)
+    return metrics.Trajectory(
+        times=times, pop0=pop0, pop1=pop1, im_coherence=im,
+        fidelity_e0=overlap(upper if track_upper else lower, rho),
+        gap=(-2.0 if track_upper else 2.0) * (schedule.j0_rad + c) * k, noise=c,
+        meta=_schedule_meta(schedule, noise, cfg) | {"engine": engine},
+    )
+
+
+def _midpoint_step(schedule, noise, starts, durations):
+    mids = starts + 0.5 * durations
+    c_mid = _noise_at(noise, mids)
+
+    def advance(k, psi):
+        h = model.h_sectors(schedule, mids[k], c_mid[k])
+        return np.array([smallmat.expm_unitary(h_s, durations[k]) @ psi_s
+                         for h_s, psi_s in zip(h, psi)])
+    return advance
+
+
+def _apply(h, psi) -> np.ndarray:
+    """Each sector's Hamiltonian applied to its state: (S, 2, 2) x (S, 2)."""
+    return np.matmul(h, psi[:, :, None])[:, :, 0]
+
+
+def _rk4_step(noise_sampling):
+    if noise_sampling not in ("exact", "hold"):
+        raise ValueError("noise_sampling must be 'exact' or 'hold'")
+    n_sub = 10
+    # Node times per main step: substep edges, then substep midpoints.
+    offsets = np.concatenate([np.arange(n_sub + 1), np.arange(n_sub) + 0.5]) / n_sub
+
+    def make_step(schedule, noise, starts, durations):
+        total_time = schedule.total_time
+        if noise is None:
+            c_nodes = np.zeros((len(starts), offsets.size))
+        elif noise_sampling == "hold":
+            c_mid = _noise_at(noise, starts + 0.5 * durations)
+            c_nodes = np.repeat(c_mid[:, None], offsets.size, axis=1)
+        else:
+            node_times = starts[:, None] + durations[:, None] * offsets[None, :]
+            c_nodes = _noise_at(noise, node_times.ravel()).reshape(node_times.shape)
+
+        def advance(k, psi):
+            h = durations[k] / n_sub
+            edges = c_nodes[k, : n_sub + 1]
+            mids = c_nodes[k, n_sub + 1:]
+            for i in range(n_sub):
+                t0 = starts[k] + i * h
+                h_a = model.h_sectors(schedule, t0, edges[i])
+                h_m = model.h_sectors(schedule, min(t0 + 0.5 * h, total_time), mids[i])
+                h_b = model.h_sectors(schedule, min(t0 + h, total_time), edges[i + 1])
+                k1 = -1.0j * _apply(h_a, psi)
+                k2 = -1.0j * _apply(h_m, psi + 0.5 * h * k1)
+                k3 = -1.0j * _apply(h_m, psi + 0.5 * h * k2)
+                k4 = -1.0j * _apply(h_b, psi + h * k3)
+                psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return psi
+        return advance
+    return make_step
 
 
 def evolve_stepwise(schedule, noise: NoiseRealization | None,
                     cfg: EvolutionConfig, initial) -> metrics.Trajectory:
     """Midpoint-sampled piecewise-constant propagator product."""
-    build = _hamiltonian_builder(schedule)
-    state = _check_initial(initial, schedule.dim)
-    starts, durations = _plan_steps(schedule.total_time, cfg.dt)
-    mids = starts + 0.5 * durations
-    c_mid = _noise_at(noise, mids)
-
-    record_steps = [k for k in range(len(starts))
-                    if (k + 1) % cfg.store_every == 0 or k == len(starts) - 1]
-    record_times = np.concatenate([[0.0], starts[record_steps] + durations[record_steps]])
-    c_rec = _noise_at(noise, record_times)
-
-    rec = _Recorder(schedule)
-    rec.record(state, 0.0, c_rec[0])
-    next_rec = 0
-    for k in range(len(starts)):
-        u = smallmat.expm_unitary(build(mids[k], c_mid[k]), durations[k])
-        state = u @ state
-        if not np.all(np.isfinite(state)):
-            raise NumericEvolutionError(f"non-finite state after step {k}")
-        if record_steps[next_rec] == k:
-            if cfg.renormalize:
-                state = state / np.linalg.norm(state)
-            next_rec += 1
-            rec.record(state, record_times[next_rec], c_rec[next_rec])
-    return rec.trajectory(_schedule_meta(schedule, noise, cfg) | {"engine": "stepwise"})
+    times, states = _propagate(schedule, noise, cfg, initial, _midpoint_step,
+                               cfg.store_every)
+    return _trajectory(schedule, noise, cfg, times, states, "stepwise")
 
 
 def evolve_oracle(schedule, noise: NoiseRealization | None,
@@ -230,104 +268,22 @@ def evolve_oracle(schedule, noise: NoiseRealization | None,
     nodes; "hold" freezes it at the step midpoints the stepwise engine
     uses, isolating the propagator discretization in comparisons.
     """
-    if noise_sampling not in ("exact", "hold"):
-        raise ValueError("noise_sampling must be 'exact' or 'hold'")
-    build = _hamiltonian_builder(schedule)
-    state = _check_initial(initial, schedule.dim)
-    starts, durations = _plan_steps(schedule.total_time, cfg.dt)
-    n_sub = 10
-
-    # Noise at all distinct node times: per main step, substep edges and midpoints.
-    offsets = np.concatenate([np.arange(n_sub + 1), np.arange(n_sub) + 0.5]) / n_sub
-    node_times = (starts[:, None] + durations[:, None] * offsets[None, :]).ravel()
-    if noise is None:
-        c_nodes = np.zeros_like(node_times)
-    elif noise_sampling == "hold":
-        mids = starts + 0.5 * durations
-        c_nodes = np.repeat(_noise_at(noise, mids), offsets.size)
-    else:
-        c_nodes = _noise_at(noise, node_times)
-    c_nodes = c_nodes.reshape(len(starts), offsets.size)
-
-    record_steps = [k for k in range(len(starts))
-                    if (k + 1) % cfg.store_every == 0 or k == len(starts) - 1]
-    record_times = np.concatenate([[0.0], starts[record_steps] + durations[record_steps]])
-    c_rec = _noise_at(noise, record_times)
-
-    rec = _Recorder(schedule)
-    rec.record(state, 0.0, c_rec[0])
-    next_rec = 0
-    for k in range(len(starts)):
-        h = durations[k] / n_sub
-        edges = c_nodes[k, : n_sub + 1]
-        mids = c_nodes[k, n_sub + 1 :]
-        for i in range(n_sub):
-            t0 = starts[k] + i * h
-            h_a = build(t0, edges[i])
-            h_m = build(min(t0 + 0.5 * h, schedule.total_time), mids[i])
-            h_b = build(min(t0 + h, schedule.total_time), edges[i + 1])
-            k1 = -1.0j * (h_a @ state)
-            k2 = -1.0j * (h_m @ (state + 0.5 * h * k1))
-            k3 = -1.0j * (h_m @ (state + 0.5 * h * k2))
-            k4 = -1.0j * (h_b @ (state + h * k3))
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise NumericEvolutionError(f"non-finite state after step {k}")
-        if record_steps[next_rec] == k:
-            if cfg.renormalize:
-                state = state / np.linalg.norm(state)
-            next_rec += 1
-            rec.record(state, record_times[next_rec], c_rec[next_rec])
-    return rec.trajectory(_schedule_meta(schedule, noise, cfg) | {"engine": "oracle"})
+    times, states = _propagate(schedule, noise, cfg, initial, _rk4_step(noise_sampling),
+                               cfg.store_every)
+    return _trajectory(schedule, noise, cfg, times, states, "oracle")
 
 
 def final_state_oracle(schedule, noise, cfg, initial,
                        noise_sampling: str = "exact") -> np.ndarray:
     """Final state of the Runge-Kutta reference without trajectory recording."""
-    if noise_sampling not in ("exact", "hold"):
-        raise ValueError("noise_sampling must be 'exact' or 'hold'")
-    build = _hamiltonian_builder(schedule)
-    state = _check_initial(initial, schedule.dim)
-    starts, durations = _plan_steps(schedule.total_time, cfg.dt)
-    n_sub = 10
-    offsets = np.concatenate([np.arange(n_sub + 1), np.arange(n_sub) + 0.5]) / n_sub
-    node_times = (starts[:, None] + durations[:, None] * offsets[None, :]).ravel()
-    if noise is None:
-        c_nodes = np.zeros_like(node_times)
-    elif noise_sampling == "hold":
-        c_nodes = np.repeat(_noise_at(noise, starts + 0.5 * durations), offsets.size)
-    else:
-        c_nodes = _noise_at(noise, node_times)
-    c_nodes = c_nodes.reshape(len(starts), offsets.size)
-    for k in range(len(starts)):
-        h = durations[k] / n_sub
-        edges = c_nodes[k, : n_sub + 1]
-        mids = c_nodes[k, n_sub + 1 :]
-        for i in range(n_sub):
-            t0 = starts[k] + i * h
-            h_a = build(t0, edges[i])
-            h_m = build(min(t0 + 0.5 * h, schedule.total_time), mids[i])
-            h_b = build(min(t0 + h, schedule.total_time), edges[i + 1])
-            k1 = -1.0j * (h_a @ state)
-            k2 = -1.0j * (h_m @ (state + 0.5 * h * k1))
-            k3 = -1.0j * (h_m @ (state + 0.5 * h * k2))
-            k4 = -1.0j * (h_b @ (state + h * k3))
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise NumericEvolutionError(f"non-finite state after step {k}")
-    return state / np.linalg.norm(state) if cfg.renormalize else state
+    _, states = _propagate(schedule, noise, cfg, initial, _rk4_step(noise_sampling), None)
+    return _full_state(schedule, initial, states[-1])
 
 
 def final_state_stepwise(schedule, noise, cfg, initial) -> np.ndarray:
     """Final state of the stepwise engine without trajectory recording."""
-    build = _hamiltonian_builder(schedule)
-    state = _check_initial(initial, schedule.dim)
-    starts, durations = _plan_steps(schedule.total_time, cfg.dt)
-    mids = starts + 0.5 * durations
-    c_mid = _noise_at(noise, mids)
-    for k in range(len(starts)):
-        state = smallmat.expm_unitary(build(mids[k], c_mid[k]), durations[k]) @ state
-    return state / np.linalg.norm(state) if cfg.renormalize else state
+    _, states = _propagate(schedule, noise, cfg, initial, _midpoint_step, None)
+    return _full_state(schedule, initial, states[-1])
 
 
 def _su2_z_equatorial(u: np.ndarray):
@@ -380,12 +336,7 @@ def decompose_pulse(schedule, noise: NoiseRealization | None,
 
 def reconstruct_propagator(steps) -> np.ndarray:
     """Total unitary implied by a pulse-step list."""
-    acc = np.eye(2, dtype=complex)
-    theta = 0.0
-    for step in steps:
-        acc = _equatorial(step.xy_amplitude * step.duration, step.xy_phase) @ acc
-        theta += step.z_angle
-    return _z_rotation(theta) @ acc
+    return prefix_propagators(steps)[-1]
 
 
 def prefix_propagators(steps):
@@ -409,9 +360,8 @@ def accumulate_phases(schedule, noise: NoiseRealization | None, times) -> np.nda
     times = np.asarray(times, dtype=float)
     a, b = schedule.ab(times)
     k = np.hypot(a, b)
-    j0_rad = (schedule.base if isinstance(schedule, SpectatorSchedule) else schedule).j0_rad
     c = _noise_at(noise, times)
-    upper = (j0_rad + c) * k
+    upper = (schedule.j0_rad + c) * k
     theta_upper = -_cumtrapz(upper, times)
     return np.column_stack([-theta_upper, theta_upper])
 

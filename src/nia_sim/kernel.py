@@ -12,10 +12,12 @@ with the two-time kernel
     g(t, s) = -<E0(t)|dE1/dt> <E1(s)|dE0/ds> exp(i int_s^t E(u) du),
 
 where E = E1 - E0 = -2 (J0 + c) k is the signed gap in the connected
-labeling (tracked level first).  Noise rescales the gap pointwise and
-leaves the coupling matrix elements untouched, so it only accelerates the
-kernel phase; the kernel modulus factorizes as
-1 / (4 T^2 k^2(t) k^2(s)) independent of the noise.
+labeling (tracked level first).  The eigenvectors are real in the gauge
+used here, so <E0|dE0/dt> vanishes identically and only the memory term
+is integrated.  Noise rescales the gap pointwise and leaves the coupling
+matrix elements untouched, so it only accelerates the kernel phase; the
+kernel modulus factorizes as 1 / (4 T^2 k^2(t) k^2(s)) independent of the
+noise.
 
 The adiabatic condition is the vanishing of |int_0^t g(t,s) psi0(s) ds|;
 `adiabatic_defect` reports exactly that magnitude.
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import NoiseRealization, SingleQubitSchedule, SpectatorSchedule, noise_values
+from .model import NoiseRealization, noise_values
 
 
 class ResolutionError(ValueError):
@@ -61,16 +63,12 @@ class MemorySolution:
     _history: np.ndarray = field(repr=False)  # trapezoid of q(s) psi0(s) up to t
 
 
-def _base(schedule):
-    return schedule.base if isinstance(schedule, SpectatorSchedule) else schedule
-
-
 def coupling_elements(schedule, t: float) -> CouplingElements:
     """Closed-form <E_m|dE_n/dt> elements and gap of the two-level reduction."""
     total_time = schedule.total_time
     if not 0.0 <= t <= total_time * (1.0 + 1e-12):
         raise ValueError(f"t={t} outside [0, {total_time}]")
-    j0 = _base(schedule).j0_rad
+    j0 = schedule.j0_rad
     a, b = schedule.ab(t)
     da, db = schedule.ab_dot(t)
     a, b = float(a), float(b)
@@ -107,7 +105,7 @@ def _int_sqrt_quadratic(alpha, beta, gamma, x):
 
 def gap_integral(schedule, noise: NoiseRealization | None, s: float, t: float) -> float:
     """int_s^t E(u) du with E = -2 (J0 + c) k, closed form when noise-free."""
-    j0 = _base(schedule).j0_rad
+    j0 = schedule.j0_rad
     total_time = schedule.total_time
     if noise is None:
         alpha, beta, gamma = _quadratic_kt(schedule)
@@ -150,7 +148,7 @@ def kernel_value(schedule, noise: NoiseRealization | None, t: float, s: float) -
 
 def _phase_on_grid(schedule, noise, times) -> np.ndarray:
     """Cumulative int_0^t E, refined below the noise resolution when needed."""
-    j0 = _base(schedule).j0_rad
+    j0 = schedule.j0_rad
     if noise is None:
         alpha, beta, gamma = _quadratic_kt(schedule)
         x = times / schedule.total_time
@@ -188,29 +186,6 @@ def build_kernel_grid(schedule, noise: NoiseRealization | None, n_points: int) -
     return KernelGrid(times=times, values=values)
 
 
-def _eta00(schedule, times) -> np.ndarray:
-    """<E0|dE0/dt> by central finite differences of the gauge-fixed eigenvector.
-
-    Analytically zero in the real gauge; computed rather than assumed.
-    """
-    total_time = schedule.total_time
-    delta = 1e-7 * total_time
-    out = np.zeros(len(times))
-    for i, t in enumerate(times):
-        lo, hi = max(t - delta, 0.0), min(t + delta, total_time)
-        vs = []
-        for u in (lo, hi):
-            a, b = schedule.ab(u)
-            a, b = float(a), float(b)
-            k = np.hypot(a, b)
-            v = np.array([b + k, a])
-            vs.append(v / np.linalg.norm(v))
-        mid = 0.5 * (vs[0] + vs[1])
-        mid /= np.linalg.norm(mid)
-        out[i] = float(mid @ (vs[1] - vs[0])) / (hi - lo)
-    return out
-
-
 def solve_memory_equation(schedule, noise: NoiseRealization | None,
                           n_points: int = 1000) -> MemorySolution:
     """Advance the one-component memory equation on a uniform grid.
@@ -225,27 +200,22 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
     if noise is not None and noise.spec.omega_cut_rad * h > 0.5 * np.pi:
         raise ResolutionError("grid does not resolve the noise cutoff frequency")
     p, q = _split_kernel(schedule, noise, times)
-    # Noise-free per-step phase advance bounds the history quadrature error.
-    phase_step = np.abs(np.diff(np.angle(p * np.exp(-0.0j))))
     if noise is None and np.max(np.abs(np.diff(_phase_on_grid(schedule, None, times)))) > 0.5:
         raise ResolutionError("grid does not resolve the kernel phase")
-    del phase_step
-    eta = _eta00(schedule, times)
 
     psi = np.zeros(len(times), dtype=complex)
     hist = np.zeros(len(times), dtype=complex)  # trapezoid of q psi up to node i
     psi[0] = 1.0
-    f_prev = -eta[0] * psi[0] - p[0] * hist[0]
+    f_prev = -p[0] * hist[0]
     for i in range(1, len(times)):
         partial = hist[i - 1] + 0.5 * h * q[i - 1] * psi[i - 1]
         guess = psi[i - 1] + h * f_prev
         for _ in range(2):
-            s_i = partial + 0.5 * h * q[i] * guess
-            f_i = -eta[i] * guess - p[i] * s_i
+            f_i = -p[i] * (partial + 0.5 * h * q[i] * guess)
             guess = psi[i - 1] + 0.5 * h * (f_prev + f_i)
         psi[i] = guess
         hist[i] = partial + 0.5 * h * q[i] * psi[i]
-        f_prev = -eta[i] * psi[i] - p[i] * hist[i]
+        f_prev = -p[i] * hist[i]
     return MemorySolution(times=times, psi0=psi, _p=p, _history=hist)
 
 

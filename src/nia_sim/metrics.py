@@ -17,10 +17,6 @@ import numpy as np
 from . import smallmat
 
 
-class BlockLeakageError(ValueError):
-    """Amplitude leaked out of the {|01>, |10>} block: broken Hamiltonian."""
-
-
 class GridMismatchError(ValueError):
     """Trajectories do not share a time grid / schedule."""
 
@@ -58,44 +54,34 @@ class EnsembleSummary:
     meta: dict = field(default_factory=dict)
 
 
-def basis_metrics(state, mapping: str = "computational"):
-    """(pop0, pop1, Im(alpha*conj(beta))) for a normalized state.
-
-    mapping "computational" reads a 2-dimensional state directly;
-    "pair-block" reads |01> -> |0>, |10> -> |1> off a 4-dimensional state
-    and raises BlockLeakageError if the |00>/|11> amplitudes exceed 1e-8.
-    """
+def basis_metrics(state):
+    """(pop0, pop1, Im(alpha*conj(beta))) of a normalized two-level state."""
     state = np.asarray(state, dtype=complex)
-    if mapping == "computational":
-        if state.shape != (2,):
-            raise ValueError("computational mapping expects a 2-dim state")
-        alpha, beta = state
-    elif mapping == "pair-block":
-        if state.shape != (4,):
-            raise ValueError("pair-block mapping expects a 4-dim state")
-        if max(abs(state[0]), abs(state[3])) > 1e-8:
-            raise BlockLeakageError("amplitude outside the {|01>, |10>} block")
-        alpha, beta = state[1], state[2]
-    else:
-        raise ValueError(f"unknown mapping {mapping!r}")
-    return abs(alpha) ** 2, abs(beta) ** 2, float((alpha * beta.conjugate()).imag)
+    if state.shape[-1:] != (2,):
+        raise ValueError("expected a two-level state")
+    return reduced_qubit_metrics(state[..., None, :])
 
 
-def reduced_qubit_metrics(state4):
-    """Driven-qubit (pop0, pop1, Im rho01) by partial trace over the spectator."""
-    state4 = np.asarray(state4, dtype=complex)
-    if state4.shape != (4,):
-        raise ValueError("expected a 4-dim state")
-    pop0 = abs(state4[0]) ** 2 + abs(state4[1]) ** 2
-    pop1 = abs(state4[2]) ** 2 + abs(state4[3]) ** 2
-    rho01 = state4[0] * state4[2].conjugate() + state4[1] * state4[3].conjugate()
-    return pop0, pop1, float(rho01.imag)
+def reduced_qubit_metrics(sectors):
+    """Driven-qubit (pop0, pop1, Im rho01) from its sector states.
+
+    `sectors` has shape (..., n_sectors, 2); see `reduced_density`.
+    """
+    rho = reduced_density(sectors)
+    # Copies, so that stored columns do not keep the whole density stack alive.
+    return rho[..., 0, 0].real.copy(), rho[..., 1, 1].real.copy(), rho[..., 0, 1].imag.copy()
 
 
-def reduced_density(state4) -> np.ndarray:
-    """2x2 reduced density matrix of the driven qubit."""
-    state4 = np.asarray(state4, dtype=complex).reshape(2, 2)
-    return state4 @ state4.conj().T
+def reduced_density(sectors) -> np.ndarray:
+    """2x2 reduced density matrix of the driven qubit, sum_s |psi_s><psi_s|.
+
+    `sectors` holds the driven qubit's amplitudes on each sector, shape
+    (..., n_sectors, 2).  The sectors of the spectator model are the
+    spectator's sz levels, so the sum is the partial trace over the
+    spectator; a one-sector model gives the pure-state projector.
+    """
+    sectors = np.asarray(sectors, dtype=complex)
+    return np.einsum("...si,...sj->...ij", sectors, sectors.conj())
 
 
 def tracked_eigenvector(h, reference=None) -> np.ndarray:

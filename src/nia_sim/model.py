@@ -5,6 +5,14 @@ with a(t)=t/T, b(t)=1-t/T; a two-qubit exchange sweep whose dynamics live on
 the {|01>, |10>} block; and the single-qubit sweep embedded next to an
 undriven, z-z-coupled spectator qubit.
 
+Each model is an exact sum of 2x2 sectors (`Sector`): on every sector the
+Hamiltonian is the drive (J0 + c)[a sx + b sz] plus a constant offset.  The
+single qubit is one sector.  The pair sweep is one sector, its
+{|01>, |10>} block; the Hamiltonian annihilates |00> and |11>.  The
+spectator model is diagonal in the spectator's sz, so it splits into two
+sectors, one per spectator level, offset by +-J12/4 on sz and +-omega_spec
+on the identity.
+
 The synthesized noise c(t) is a sum of N equal-amplitude sinusoids at
 harmonics of a base frequency with independent uniform phases.  It enters
 the dynamics only as a scalar multiplier on the characteristic energy, so it
@@ -25,6 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .smallmat import SIGMA_X, SIGMA_Z
+
+_IDENTITY = np.eye(2, dtype=complex)
 
 
 class FrequencyConvention(enum.Enum):
@@ -48,6 +58,20 @@ class NoiseNormalization(enum.Enum):
 
 
 @dataclass(frozen=True)
+class Sector:
+    """One exact two-level block of a model's Hamiltonian.
+
+    `indices` are the positions of the driven qubit's |0> and |1> in the
+    full state; on the block the Hamiltonian is the drive plus
+    z_offset * sz + shift * I, both in rad/s.
+    """
+
+    indices: tuple[int, int]
+    z_offset: float = 0.0
+    shift: float = 0.0
+
+
+@dataclass(frozen=True)
 class SingleQubitSchedule:
     """Linear sweep from J0*sz to J0*sx over total time T."""
 
@@ -62,6 +86,10 @@ class SingleQubitSchedule:
     @property
     def dim(self) -> int:
         return 2
+
+    @property
+    def sectors(self) -> tuple[Sector, ...]:
+        return (Sector((0, 1)),)
 
     @property
     def j0_rad(self) -> float:
@@ -100,6 +128,10 @@ class TwoQubitSchedule:
         return 4
 
     @property
+    def sectors(self) -> tuple[Sector, ...]:
+        return (Sector((1, 2)),)
+
+    @property
     def j0_rad(self) -> float:
         return self.convention.factor * self.j0
 
@@ -119,7 +151,10 @@ class SpectatorSchedule:
     j12 is the scalar coupling and omega_spec an optional spectator offset,
     both quoted in the same unit system as J0 and mapped by the convention.
     The underlying coupling operator is j12 * sz(x)sz / 4, whose hertz image
-    is the familiar (pi*J12/2) sz(x)sz form.
+    is the familiar (pi*J12/2) sz(x)sz form, and the offset term is
+    omega_spec * I(x)sz.  Both are diagonal in the spectator's sz, so the
+    model is two driven-qubit sectors (spectator |0>, then |1>; the full
+    state is driven (x) spectator).
     """
 
     base: SingleQubitSchedule
@@ -133,6 +168,16 @@ class SpectatorSchedule:
     @property
     def dim(self) -> int:
         return 4
+
+    @property
+    def sectors(self) -> tuple[Sector, ...]:
+        f = self.convention.factor
+        z, shift = f * self.j12 / 4.0, f * self.omega_spec
+        return (Sector((0, 2), z, shift), Sector((1, 3), -z, -shift))
+
+    @property
+    def j0_rad(self) -> float:
+        return self.base.j0_rad
 
     @property
     def total_time(self) -> float:
@@ -237,58 +282,32 @@ def noise_value(r: NoiseRealization, t: float) -> float:
     return float(noise_values(r, [t])[0])
 
 
-_EXCHANGE_4 = np.zeros((4, 4), dtype=complex)
-_EXCHANGE_4[1, 2] = 1.0
-_EXCHANGE_4[2, 1] = 1.0
-# (sz(x)I - I(x)sz)/4 = diag(0, 1/2, -1/2, 0)
-_ZDIFF_4 = np.diag([0.0, 0.5, -0.5, 0.0]).astype(complex)
-_ZZ_4 = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
-_IZ_4 = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
-
-
 def _check_time(schedule, t: float) -> None:
     if not (0.0 <= t <= schedule.total_time * (1.0 + 1e-12)):
         raise ValueError(f"t={t} outside [0, {schedule.total_time}]")
 
 
-def h_single(s: SingleQubitSchedule, t: float, c: float = 0.0) -> np.ndarray:
-    """(J0 + c) [a(t) sx + b(t) sz], with c already in rad/s."""
+def h_single(s, t: float, c: float = 0.0) -> np.ndarray:
+    """(J0 + c) [a(t) sx + b(t) sz], with c already in rad/s.
+
+    This is the single-qubit Hamiltonian and the drive on every sector of
+    the other schedules.
+    """
     _check_time(s, t)
     a, b = s.ab(t)
     return (s.j0_rad + c) * (a * SIGMA_X + b * SIGMA_Z)
 
 
-def h_pair(s: TwoQubitSchedule, t: float, c: float = 0.0) -> np.ndarray:
-    """(J0 + c) [a (s1+ s2- + h.c.) + omega (s1z - s2z)/4] on 4 dimensions.
-
-    s+- = (sx +- i sy)/2, so s1+ s2- + h.c. = (s1x s2x + s1y s2y)/2.
-    """
-    _check_time(s, t)
-    x = t / s.total_time
-    return (s.j0_rad + c) * (x * _EXCHANGE_4 + (1.0 - x) * _ZDIFF_4)
+def h_sectors(schedule, t: float, c: float = 0.0) -> np.ndarray:
+    """Hamiltonian on each sector of `schedule`, shape (n_sectors, 2, 2)."""
+    drive = h_single(schedule, t, c)
+    return np.array([drive + sec.z_offset * SIGMA_Z + sec.shift * _IDENTITY
+                     for sec in schedule.sectors])
 
 
-def h_spectator(s: SpectatorSchedule, t: float, c: float = 0.0) -> np.ndarray:
-    """Driven qubit (x) identity, plus z-z coupling and spectator offset."""
-    _check_time(s, t)
-    f = s.convention.factor
-    h = np.kron(h_single(s.base, t, c), np.eye(2, dtype=complex))
-    h = h + (f * s.j12 / 4.0) * _ZZ_4
-    if s.omega_spec != 0.0:
-        h = h + (f * s.omega_spec) * _IZ_4
-    return h
-
-
-def h_effective_block(schedule, t: float, c: float = 0.0) -> np.ndarray:
-    """Effective two-level Hamiltonian (J0+c)(a sx + b sz) for any schedule.
-
-    For the two-qubit sweep this is the {|01>, |10>} block; for the
-    spectator model it is the driven qubit alone.
-    """
-    _check_time(schedule, t)
-    a, b = schedule.ab(t)
-    j0_rad = schedule.base.j0_rad if isinstance(schedule, SpectatorSchedule) else schedule.j0_rad
-    return (j0_rad + c) * (a * SIGMA_X + b * SIGMA_Z)
+def sector_states(schedule, state) -> np.ndarray:
+    """Amplitudes of a full state on each sector, shape (n_sectors, 2)."""
+    return np.asarray(state, dtype=complex)[np.array([sec.indices for sec in schedule.sectors])]
 
 
 def psd_estimate(spec: NoiseSpec, n_realizations: int, duration: float, dt: float):

@@ -1,10 +1,11 @@
-"""Small dense complex Hermitian linear algebra for dimensions 2 and 4.
+"""Closed-form complex Hermitian linear algebra for dimension 2.
 
-Everything downstream (Hamiltonian evolution, kernel evaluation, metrics)
-runs through the routines here: eigendecomposition with a deterministic
-gauge, analytic unitary exponentials, and inner products.  States are plain
-numpy complex vectors, operators are numpy complex matrices; the functions
-validate the invariants the rest of the package relies on.
+Every model in the package is evolved as exact 2x2 sectors, so the
+routines here only ever see two-level operators: eigendecomposition with
+a deterministic gauge, analytic unitary exponentials, and inner products.
+States are plain numpy complex vectors, operators are numpy complex
+matrices; the functions validate the invariants the rest of the package
+relies on.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 DEGENERACY_REL_TOL = 1e-12
-JACOBI_OFF_TOL = 1e-13
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -37,18 +37,14 @@ class DimensionMismatchError(ValueError):
 class EigenSystem:
     """Eigenvalues ascending, gauge-fixed eigenvectors as matrix columns."""
 
-    values: np.ndarray   # (dim,) real, ascending
-    vectors: np.ndarray  # (dim, dim) complex, column i pairs with values[i]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
+    values: np.ndarray   # (2,) real, ascending
+    vectors: np.ndarray  # (2, 2) complex, column i pairs with values[i]
 
 
 def _as_operator(h) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] not in (2, 4):
-        raise DimensionMismatchError(f"expected a 2x2 or 4x4 matrix, got shape {h.shape}")
+    if h.shape != (2, 2):
+        raise DimensionMismatchError(f"expected a 2x2 matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("operator contains non-finite entries")
     return h
@@ -75,63 +71,18 @@ def gauge_fix(vec: np.ndarray) -> np.ndarray:
     return vec * (pivot.conj() / mag)
 
 
-def _eigh2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form 2x2 Hermitian eigendecomposition (no gauge, ascending)."""
+def _bloch(h: np.ndarray):
+    """h = e0 I + vx sx + vy sy + vz sz; returns (e0, vx, vy, vz, |v|)."""
     e0 = 0.5 * (h[0, 0].real + h[1, 1].real)
     vx = h[0, 1].real
     vy = -h[0, 1].imag
     vz = 0.5 * (h[0, 0].real - h[1, 1].real)
-    r = np.sqrt(vx * vx + vy * vy + vz * vz)
-    values = np.array([e0 - r, e0 + r])
-    if r == 0.0:
-        return values, np.eye(2, dtype=complex)
-    # Branch on sign(vz) for numerical stability of the spinor components.
-    if vz >= 0.0:
-        up = np.array([r + vz, vx + 1.0j * vy]) / np.sqrt(2.0 * r * (r + vz))
-    else:
-        up = np.array([vx - 1.0j * vy, r - vz]) / np.sqrt(2.0 * r * (r - vz))
-    down = np.array([-up[1].conj(), up[0].conj()])
-    vectors = np.column_stack([down, up])
-    return values, vectors
-
-
-def _jacobi4(h: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi for complex Hermitian 4x4 (unsorted, no gauge)."""
-    a = h.astype(complex).copy()
-    dim = a.shape[0]
-    v = np.eye(dim, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = np.sqrt(sum(abs(a[p, q]) ** 2 for p in range(dim) for q in range(p + 1, dim)))
-        if off < 0.5 * JACOBI_OFF_TOL * scale:
-            break
-        for p in range(dim):
-            for q in range(p + 1, dim):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                phase = apq / abs(apq)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-                # Smaller-magnitude root of t^2 - 2 tau t - 1 = 0.
-                t = 1.0 if tau == 0.0 else -np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                u = np.eye(dim, dtype=complex)
-                u[p, p] = c
-                u[q, q] = c
-                u[p, q] = -s * phase
-                u[q, p] = s * phase.conjugate()
-                a = u.conj().T @ a @ u
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                v = v @ u
-    return np.real(np.diag(a)), v
+    return e0, vx, vy, vz, np.sqrt(vx * vx + vy * vy + vz * vz)
 
 
 def eigh(h) -> EigenSystem:
-    """Eigendecomposition of a 2x2 or 4x4 Hermitian operator.
+    """Closed-form eigendecomposition of a 2x2 Hermitian operator.
 
-    Exact closed form at dimension 2, cyclic Jacobi at dimension 4.
     Eigenvalues come back ascending; eigenvectors are gauge-fixed
     (largest-magnitude component real positive).  Raises
     DegenerateSpectrumError when the relative gap collapses: the driven
@@ -139,22 +90,22 @@ def eigh(h) -> EigenSystem:
     """
     h = _as_operator(h)
     _check_hermitian(h)
-    if h.shape[0] == 2:
-        values, vectors = _eigh2(h)
-    else:
-        values, vectors = _jacobi4(h)
-        order = np.argsort(values, kind="stable")
-        values = values[order]
-        vectors = vectors[:, order]
+    e0, vx, vy, vz, r = _bloch(h)
+    values = np.array([e0 - r, e0 + r])
     scale = max(1.0, float(np.abs(values).max()))
-    if np.min(np.diff(values)) < DEGENERACY_REL_TOL * scale:
+    if values[1] - values[0] < DEGENERACY_REL_TOL * scale:
         raise DegenerateSpectrumError("spectrum degenerate within tolerance")
-    vectors = np.column_stack([gauge_fix(vectors[:, i]) for i in range(vectors.shape[1])])
-    return EigenSystem(values=values, vectors=vectors)
+    # Branch on sign(vz) for numerical stability of the spinor components.
+    if vz >= 0.0:
+        up = np.array([r + vz, vx + 1.0j * vy]) / np.sqrt(2.0 * r * (r + vz))
+    else:
+        up = np.array([vx - 1.0j * vy, r - vz]) / np.sqrt(2.0 * r * (r - vz))
+    down = np.array([-up[1].conj(), up[0].conj()])
+    return EigenSystem(values=values, vectors=np.column_stack([gauge_fix(down), gauge_fix(up)]))
 
 
 def expm_unitary(h, dt: float) -> np.ndarray:
-    """exp(-i h dt) for Hermitian h, analytic at dim 2, via Jacobi at dim 4.
+    """exp(-i h dt) for a 2x2 Hermitian h, in closed form.
 
     Degenerate spectra are fine here (the exponential is well defined);
     only the public eigh contract treats them as errors.
@@ -163,20 +114,13 @@ def expm_unitary(h, dt: float) -> np.ndarray:
     _check_hermitian(h)
     if not (np.isfinite(dt) and dt >= 0.0):
         raise ValueError("dt must be finite and non-negative")
-    if h.shape[0] == 2:
-        e0 = 0.5 * (h[0, 0].real + h[1, 1].real)
-        vx = h[0, 1].real
-        vy = -h[0, 1].imag
-        vz = 0.5 * (h[0, 0].real - h[1, 1].real)
-        r = np.sqrt(vx * vx + vy * vy + vz * vz)
-        phase = np.exp(-1.0j * e0 * dt)
-        if r == 0.0:
-            return phase * np.eye(2, dtype=complex)
-        theta = r * dt
-        n_sigma = (vx * SIGMA_X + vy * SIGMA_Y + vz * SIGMA_Z) / r
-        return phase * (np.cos(theta) * np.eye(2, dtype=complex) - 1.0j * np.sin(theta) * n_sigma)
-    values, vectors = _jacobi4(h)
-    return (vectors * np.exp(-1.0j * values * dt)) @ vectors.conj().T
+    e0, vx, vy, vz, r = _bloch(h)
+    phase = np.exp(-1.0j * e0 * dt)
+    if r == 0.0:
+        return phase * np.eye(2, dtype=complex)
+    theta = r * dt
+    n_sigma = (vx * SIGMA_X + vy * SIGMA_Y + vz * SIGMA_Z) / r
+    return phase * (np.cos(theta) * np.eye(2, dtype=complex) - 1.0j * np.sin(theta) * n_sigma)
 
 
 def inner(a, b) -> complex:

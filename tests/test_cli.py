@@ -1,4 +1,6 @@
 """Config parsing, validation, presets, CSV reproducibility, exit codes."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,32 @@ class TestValidate:
         bad = validate(cfg)
         assert any("noise.seed" in v for v in bad)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"T": "nan"}, "T must be finite"),
+        ({"T": "inf"}, "T must be finite"),
+        ({"dt": "inf"}, "dt must be finite"),
+        ({"J0": "nan"}, "J0 must be finite"),
+        ({"system": "spectator", "J12": "nan"}, "J12 must be finite"),
+        ({"system": "spectator", "omega_spec": "-inf"}, "omega_spec must be finite"),
+        ({"noise.amplitude": "nan", "noise.omega_cut": "100"},
+         "noise.amplitude must be finite"),
+        ({"noise.amplitude": "1", "noise.omega0": "inf", "noise.omega_cut": "100"},
+         "noise.omega0 must be finite"),
+        ({"noise.amplitude": "1", "noise.omega_cut": "inf"}, "noise.omega_cut must be finite"),
+        ({"initial_state": "nan,1"}, "initial_state amplitudes must be finite"),
+        ({"initial_state": "1,infj"}, "initial_state amplitudes must be finite"),
+        # N = 10^12 components: refused here, never allocated.
+        ({"noise.amplitude": "1", "noise.omega_cut": "1e12"}, "noise components"),
+    ])
+    def test_non_finite_or_unbounded_blocked(self, overrides, message):
+        bad = config.blocking(validate(load_config("fig3b", overrides)))
+        assert any(message in v for v in bad), bad
+
+    def test_component_cap_is_inclusive(self):
+        at_cap = {"noise.amplitude": "1", "noise.omega0": "1",
+                  "noise.omega_cut": str(config.MAX_NOISE_COMPONENTS)}
+        assert config.blocking(validate(load_config("fig3b", at_cap))) == []
+
     def test_never_throws(self):
         cfg = build_config({"mode": "simulate", "T": "-1", "dt": "-1", "J0": "-1",
                             "convention": "imperial"})
@@ -164,6 +192,15 @@ class TestCliRuns:
                               if k not in ("T", "config_hash", "generated")})
         assert preambles[0] == preambles[1]
 
+    def test_config_hash_ignores_output_directory(self, tmp_path):
+        stamps = []
+        for sub, extra in (("h1", []), ("h2", ["--set", "timestamps=false"])):
+            out = tmp_path / sub
+            assert cli.main(["simulate", "--config", "fig3a", *extra, "--out", str(out)]) == 0
+            text = open(out / "trajectory.csv", encoding="utf-8").read()
+            stamps.append([l for l in text.splitlines() if l.startswith("# config_hash")])
+        assert stamps[0] == stamps[1] and len(stamps[0]) == 1
+
     def test_kernel_mode(self, tmp_path):
         code = cli.main(["kernel", "--config", "fig3b", "--out", str(tmp_path)])
         assert code == 0
@@ -209,6 +246,22 @@ class TestExitCodes:
 
     def test_bad_mode_is_usage(self):
         assert cli.main(["contemplate", "--config", "fig3b"]) == 1
+
+    def test_pair_state_outside_block_is_usage(self, tmp_path, capsys):
+        code = cli.main(["simulate", "--config", "fig4a",
+                         "--set", "initial_state=0.5,0.5,0.5,0.5", "--out", str(tmp_path)])
+        assert code == 1
+        assert "{|01>, |10>} block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sets", [["system=spectator", "J12=nan"],
+                                      ["initial_state=nan,1"]])
+    def test_non_finite_input_is_usage(self, tmp_path, sets):
+        argv = ["simulate", "--config", "fig3b", "--out", str(tmp_path)]
+        for item in sets:
+            argv += ["--set", item]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
 
     def test_coarse_kernel_grid_is_usage(self, tmp_path):
         code = cli.main(["kernel", "--config", "fig3b",

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from nia_sim import evolve, model, smallmat
+from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
 from nia_sim.model import (FrequencyConvention, NoiseSpec, SingleQubitSchedule,
                            SpectatorSchedule, TwoQubitSchedule, realize_noise)
@@ -48,6 +50,15 @@ class TestEvolveStepwise:
         assert np.abs(traj.im_coherence).max() > 0.1
         assert traj.fidelity_e0[-1] < 0.95
 
+    def test_tracked_level_tie_goes_to_lower(self):
+        # |+> overlaps both levels of J0 sz equally at t = 0; the lower level
+        # (ascending index 0) is tracked, so the gap column is +2 J0 k.
+        s = single()
+        traj = evolve.evolve_stepwise(s, None, EvolutionConfig(dt=1e-6), PLUS)
+        assert traj.fidelity_e0[0] == pytest.approx(0.5, abs=1e-15)
+        a, b = s.ab(traj.times)
+        np.testing.assert_allclose(traj.gap, 2.0 * s.j0_rad * np.hypot(a, b), rtol=1e-12)
+
     def test_record_grid_and_final_time(self):
         s = single()
         traj = evolve.evolve_stepwise(s, None, EvolutionConfig(dt=1e-6, store_every=10),
@@ -82,21 +93,46 @@ class TestEvolveStepwise:
         assert traj.meta["system"] == "single"
 
     def test_two_qubit_block_invariance(self):
+        # |00> and |11> sit at eigenvalue zero of the dense pair Hamiltonian,
+        # and the engine keeps them as they are while it evolves the block.
         s = TwoQubitSchedule(j0=100.0, total_time=0.01, convention=ANG)
         initial = np.array([0.3, 0.8, 0.1, 0.5], dtype=complex)
         initial /= np.linalg.norm(initial)
-        cfg = EvolutionConfig(dt=1e-5, renormalize=False, store_every=1000)
-        build = evolve._hamiltonian_builder(s)
-        state = initial.copy()
-        starts, durations = evolve._plan_steps(s.total_time, cfg.dt)
-        for k in range(len(starts)):
-            u = smallmat.expm_unitary(build(starts[k] + 0.5 * durations[k], 0.0),
-                                      durations[k])
-            state = u @ state
-        phase0 = s.j0_rad * 0.0  # |00> and |11> sit at eigenvalue zero
-        assert abs(abs(state[0]) - abs(initial[0])) < 1e-10
-        assert abs(abs(state[3]) - abs(initial[3])) < 1e-10
-        assert abs(state[0] - initial[0] * np.exp(-1.0j * phase0)) < 1e-9
+        state = dense.midpoint_final(dense.h_pair, s, None, 1e-5, initial)
+        assert abs(state[0] - initial[0]) < 1e-12
+        assert abs(state[3] - initial[3]) < 1e-12
+        final = evolve.final_state_stepwise(s, None, EvolutionConfig(dt=1e-5), initial)
+        np.testing.assert_allclose(final, state, rtol=0.0, atol=1e-12)
+
+
+class TestDenseReference:
+    """Sector engine finals against the dense 4x4 midpoint product."""
+
+    def test_fig4b_member(self):
+        cfg = load_config("fig4b")
+        s = cfg.schedule()
+        noise = realize_noise(cfg.noise_spec(), 3)
+        initial = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+        ref = dense.midpoint_final(dense.h_pair, s, noise, cfg.dt, initial)
+        final = evolve.final_state_stepwise(s, noise, EvolutionConfig(dt=cfg.dt), initial)
+        np.testing.assert_allclose(final, ref, rtol=0.0, atol=1e-12)
+
+    def test_spectator_both_sectors(self):
+        s = SpectatorSchedule(base=single(), j12=215.0, omega_spec=37.0)
+        noise = fig3_noise(seed=5, index=2)
+        initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
+        initial /= np.linalg.norm(initial)
+        ref = dense.midpoint_final(dense.h_spectator, s, noise, 1e-6, initial)
+        cfg = EvolutionConfig(dt=1e-6, store_every=1000)
+        final = evolve.final_state_stepwise(s, noise, cfg, initial)
+        np.testing.assert_allclose(final, ref, rtol=0.0, atol=1e-12)
+        # The recorded driven-qubit metrics are the partial trace of the same state.
+        traj = evolve.evolve_stepwise(s, noise, cfg, initial)
+        m = ref.reshape(2, 2)
+        rho = m @ m.conj().T
+        np.testing.assert_allclose([traj.pop0[-1], traj.pop1[-1], traj.im_coherence[-1]],
+                                   [rho[0, 0].real, rho[1, 1].real, rho[0, 1].imag],
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestEvolveOracle:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from nia_sim import evolve, kernel, smallmat
+from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
 from nia_sim.model import (FrequencyConvention, NoiseSpec, SingleQubitSchedule,
                            TwoQubitSchedule, h_single, realize_noise)
@@ -72,6 +73,28 @@ class TestCouplingElements:
             ce = kernel.coupling_elements(s, float(t))
             fd = fd_coupling(s, float(t)).real
             assert ce.c01 == pytest.approx(fd, rel=1e-5)
+
+    def test_eta00_vanishes_in_real_gauge(self):
+        # The memory equation drops -<E0|dE0/dt> psi0: in the real gauge the
+        # tracked level's own coupling is zero.  Central differences of the
+        # gauge-fixed eigenvector on fig3d's kernel grid leave only rounding.
+        cfg = load_config("fig3d")
+        s = cfg.schedule()
+        total_time = s.total_time
+        delta = 1e-7 * total_time
+
+        def tracked(u):
+            a, b = s.ab(u)
+            return smallmat.eigh(float(a) * smallmat.SIGMA_X
+                                 + float(b) * smallmat.SIGMA_Z).vectors[:, 1]
+
+        worst = 0.0
+        for t in np.linspace(0.0, total_time, cfg.kernel_points):
+            lo, hi = max(t - delta, 0.0), min(t + delta, total_time)
+            v_lo, v_hi = tracked(lo), tracked(hi)
+            mid = (v_lo + v_hi) / np.linalg.norm(v_lo + v_hi)
+            worst = max(worst, abs(np.vdot(mid, v_hi - v_lo)) / (hi - lo))
+        assert worst * total_time < 1e-8
 
     def test_inverse_gap_form(self):
         # c01 = J0 / (T k E) with E = -2 J0 k for the single-qubit sweep.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from nia_sim import evolve, metrics, model
 from nia_sim.evolve import EvolutionConfig
 from nia_sim.model import (FrequencyConvention, NoiseSpec, SingleQubitSchedule,
-                           SpectatorSchedule, realize_noise)
+                           SpectatorSchedule, TwoQubitSchedule, realize_noise)
 
 ANG = FrequencyConvention.ANGULAR_DIRECT
 ZERO = np.array([1.0, 0.0], dtype=complex)
@@ -44,21 +44,19 @@ class TestBasisMetrics:
         assert im == pytest.approx(-0.5)
 
     def test_bell_block_state(self):
+        # Read through the pair model's one sector, |01> -> |0>, |10> -> |1>.
         state = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        pop0, pop1, im = metrics.basis_metrics(state, "pair-block")
+        pair = TwoQubitSchedule(j0=100.0, total_time=0.01, convention=ANG)
+        (block,) = model.sector_states(pair, state)
+        pop0, pop1, im = metrics.basis_metrics(block)
         assert pop0 == pytest.approx(0.5)
         assert pop1 == pytest.approx(0.5)
         assert im == pytest.approx(0.0, abs=1e-15)
 
-    def test_block_leakage_raises(self):
-        state = np.array([0.1, 1.0, 0.0, 0.0])
-        state /= np.linalg.norm(state)
-        with pytest.raises(metrics.BlockLeakageError):
-            metrics.basis_metrics(state, "pair-block")
-
     def test_unknown_mapping(self):
+        # A four-level state has no direct reading; it is split into sectors first.
         with pytest.raises(ValueError):
-            metrics.basis_metrics(ZERO, "bell")
+            metrics.basis_metrics(np.array([0.0, 1.0, 0.0, 0.0]))
 
     @given(state=unit_states(2))
     @settings(max_examples=150, deadline=None)
@@ -74,6 +72,23 @@ class TestBasisMetrics:
         a = metrics.basis_metrics(state)
         b = metrics.basis_metrics(np.exp(1.0j * phi) * state)
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+class TestReducedQubit:
+    def test_partial_trace_over_spectator(self):
+        rng = np.random.default_rng(4)
+        state = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        state /= np.linalg.norm(state)
+        # Partial trace of |psi><psi| over the spectator, driven (x) spectator.
+        m = state.reshape(2, 2)
+        expected = m @ m.conj().T
+        spec = SpectatorSchedule(base=single(), j12=215.0)
+        sectors = model.sector_states(spec, state)
+        np.testing.assert_allclose(metrics.reduced_density(sectors), expected, atol=1e-15)
+        pop0, pop1, im = metrics.reduced_qubit_metrics(sectors)
+        np.testing.assert_allclose((pop0, pop1, im),
+                                   (expected[0, 0].real, expected[1, 1].real,
+                                    expected[0, 1].imag), atol=1e-15)
 
 
 class TestEigenstateFidelity:
@@ -196,6 +211,6 @@ class TestSpectatorError:
         state = evolve.final_state_stepwise(spec_s, fig3_noise(),
                                             EvolutionConfig(dt=1e-6),
                                             np.kron(ZERO, ZERO))
-        rho = metrics.reduced_density(state)
+        rho = metrics.reduced_density(model.sector_states(spec_s, state))
         purity = float(np.real(np.trace(rho @ rho)))
         assert 0.5 - 1e-12 <= purity <= 1.0 + 1e-12

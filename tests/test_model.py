@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import h_pair, h_spectator
 from nia_sim import model, smallmat
 from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
                            SingleQubitSchedule, SpectatorSchedule,
-                           TwoQubitSchedule, h_pair, h_single, h_spectator,
+                           TwoQubitSchedule, h_sectors, h_single,
                            noise_value, noise_values, realize_noise)
 
 ANG = FrequencyConvention.ANGULAR_DIRECT
@@ -65,6 +66,8 @@ class TestHSingle:
 
 
 class TestHPair:
+    """The dense 4x4 pair Hamiltonian and its one sector, the {|01>, |10>} block."""
+
     def setup_method(self):
         self.s = TwoQubitSchedule(j0=100.0, total_time=0.01, convention=ANG)
 
@@ -88,16 +91,21 @@ class TestHPair:
             assert np.abs(h[3, :]).max() == 0.0
 
     def test_block_matches_dim2_operator(self):
-        # |01> -> |0>, |10> -> |1> mapping against J0 [a sx + (omega/2) sz].
+        # |01> -> |0>, |10> -> |1> mapping against J0 [a sx + (omega/2) sz],
+        # which is also the engine's one sector.
+        assert [sec.indices for sec in self.s.sectors] == [(1, 2)]
         for t in np.linspace(0.0, self.s.total_time, 11):
-            h = h_pair(self.s, t)
+            h = h_pair(self.s, t, c=17.0)
             block = h[1:3, 1:3]
             a, b = self.s.ab(t)
-            expected = self.s.j0_rad * (a * smallmat.SIGMA_X + b * smallmat.SIGMA_Z)
-            np.testing.assert_allclose(block, expected, atol=1e-14)
+            expected = (self.s.j0_rad + 17.0) * (a * smallmat.SIGMA_X + b * smallmat.SIGMA_Z)
+            np.testing.assert_allclose(block, expected, atol=1e-12)
+            np.testing.assert_allclose(h_sectors(self.s, t, 17.0), [block], atol=1e-12)
 
 
 class TestHSpectator:
+    """The dense 4x4 spectator Hamiltonian and its two sectors."""
+
     def test_decoupled_limit(self):
         base = single()
         s = SpectatorSchedule(base=base, j12=0.0)
@@ -119,6 +127,18 @@ class TestHSpectator:
         # Partial trace over the spectator of the z-z term vanishes.
         reduced = coupling[0::2, 0::2] + coupling[1::2, 1::2]
         np.testing.assert_allclose(reduced, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("convention", list(FrequencyConvention))
+    def test_sectors_are_the_dense_blocks(self, convention):
+        # The spectator's sz levels |0>, |1> pick indices (0, 2) and (1, 3).
+        base = SingleQubitSchedule(j0=4000.0, total_time=5e-4, convention=convention)
+        s = SpectatorSchedule(base=base, j12=215.0, omega_spec=37.0)
+        for t in np.linspace(0.0, s.total_time, 7):
+            h = h_spectator(s, t, 3.0)
+            blocks = [h[np.ix_(idx, idx)] for idx in ([0, 2], [1, 3])]
+            np.testing.assert_allclose(h_sectors(s, t, 3.0), blocks, atol=1e-9)
+            # Nothing couples the two sectors.
+            np.testing.assert_array_equal(h[np.ix_([0, 2], [1, 3])], 0.0)
 
     def test_negative_j12_rejected(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,41 @@ def random_hermitian(rng, dim):
     return m + m.conj().T
 
 
+# Sector index sets: a two-level operator is its own sector; a four-level one
+# is taken with the spectator model's layout, one block per spectator level.
+SECTORS = {2: ([0, 1],), 4: ([0, 2], [1, 3])}
+
+
+def random_operator(rng, dim):
+    """Random Hermitian operator that is block-diagonal on SECTORS[dim]."""
+    h = np.zeros((dim, dim), dtype=complex)
+    for idx in SECTORS[dim]:
+        h[np.ix_(idx, idx)] = random_hermitian(rng, 2)
+    return h
+
+
+def eigh_by_sectors(h):
+    """Ascending eigenvalues and matching eigenvectors, each block via smallmat."""
+    dim = h.shape[0]
+    values, vectors = [], []
+    for idx in SECTORS[dim]:
+        es = smallmat.eigh(h[np.ix_(idx, idx)])
+        for i in range(2):
+            v = np.zeros(dim, dtype=complex)
+            v[idx] = es.vectors[:, i]
+            values.append(es.values[i])
+            vectors.append(v)
+    order = np.argsort(values)
+    return np.array(values)[order], np.column_stack(vectors)[:, order]
+
+
+def expm_by_sectors(h, dt):
+    u = np.zeros_like(h)
+    for idx in SECTORS[h.shape[0]]:
+        u[np.ix_(idx, idx)] = smallmat.expm_unitary(h[np.ix_(idx, idx)], dt)
+    return u
+
+
 def finite_floats(lo=-1e3, hi=1e3):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
 
@@ -35,19 +70,19 @@ class TestEigh:
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_numpy(self, dim, seed):
-        h = random_hermitian(np.random.default_rng(seed), dim)
-        es = smallmat.eigh(h)
+        h = random_operator(np.random.default_rng(seed), dim)
+        values, vectors = eigh_by_sectors(h)
         ref = np.linalg.eigvalsh(h)
-        np.testing.assert_allclose(es.values, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(values, ref, rtol=1e-12, atol=1e-12)
         # Residual check is gauge-independent.
-        res = h @ es.vectors - es.vectors * es.values
+        res = h @ vectors - vectors * values
         assert np.abs(res).max() < 1e-11 * max(1.0, np.abs(h).max())
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_orthonormal_columns(self, dim):
-        h = random_hermitian(np.random.default_rng(7), dim)
-        es = smallmat.eigh(h)
-        gram = es.vectors.conj().T @ es.vectors
+        h = random_operator(np.random.default_rng(7), dim)
+        _, vectors = eigh_by_sectors(h)
+        gram = vectors.conj().T @ vectors
         np.testing.assert_allclose(gram, np.eye(dim), atol=1e-12)
 
     def test_degenerate_raises(self):
@@ -59,8 +94,12 @@ class TestEigh:
             smallmat.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_bad_dimension_raises(self):
-        with pytest.raises(smallmat.DimensionMismatchError):
-            smallmat.eigh(np.eye(3))
+        # Four-level operators are handled as 2x2 sectors, never directly.
+        for h in (np.eye(3), np.eye(4)):
+            with pytest.raises(smallmat.DimensionMismatchError):
+                smallmat.eigh(h)
+            with pytest.raises(smallmat.DimensionMismatchError):
+                smallmat.expm_unitary(h, 0.1)
 
     @given(vx=finite_floats(), vy=finite_floats(), vz=finite_floats(),
            e0=finite_floats())
@@ -108,9 +147,9 @@ class TestExpmUnitary:
     @pytest.mark.parametrize("seed", range(10))
     def test_unitary_and_matches_diagonalization(self, dim, seed):
         rng = np.random.default_rng(seed + 100)
-        h = random_hermitian(rng, dim)
+        h = random_operator(rng, dim)
         dt = float(rng.uniform(0.0, 2.0))
-        u = smallmat.expm_unitary(h, dt)
+        u = expm_by_sectors(h, dt)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
         w, v = np.linalg.eigh(h)
         ref = (v * np.exp(-1.0j * w * dt)) @ v.conj().T
@@ -118,8 +157,8 @@ class TestExpmUnitary:
 
     def test_degenerate_spectrum_allowed(self):
         # exp(-i h dt) is well defined even where eigh refuses to label levels.
-        u = smallmat.expm_unitary(np.eye(4), 0.7)
-        np.testing.assert_allclose(u, np.exp(-0.7j) * np.eye(4), atol=1e-14)
+        u = smallmat.expm_unitary(np.eye(2), 0.7)
+        np.testing.assert_allclose(u, np.exp(-0.7j) * np.eye(2), atol=1e-14)
 
     @given(vx=finite_floats(-50, 50), vz=finite_floats(-50, 50),
            dt=st.floats(min_value=0.0, max_value=1.0))
