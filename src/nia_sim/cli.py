@@ -1,17 +1,19 @@
 """Command-line front end: run simulations, ensembles, sweeps, diagnostics.
 
 Usage: nia-sim <mode> --config <file-or-preset> [--set key=value ...]
-                [--jobs N] [--seed S] [--out DIR]
+                [--seed S] [--out DIR]
 
-Outputs are CSV files with a `#`-prefixed metadata preamble (config hash,
-all effective parameters, seeds); the body below the header row is
-byte-reproducible given the same config.  Exit codes: 0 success, 1 usage
-error, 2 numeric failure, 3 check-mode threshold failure.
+Every run goes through `evolve.evolve_stepwise`: a single trajectory with
+noise realization 0, or a whole ensemble in one batched call that
+propagates all members together.  Outputs are CSV files with a
+`#`-prefixed metadata preamble (config hash, all effective parameters,
+seeds); the body below the header row is byte-reproducible given the same
+config.  Exit codes: 0 success, 1 usage error, 2 numeric failure, 3
+check-mode threshold failure.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 import time
@@ -79,10 +81,17 @@ def _evolution_config(cfg: RunConfig) -> evolve.EvolutionConfig:
     return evolve.EvolutionConfig(dt=cfg.dt, store_every=cfg.store_every)
 
 
-def _run_member(cfg: RunConfig, index: int) -> metrics.Trajectory:
-    """One trajectory of the configured run (worker for parallel ensembles)."""
-    return evolve.evolve_stepwise(cfg.schedule(), _noise_realization(cfg, index),
+def _simulate(cfg: RunConfig) -> metrics.Trajectory:
+    """One trajectory of the configured run, with noise realization 0."""
+    return evolve.evolve_stepwise(cfg.schedule(), _noise_realization(cfg, 0),
                                   _evolution_config(cfg), _initial_vector(cfg))
+
+
+def _run_ensemble(cfg: RunConfig) -> metrics.EnsembleSummary:
+    """Mean and standard error over every member, propagated together in one call."""
+    noises = [_noise_realization(cfg, i) for i in range(cfg.realizations)]
+    return metrics.aggregate(evolve.evolve_stepwise(cfg.schedule(), noises,
+                                                    _evolution_config(cfg), _initial_vector(cfg)))
 
 
 def _preamble(cfg: RunConfig, mode: str, extra: dict | None = None) -> list[str]:
@@ -131,32 +140,22 @@ def write_summary(path: str, cfg: RunConfig, summary: metrics.EnsembleSummary,
     _write_rows(path, _preamble(cfg, mode, extra), header, zip(*cols))
 
 
-def _run_ensemble(cfg: RunConfig, jobs: int) -> metrics.EnsembleSummary:
-    indices = range(cfg.realizations)
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            trajs = list(pool.map(_run_member, [cfg] * cfg.realizations, indices))
-    else:
-        trajs = [_run_member(cfg, i) for i in indices]
-    return metrics.aggregate(trajs)
-
-
-def _mode_simulate(cfg: RunConfig, out_dir: str, jobs: int) -> int:
-    traj = _run_member(cfg, 0)
+def _mode_simulate(cfg: RunConfig, out_dir: str) -> int:
+    traj = _simulate(cfg)
     write_trajectory(os.path.join(out_dir, "trajectory.csv"), cfg, traj)
     print(f"simulate: final pop0 = {traj.pop0[-1]:.6f}, pop1 = {traj.pop1[-1]:.6f}")
     return EXIT_OK
 
 
-def _mode_ensemble(cfg: RunConfig, out_dir: str, jobs: int) -> int:
-    summary = _run_ensemble(cfg, jobs)
+def _mode_ensemble(cfg: RunConfig, out_dir: str) -> int:
+    summary = _run_ensemble(cfg)
     write_summary(os.path.join(out_dir, "ensemble.csv"), cfg, summary)
     print(f"ensemble: M = {summary.m}, final mean pop0 = "
           f"{summary.mean['pop0'][-1]:.6f} (se {summary.se['pop0'][-1]:.2g})")
     return EXIT_OK
 
 
-def _mode_sweep(cfg: RunConfig, out_dir: str, jobs: int) -> int:
+def _mode_sweep(cfg: RunConfig, out_dir: str) -> int:
     param = cfg.sweep_parameter
     base_hash = config_hash(cfg, exclude=(param,))
     summary_rows = []
@@ -169,11 +168,11 @@ def _mode_sweep(cfg: RunConfig, out_dir: str, jobs: int) -> int:
             raise ConfigError(f"sweep value {value:g}: {bad[0]}")
         member_path = os.path.join(out_dir, f"sweep_{i:03d}.csv")
         if sub.has_noise and sub.realizations > 1:
-            summary = _run_ensemble(sub, jobs)
+            summary = _run_ensemble(sub)
             write_summary(member_path, sub, summary, mode="sweep")
             finals = [summary.mean[name][-1] for name in _TRAJ_COLUMNS[:4]]
         else:
-            traj = _run_member(sub, 0)
+            traj = _simulate(sub)
             write_trajectory(member_path, sub, traj, mode="sweep")
             finals = [traj.metric(name)[-1] for name in _TRAJ_COLUMNS[:4]]
         summary_rows.append([value, *finals])
@@ -186,16 +185,13 @@ def _mode_sweep(cfg: RunConfig, out_dir: str, jobs: int) -> int:
     return EXIT_OK
 
 
-def _mode_kernel(cfg: RunConfig, out_dir: str, jobs: int) -> int:
-    schedule = cfg.schedule()
-    noise = _noise_realization(cfg, 0)
-    memory = kernel.solve_memory_equation(schedule, noise, cfg.kernel_points)
-    rows = []
-    for i, t in enumerate(memory.times):
-        defect = abs(memory._p[i] * memory._history[i])
-        gtt = abs(kernel.kernel_value(schedule, noise, t, t))
-        rows.append([t, abs(memory.psi0[i]) ** 2, memory.psi0[i].real,
-                     memory.psi0[i].imag, defect, gtt])
+def _mode_kernel(cfg: RunConfig, out_dir: str) -> int:
+    memory = kernel.solve_memory_equation(cfg.schedule(), _noise_realization(cfg, 0),
+                                          cfg.kernel_points)
+    psi0 = memory.psi0
+    # The kernel phase vanishes on the diagonal: |g(t, t)| = c01(t)^2 = |p(t)|^2.
+    rows = zip(memory.times, np.abs(psi0) ** 2, psi0.real, psi0.imag,
+               np.abs(memory._p * memory._history), np.abs(memory._p) ** 2)
     header = ["t", "psi0_abs2", "psi0_re", "psi0_im", "defect", "kernel_mod_diag"]
     _write_rows(os.path.join(out_dir, "kernel.csv"), _preamble(cfg, "kernel"),
                 header, rows)
@@ -204,7 +200,7 @@ def _mode_kernel(cfg: RunConfig, out_dir: str, jobs: int) -> int:
     return EXIT_OK
 
 
-def _mode_pulse_export(cfg: RunConfig, out_dir: str, jobs: int) -> int:
+def _mode_pulse_export(cfg: RunConfig, out_dir: str) -> int:
     schedule = cfg.schedule()
     steps = evolve.decompose_pulse(schedule, _noise_realization(cfg, 0),
                                    _evolution_config(cfg))
@@ -227,7 +223,7 @@ def _infidelity(a, b) -> float:
     return abs(1.0 - abs(np.vdot(a, b)) ** 2)
 
 
-def _mode_oracle_check(cfg: RunConfig, out_dir: str, jobs: int) -> int:
+def _mode_oracle_check(cfg: RunConfig, out_dir: str) -> int:
     schedule = cfg.schedule()
     noise = _noise_realization(cfg, 0)
     ecfg = _evolution_config(cfg)
@@ -246,13 +242,13 @@ def _mode_oracle_check(cfg: RunConfig, out_dir: str, jobs: int) -> int:
     return EXIT_OK if inf < bound else EXIT_THRESHOLD
 
 
-def _mode_spectator_check(cfg: RunConfig, out_dir: str, jobs: int) -> int:
+def _mode_spectator_check(cfg: RunConfig, out_dir: str) -> int:
     from dataclasses import replace
 
     base_cfg = replace(cfg, system="single")
     spec_cfg = replace(cfg, system="spectator")
-    base = _run_member(base_cfg, 0)
-    embedded = _run_member(spec_cfg, 0)
+    base = _simulate(base_cfg)
+    embedded = _simulate(spec_cfg)
     err = metrics.spectator_error(base, embedded)
     verdict = "PASS" if err < 0.01 else "FAIL"
     line = (f"spectator-check: max relative pop0 error = {err:.4%} "
@@ -283,14 +279,13 @@ def _parse_args(argv):
                         help="config file path or preset name (fig3a ... fig4b)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config key")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None,
                         help="override noise.seed")
     parser.add_argument("--out", default=None, help="output directory")
     return parser.parse_args(argv)
 
 
-def run(cfg: RunConfig, jobs: int = 1) -> int:
+def run(cfg: RunConfig) -> int:
     """Validated dispatch; raises on usage problems, returns an exit code."""
     violations = validate(cfg)
     bad = blocking(violations)
@@ -301,7 +296,7 @@ def run(cfg: RunConfig, jobs: int = 1) -> int:
             print(warning, file=sys.stderr)
     out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    return _MODE_RUNNERS[cfg.mode](cfg, out_dir, max(1, jobs))
+    return _MODE_RUNNERS[cfg.mode](cfg, out_dir)
 
 
 def main(argv=None) -> int:
@@ -323,7 +318,7 @@ def main(argv=None) -> int:
         overrides["out"] = args.out
     try:
         cfg = load_config(args.config, overrides)
-        return run(cfg, jobs=args.jobs)
+        return run(cfg)
     except ConfigError as exc:
         print(f"nia-sim: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -326,11 +326,4 @@ def _explicit_amplitudes(text: str) -> list[complex] | None:
 
 def apply_sweep_value(cfg: RunConfig, value: float) -> RunConfig:
     """Copy of cfg with the swept parameter replaced by one sweep value."""
-    target = {
-        "T": "total_time",
-        "J0": "j0",
-        "noise.amplitude": "noise_amplitude",
-        "noise.omega_cut": "noise_omega_cut",
-        "J12": "j12",
-    }[cfg.sweep_parameter]
-    return replace(cfg, **{target: value})
+    return replace(cfg, **{_KEY_TO_FIELD[cfg.sweep_parameter]: value})

@@ -168,12 +168,12 @@ def _phase_on_grid(schedule, noise, times) -> np.ndarray:
 
 
 def _split_kernel(schedule, noise, times):
-    """Rank-one split g(t_i, t_j) = p_i q_j from the cumulative gap phase."""
+    """Rank-one split g(t_i, t_j) = p_i q_j, and the cumulative gap phase it uses."""
     c01 = np.array([coupling_elements(schedule, t).c01 for t in times])
     phi = _phase_on_grid(schedule, noise, times)
     p = c01 * np.exp(1.0j * phi)
     q = c01 * np.exp(-1.0j * phi)
-    return p, q
+    return p, q, phi
 
 
 def build_kernel_grid(schedule, noise: NoiseRealization | None, n_points: int) -> KernelGrid:
@@ -181,7 +181,7 @@ def build_kernel_grid(schedule, noise: NoiseRealization | None, n_points: int) -
     if n_points < 2:
         raise ValueError("need at least two grid points")
     times = np.linspace(0.0, schedule.total_time, n_points)
-    p, q = _split_kernel(schedule, noise, times)
+    p, q, _ = _split_kernel(schedule, noise, times)
     values = np.tril(np.outer(p, q))
     return KernelGrid(times=times, values=values)
 
@@ -199,8 +199,8 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
     h = times[1] - times[0]
     if noise is not None and noise.spec.omega_cut_rad * h > 0.5 * np.pi:
         raise ResolutionError("grid does not resolve the noise cutoff frequency")
-    p, q = _split_kernel(schedule, noise, times)
-    if noise is None and np.max(np.abs(np.diff(_phase_on_grid(schedule, None, times)))) > 0.5:
+    p, q, phi = _split_kernel(schedule, noise, times)
+    if noise is None and np.max(np.abs(np.diff(phi))) > 0.5:
         raise ResolutionError("grid does not resolve the kernel phase")
 
     psi = np.zeros(len(times), dtype=complex)

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import smallmat
-
 
 class GridMismatchError(ValueError):
     """Trajectories do not share a time grid / schedule."""
@@ -84,32 +82,14 @@ def reduced_density(sectors) -> np.ndarray:
     return np.einsum("...si,...sj->...ij", sectors, sectors.conj())
 
 
-def tracked_eigenvector(h, reference=None) -> np.ndarray:
-    """Eigenvector of the tracked level.
-
-    With a reference vector, picks the level of maximal overlap (continuity
-    tracking); without one, the highest level, which is where both sweep
-    models start.
-    """
-    es = smallmat.eigh(h)
-    if reference is None:
-        return es.vectors[:, -1]
-    overlaps = np.abs(reference.conj() @ es.vectors)
-    return es.vectors[:, int(np.argmax(overlaps))]
-
-
-def eigenstate_fidelity(state, h, reference=None) -> float:
-    """|<E_tracked | state>|^2 for pure states, <E|rho|E> for 2x2 densities."""
-    state = np.asarray(state, dtype=complex)
-    v = tracked_eigenvector(h, reference)
-    if state.ndim == 2:
-        return float(np.real(v.conj() @ state @ v))
-    return float(abs(np.vdot(v, state)) ** 2)
-
-
 def aggregate(trajs) -> EnsembleSummary:
-    """Pointwise ensemble mean and standard error over identical grids."""
-    trajs = list(trajs)
+    """Pointwise ensemble mean and standard error over the member axis.
+
+    `trajs` is one batched trajectory, whose columns have shape
+    (M, n_records), or a sequence of trajectories on one grid, whose
+    members are stacked.
+    """
+    trajs = [trajs] if isinstance(trajs, Trajectory) else list(trajs)
     if not trajs:
         raise ValueError("empty ensemble")
     t0 = trajs[0]
@@ -118,16 +98,20 @@ def aggregate(trajs) -> EnsembleSummary:
             raise GridMismatchError("trajectories recorded on different time grids")
         if tr.meta.get("schedule") != t0.meta.get("schedule"):
             raise GridMismatchError("trajectories come from different schedules")
-    m = len(trajs)
-    mean = {}
-    se = {}
-    for name in _METRIC_NAMES:
-        stack = np.stack([tr.metric(name) for tr in trajs])
-        mean[name] = stack.mean(axis=0)
-        se[name] = stack.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros(stack.shape[1])
+    stacks = {name: np.concatenate([np.reshape(tr.metric(name), (-1, t0.times.size))
+                                    for tr in trajs])
+              for name in _METRIC_NAMES}
+    m = len(stacks["pop0"])
+    mean = {name: stack.mean(axis=0) for name, stack in stacks.items()}
+    se = {name: stack.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros(stack.shape[1])
+          for name, stack in stacks.items()}
+    seeds = []
+    for tr in trajs:
+        index = tr.meta.get("realization_index")
+        seeds += index if isinstance(index, list) else [index]
     meta = dict(t0.meta)
     meta["realizations"] = m
-    meta["seeds"] = [tr.meta.get("realization_index") for tr in trajs]
+    meta["seeds"] = seeds
     return EnsembleSummary(times=t0.times.copy(), m=m, mean=mean, se=se, meta=meta)
 
 

@@ -244,9 +244,6 @@ class NoiseRealization:
     index: int
     phases: np.ndarray = field(repr=False)
 
-    def value(self, t: float) -> float:
-        return noise_value(self, t)
-
 
 def realize_noise(spec: NoiseSpec, index: int = 0) -> NoiseRealization:
     """Draw the phases for realization `index` of `spec`.
@@ -277,32 +274,31 @@ def noise_values(r: NoiseRealization, times, chunk: int = 4096) -> np.ndarray:
     return amp * out
 
 
-def noise_value(r: NoiseRealization, t: float) -> float:
-    """Scalar c(t) in rad/s."""
-    return float(noise_values(r, [t])[0])
+def _check_time(schedule, t) -> None:
+    t = np.asarray(t)
+    inside = (0.0 <= t) & (t <= schedule.total_time * (1.0 + 1e-12))
+    if not np.all(inside):
+        raise ValueError(f"t={t[~inside].flat[0]} outside [0, {schedule.total_time}]")
 
 
-def _check_time(schedule, t: float) -> None:
-    if not (0.0 <= t <= schedule.total_time * (1.0 + 1e-12)):
-        raise ValueError(f"t={t} outside [0, {schedule.total_time}]")
-
-
-def h_single(s, t: float, c: float = 0.0) -> np.ndarray:
+def h_single(s, t, c=0.0) -> np.ndarray:
     """(J0 + c) [a(t) sx + b(t) sz], with c already in rad/s.
 
     This is the single-qubit Hamiltonian and the drive on every sector of
-    the other schedules.
+    the other schedules.  Times t and noise values c broadcast against each
+    other; the result has their broadcast shape + (2, 2).
     """
     _check_time(s, t)
     a, b = s.ab(t)
-    return (s.j0_rad + c) * (a * SIGMA_X + b * SIGMA_Z)
+    direction = np.multiply.outer(a, SIGMA_X) + np.multiply.outer(b, SIGMA_Z)
+    return (s.j0_rad + np.asarray(c))[..., None, None] * direction
 
 
-def h_sectors(schedule, t: float, c: float = 0.0) -> np.ndarray:
-    """Hamiltonian on each sector of `schedule`, shape (n_sectors, 2, 2)."""
-    drive = h_single(schedule, t, c)
-    return np.array([drive + sec.z_offset * SIGMA_Z + sec.shift * _IDENTITY
-                     for sec in schedule.sectors])
+def h_sectors(schedule, t, c=0.0) -> np.ndarray:
+    """Hamiltonian on each sector of `schedule`, broadcast shape of t and c + (n_sectors, 2, 2)."""
+    offsets = np.array([sec.z_offset * SIGMA_Z for sec in schedule.sectors])
+    shifts = np.array([sec.shift * _IDENTITY for sec in schedule.sectors])
+    return h_single(schedule, t, c)[..., None, :, :] + offsets + shifts
 
 
 def sector_states(schedule, state) -> np.ndarray:

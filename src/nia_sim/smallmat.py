@@ -2,9 +2,9 @@
 
 Every model in the package is evolved as exact 2x2 sectors, so the
 routines here only ever see two-level operators: eigendecomposition with
-a deterministic gauge, analytic unitary exponentials, and inner products.
-States are plain numpy complex vectors, operators are numpy complex
-matrices; the functions validate the invariants the rest of the package
+a deterministic gauge, and analytic unitary exponentials of whole stacks of
+operators (leading axes: members, sectors).  Operators are numpy complex
+arrays; the functions validate the invariants the rest of the package
 relies on.
 """
 from __future__ import annotations
@@ -19,6 +19,7 @@ DEGENERACY_REL_TOL = 1e-12
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_IDENTITY = np.eye(2, dtype=complex)
 
 
 class NonHermitianError(ValueError):
@@ -42,18 +43,16 @@ class EigenSystem:
 
 
 def _as_operator(h) -> np.ndarray:
+    """A stack of finite Hermitian 2x2 operators, shape (..., 2, 2)."""
     h = np.asarray(h, dtype=complex)
-    if h.shape != (2, 2):
-        raise DimensionMismatchError(f"expected a 2x2 matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
+    if h.shape[-2:] != (2, 2):
+        raise DimensionMismatchError(f"expected 2x2 matrices, got shape {h.shape}")
+    if not np.isfinite(h).all():
         raise ValueError("operator contains non-finite entries")
-    return h
-
-
-def _check_hermitian(h: np.ndarray) -> None:
-    scale = max(1.0, float(np.abs(h).max()))
-    if np.abs(h - h.conj().T).max() > HERMITICITY_TOL * scale:
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), keepdims=True))
+    if (np.abs(h - np.swapaxes(h, -1, -2).conj()) > HERMITICITY_TOL * scale).any():
         raise NonHermitianError("operator is not Hermitian within tolerance")
+    return h
 
 
 def gauge_fix(vec: np.ndarray) -> np.ndarray:
@@ -71,15 +70,6 @@ def gauge_fix(vec: np.ndarray) -> np.ndarray:
     return vec * (pivot.conj() / mag)
 
 
-def _bloch(h: np.ndarray):
-    """h = e0 I + vx sx + vy sy + vz sz; returns (e0, vx, vy, vz, |v|)."""
-    e0 = 0.5 * (h[0, 0].real + h[1, 1].real)
-    vx = h[0, 1].real
-    vy = -h[0, 1].imag
-    vz = 0.5 * (h[0, 0].real - h[1, 1].real)
-    return e0, vx, vy, vz, np.sqrt(vx * vx + vy * vy + vz * vz)
-
-
 def eigh(h) -> EigenSystem:
     """Closed-form eigendecomposition of a 2x2 Hermitian operator.
 
@@ -89,8 +79,12 @@ def eigh(h) -> EigenSystem:
     models keep a finite gap, so degeneracy signals bad input.
     """
     h = _as_operator(h)
-    _check_hermitian(h)
-    e0, vx, vy, vz, r = _bloch(h)
+    if h.ndim != 2:
+        raise DimensionMismatchError(f"expected one 2x2 matrix, got shape {h.shape}")
+    # h = e0 I + vx sx + vy sy + vz sz
+    e0, vz = 0.5 * (h[0, 0].real + h[1, 1].real), 0.5 * (h[0, 0].real - h[1, 1].real)
+    vx, vy = h[0, 1].real, -h[0, 1].imag
+    r = np.sqrt(vx * vx + vy * vy + vz * vz)
     values = np.array([e0 - r, e0 + r])
     scale = max(1.0, float(np.abs(values).max()))
     if values[1] - values[0] < DEGENERACY_REL_TOL * scale:
@@ -104,29 +98,24 @@ def eigh(h) -> EigenSystem:
     return EigenSystem(values=values, vectors=np.column_stack([gauge_fix(down), gauge_fix(up)]))
 
 
-def expm_unitary(h, dt: float) -> np.ndarray:
-    """exp(-i h dt) for a 2x2 Hermitian h, in closed form.
+def expm_unitary(h, dt) -> np.ndarray:
+    """exp(-i h dt) for a stack of 2x2 Hermitian h, shape (..., 2, 2), in closed form.
 
-    Degenerate spectra are fine here (the exponential is well defined);
-    only the public eigh contract treats them as errors.
+    dt is a scalar or broadcasts against the leading axes of h.  Degenerate
+    spectra are fine here (the exponential is well defined); only the
+    public eigh contract treats them as errors.
     """
     h = _as_operator(h)
-    _check_hermitian(h)
-    if not (np.isfinite(dt) and dt >= 0.0):
+    dt = np.asarray(dt, dtype=float)
+    if not (np.isfinite(dt) & (dt >= 0.0)).all():
         raise ValueError("dt must be finite and non-negative")
-    e0, vx, vy, vz, r = _bloch(h)
-    phase = np.exp(-1.0j * e0 * dt)
-    if r == 0.0:
-        return phase * np.eye(2, dtype=complex)
+    dt = dt[..., None, None]
+    # 1x1 slices keep every quantity broadcastable against the 2x2 axes.
+    h00, h11 = h[..., :1, :1].real, h[..., 1:, 1:].real
+    e0 = 0.5 * (h00 + h11)
+    r = np.hypot(0.5 * (h00 - h11), np.abs(h[..., :1, 1:]))
     theta = r * dt
-    n_sigma = (vx * SIGMA_X + vy * SIGMA_Y + vz * SIGMA_Z) / r
-    return phase * (np.cos(theta) * np.eye(2, dtype=complex) - 1.0j * np.sin(theta) * n_sigma)
-
-
-def inner(a, b) -> complex:
-    """Inner product <a|b>, conjugate-linear in the first argument."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
+    # exp(-i h dt) = e^{-i e0 dt} [cos(theta) I - i sin(theta) (h - e0 I) / r];
+    # where r = 0, h - e0 I vanishes and any nonzero divisor will do.
+    u = (h - e0 * _IDENTITY) * (-1.0j * (np.sin(theta) / (r + (r == 0.0))))
+    return np.exp(-1.0j * e0 * dt) * (u + np.cos(theta) * _IDENTITY)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nia_sim import config, evolve, kernel, metrics, model, smallmat
-from nia_sim.cli import _evolution_config, _initial_vector, _run_member
+from nia_sim.cli import _evolution_config, _initial_vector, _run_ensemble, _simulate
 from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
 from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
@@ -28,9 +28,8 @@ def announce(capsys, n, name, ok, detail):
 
 
 def run_ensemble(preset):
-    cfg = load_config(preset)
-    trajs = [_run_member(cfg, i) for i in range(cfg.realizations)]
-    return metrics.aggregate(trajs)
+    """The preset's ensemble through the entry point `nia-sim ensemble` uses."""
+    return _run_ensemble(load_config(preset))
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +47,7 @@ def test_criterion_01_convention_calibration(capsys):
     finals = {}
     for conv in ("angular", "hertz"):
         cfg = load_config("fig4a", overrides={"convention": conv})
-        traj = _run_member(cfg, 0)
+        traj = _simulate(cfg)
         finals[conv] = (traj.pop0[-1], traj.pop1[-1])
     in_band = {conv: abs(p0 - 0.32) <= 0.05 and abs(p1 - 0.68) <= 0.05
                for conv, (p0, p1) in finals.items()}
@@ -81,7 +80,7 @@ def test_criterion_03_noise_free_non_adiabaticity(capsys):
     results = []
     for preset in ("fig3a", "fig3b", "fig3c"):
         cfg = load_config(preset)
-        traj = _run_member(cfg, 0)
+        traj = _simulate(cfg)
         results.append((cfg.total_time, traj.fidelity_e0[-1],
                         np.abs(traj.im_coherence).max()))
     fids = [fid for _, fid, _ in results]

@@ -135,6 +135,42 @@ class TestDenseReference:
                                    rtol=0.0, atol=1e-12)
 
 
+class TestBatchedMembers:
+    """An ensemble in one batched engine call keeps every member to itself.
+
+    Each member's final state must match the dense product with its own
+    noise path, and each member's noise column must be its own path: a
+    swap of the member and sector axes, or a permutation of the noise
+    paths, breaks one of the two.
+    """
+
+    def check(self, hamiltonian, s, noises, dt, initial):
+        cfg = EvolutionConfig(dt=dt)
+        finals = evolve.final_state_stepwise(s, noises, cfg, initial)
+        assert finals.shape == (len(noises), s.dim)
+        for noise, final in zip(noises, finals):
+            ref = dense.midpoint_final(hamiltonian, s, noise, dt, initial)
+            np.testing.assert_allclose(final, ref, rtol=0.0, atol=1e-12)
+        traj = evolve.evolve_stepwise(s, noises, cfg, initial)
+        assert traj.times.ndim == 1
+        assert traj.noise.shape == traj.pop0.shape == (len(noises), len(traj.times))
+        for i, column in enumerate(traj.noise):
+            expected = model.noise_values(realize_noise(noises[0].spec, i), traj.times)
+            np.testing.assert_array_equal(column, expected)
+
+    def test_pair_members(self):
+        cfg = load_config("fig4b", overrides={"T": "0.002", "noise.omega_cut": "300"})
+        noises = [realize_noise(cfg.noise_spec(), i) for i in range(3)]
+        self.check(dense.h_pair, cfg.schedule(), noises, cfg.dt, PAIR01)
+
+    def test_spectator_members(self):
+        s = SpectatorSchedule(base=single(total_time=2e-4), j12=215.0, omega_spec=37.0)
+        noises = [fig3_noise(seed=5, index=i) for i in range(2)]
+        initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
+        initial /= np.linalg.norm(initial)
+        self.check(dense.h_spectator, s, noises, 1e-6, initial)
+
+
 class TestEvolveOracle:
     def test_larmor_closed_form(self):
         # Constant sz, initial |+>: Im(alpha beta*) = -sin(2 J0 t)/2.

@@ -92,38 +92,7 @@ class TestReducedQubit:
 
 
 class TestEigenstateFidelity:
-    def test_initial_state(self):
-        h = model.h_single(single(), 0.0)
-        assert metrics.eigenstate_fidelity(ZERO, h) == pytest.approx(1.0, abs=1e-12)
-
-    def test_plus_against_sigma_x(self):
-        s = single()
-        h = model.h_single(s, s.total_time)
-        plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert metrics.eigenstate_fidelity(plus, h) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_against_sigma_x(self):
-        s = single()
-        h = model.h_single(s, s.total_time)
-        assert metrics.eigenstate_fidelity(ZERO, h) == pytest.approx(0.5, abs=1e-12)
-
-    def test_tracked_level_is_continuity_based(self):
-        # At t = 0 the initial |0> sits on the *higher* eigenvalue of J0 sz;
-        # without a reference the highest level is tracked, matching it.
-        h = model.h_single(single(), 0.0)
-        v = metrics.tracked_eigenvector(h)
-        np.testing.assert_allclose(np.abs(v), [1.0, 0.0], atol=1e-12)
-
-    def test_reference_overrides_ordering(self):
-        h = model.h_single(single(), 0.0)
-        ref = np.array([0.0, 1.0], dtype=complex)
-        v = metrics.tracked_eigenvector(h, reference=ref)
-        np.testing.assert_allclose(np.abs(v), [0.0, 1.0], atol=1e-12)
-
-    def test_density_matrix_input(self):
-        h = model.h_single(single(), 0.0)
-        rho = np.diag([0.75, 0.25]).astype(complex)
-        assert metrics.eigenstate_fidelity(rho, h) == pytest.approx(0.75, abs=1e-12)
+    """The recorded fidelity_e0 column of the stepwise engine."""
 
     def test_population_consistency_at_t_end(self):
         s = single()
@@ -176,6 +145,19 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             metrics.aggregate([])
+
+    def test_batched_run_matches_member_runs(self):
+        s, cfg = single(total_time=1e-4), EvolutionConfig(dt=1e-6)
+        noises = [fig3_noise(index=i) for i in range(3)]
+        batched = metrics.aggregate(evolve.evolve_stepwise(s, noises, cfg, ZERO))
+        members = metrics.aggregate([evolve.evolve_stepwise(s, n, cfg, ZERO) for n in noises])
+        assert batched.m == members.m == 3
+        assert batched.meta["seeds"] == members.meta["seeds"] == [0, 1, 2]
+        for name in members.mean:
+            np.testing.assert_allclose(batched.mean[name], members.mean[name],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(batched.se[name], members.se[name],
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestSpectatorError:

@@ -9,7 +9,7 @@ from nia_sim import model, smallmat
 from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
                            SingleQubitSchedule, SpectatorSchedule,
                            TwoQubitSchedule, h_sectors, h_single,
-                           noise_value, noise_values, realize_noise)
+                           noise_values, realize_noise)
 
 ANG = FrequencyConvention.ANGULAR_DIRECT
 
@@ -149,9 +149,9 @@ class TestNoise:
     def test_single_component_closed_form(self):
         spec = NoiseSpec(amplitude=3.0, omega0=10.0, omega_cut=10.0, convention=ANG)
         r = model.NoiseRealization(spec=spec, index=0, phases=np.zeros(1))
-        assert noise_value(r, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert noise_values(r, [0.0])[0] == pytest.approx(0.0, abs=1e-12)
         t = 0.0123
-        assert noise_value(r, t) == pytest.approx(3.0 * np.sin(10.0 * t), rel=1e-12)
+        assert noise_values(r, [t])[0] == pytest.approx(3.0 * np.sin(10.0 * t), rel=1e-12)
 
     def test_component_count(self):
         spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=5000.0, convention=ANG)
@@ -175,7 +175,7 @@ class TestNoise:
     def test_negative_time_rejected(self):
         spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=10.0, convention=ANG)
         with pytest.raises(ValueError):
-            noise_value(realize_noise(spec, 0), -1.0)
+            noise_values(realize_noise(spec, 0), [-1.0])[0]
 
     def test_literal_rms(self):
         # RMS of N equal-amplitude independent-phase sinusoids: alpha sqrt(N/2).

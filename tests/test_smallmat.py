@@ -169,14 +169,3 @@ class TestExpmUnitary:
         u2 = smallmat.expm_unitary(h, 0.5 * dt)
         np.testing.assert_allclose(u2 @ u2, u1, atol=1e-10)
 
-
-class TestInner:
-    def test_conjugate_linear_first_argument(self):
-        a = np.array([1.0j, 0.0])
-        b = np.array([1.0, 0.0])
-        assert smallmat.inner(a, b) == pytest.approx(-1.0j)
-        assert smallmat.inner(b, a) == pytest.approx(1.0j)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(smallmat.DimensionMismatchError):
-            smallmat.inner(np.ones(2), np.ones(4))
