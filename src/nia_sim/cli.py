@@ -186,12 +186,14 @@ def _mode_sweep(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _mode_kernel(cfg: RunConfig, out_dir: str) -> int:
-    memory = kernel.solve_memory_equation(cfg.schedule(), _noise_realization(cfg, 0),
+    schedule = cfg.schedule()
+    memory = kernel.solve_memory_equation(schedule, _noise_realization(cfg, 0),
                                           cfg.kernel_points)
     psi0 = memory.psi0
-    # The kernel phase vanishes on the diagonal: |g(t, t)| = c01(t)^2 = |p(t)|^2.
+    # The kernel phase vanishes on the diagonal: |g(t, t)| = c01(t)^2.
+    c01 = kernel.coupling_elements(schedule, memory.times).c01
     rows = zip(memory.times, np.abs(psi0) ** 2, psi0.real, psi0.imag,
-               np.abs(memory._p * memory._history), np.abs(memory._p) ** 2)
+               memory.defect, c01 ** 2)
     header = ["t", "psi0_abs2", "psi0_re", "psi0_im", "defect", "kernel_mod_diag"]
     _write_rows(os.path.join(out_dir, "kernel.csv"), _preamble(cfg, "kernel"),
                 header, rows)
@@ -229,9 +231,7 @@ def _mode_oracle_check(cfg: RunConfig, out_dir: str) -> int:
     ecfg = _evolution_config(cfg)
     initial = _initial_vector(cfg)
     final_step = evolve.final_state_stepwise(schedule, noise, ecfg, initial)
-    sampling = "exact" if noise is None else "hold"
-    final_orc = evolve.final_state_oracle(schedule, noise, ecfg, initial,
-                                          noise_sampling=sampling)
+    final_orc = evolve.final_state_oracle(schedule, noise, ecfg, initial)
     inf = _infidelity(final_step, final_orc)
     bound = 1e-6 if noise is None else 1e-4
     verdict = "PASS" if inf < bound else "FAIL"

@@ -13,8 +13,8 @@ production engine: a product of exact step unitaries with the Hamiltonian
 (and noise) sampled at step midpoints, built by one `smallmat.expm_unitary`
 call per step.  `evolve_oracle` is a classic fourth-order Runge-Kutta
 integration at a tenth of the step size, used to cross-check the stepwise
-engine; it evaluates the noise analytically at the integrator nodes unless
-asked to sample-and-hold at the same midpoints the stepwise engine uses.
+engine; it holds the noise at the same step midpoints the stepwise engine
+uses, so a comparison isolates the propagator discretization.
 
 `decompose_pulse` factors a two-level run of the stepwise engine into
 spectrometer-style pulse steps: per step an equatorial rotation whose phase
@@ -63,14 +63,6 @@ class PulseStep:
     z_angle: float
     xy_amplitude: float
     xy_phase: float
-
-
-@dataclass(frozen=True)
-class AdiabaticFrameState:
-    """Level coefficients psi_m and dynamical phases theta_m (ascending levels)."""
-
-    coeffs: np.ndarray
-    phases: np.ndarray
 
 
 def _plan_steps(total_time: float, dt: float):
@@ -199,9 +191,10 @@ def _trajectory(schedule, noises, cfg, times, c, states, engine, batched) -> met
         return np.einsum("...i,...ij,...j->...", v, r.real, v)
 
     track_upper = overlap(upper[0], rho[:, 0]) > overlap(lower[0], rho[:, 0])
-    pop0, pop1, im = metrics.reduced_qubit_metrics(states)
+    # Copies, so that stored columns do not keep the whole density stack alive.
     columns = {
-        "pop0": pop0, "pop1": pop1, "im_coherence": im,
+        "pop0": rho[..., 0, 0].real.copy(), "pop1": rho[..., 1, 1].real.copy(),
+        "im_coherence": rho[..., 0, 1].imag.copy(),
         "fidelity_e0": np.where(track_upper[:, None], overlap(upper, rho), overlap(lower, rho)),
         "gap": np.where(track_upper, -2.0, 2.0)[:, None] * (schedule.j0_rad + c) * k,
         "noise": c,
@@ -229,36 +222,27 @@ def _midpoint_step(schedule, noises, starts, durations):
     return advance
 
 
-def _rk4_step(noise_sampling):
-    if noise_sampling not in ("exact", "hold"):
-        raise ValueError("noise_sampling must be 'exact' or 'hold'")
+def _rk4_step(schedule, noises, starts, durations):
     n_sub = 10
     # Node times per main step: substep edges, then substep midpoints.
     offsets = np.concatenate([np.arange(n_sub + 1), np.arange(n_sub) + 0.5]) / n_sub
+    # The noise is held at the step midpoints, shape (M, n_steps) -> every node.
+    c_mid = _noise_at(noises, starts + 0.5 * durations)
+    nodes = np.minimum(starts[:, None] + durations[:, None] * offsets, schedule.total_time)
+    # Hamiltonians at every node, shape (n_steps, n_nodes, M, n_sectors, 2, 2).
+    h_nodes = model.h_sectors(schedule, nodes[..., None], c_mid.T[:, None, :])
 
-    def make_step(schedule, noises, starts, durations):
-        nodes = np.minimum(starts[:, None] + durations[:, None] * offsets,
-                           schedule.total_time)
-        if noise_sampling == "hold":
-            c_mid = _noise_at(noises, starts + 0.5 * durations)
-            c_nodes = np.repeat(c_mid[:, :, None], offsets.size, axis=2)
-        else:
-            c_nodes = _noise_at(noises, nodes.ravel()).reshape((len(noises),) + nodes.shape)
-        # Hamiltonians at every node, shape (n_steps, n_nodes, M, n_sectors, 2, 2).
-        h_nodes = model.h_sectors(schedule, nodes[..., None], c_nodes.transpose(1, 2, 0))
-
-        def advance(k, psi):
-            h = durations[k] / n_sub
-            edges, mids = h_nodes[k, : n_sub + 1], h_nodes[k, n_sub + 1:]
-            for i in range(n_sub):
-                k1 = -1.0j * _apply(edges[i], psi)
-                k2 = -1.0j * _apply(mids[i], psi + 0.5 * h * k1)
-                k3 = -1.0j * _apply(mids[i], psi + 0.5 * h * k2)
-                k4 = -1.0j * _apply(edges[i + 1], psi + h * k3)
-                psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            return psi
-        return advance
-    return make_step
+    def advance(k, psi):
+        h = durations[k] / n_sub
+        edges, mids = h_nodes[k, : n_sub + 1], h_nodes[k, n_sub + 1:]
+        for i in range(n_sub):
+            k1 = -1.0j * _apply(edges[i], psi)
+            k2 = -1.0j * _apply(mids[i], psi + 0.5 * h * k1)
+            k3 = -1.0j * _apply(mids[i], psi + 0.5 * h * k2)
+            k4 = -1.0j * _apply(edges[i + 1], psi + h * k3)
+            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return psi
+    return advance
 
 
 def _evolve(schedule, noise, cfg, initial, make_step, engine) -> metrics.Trajectory:
@@ -290,25 +274,22 @@ def evolve_stepwise(schedule, noise, cfg: EvolutionConfig, initial) -> metrics.T
     return _evolve(schedule, noise, cfg, initial, _midpoint_step, "stepwise")
 
 
-def evolve_oracle(schedule, noise, cfg: EvolutionConfig, initial,
-                  noise_sampling: str = "exact") -> metrics.Trajectory:
+def evolve_oracle(schedule, noise, cfg: EvolutionConfig, initial) -> metrics.Trajectory:
     """Fourth-order Runge-Kutta reference integration at substep dt/10.
 
-    noise_sampling "exact" evaluates c(t) analytically at the integrator
-    nodes; "hold" freezes it at the step midpoints the stepwise engine
-    uses, isolating the propagator discretization in comparisons.  `noise`
+    The noise c(t) is held at the step midpoints the stepwise engine uses,
+    which isolates the propagator discretization in comparisons.  `noise`
     is taken as in `evolve_stepwise`.
     """
-    return _evolve(schedule, noise, cfg, initial, _rk4_step(noise_sampling), "oracle")
+    return _evolve(schedule, noise, cfg, initial, _rk4_step, "oracle")
 
 
-def final_state_oracle(schedule, noise, cfg, initial,
-                       noise_sampling: str = "exact") -> np.ndarray:
+def final_state_oracle(schedule, noise, cfg, initial) -> np.ndarray:
     """Final state of the Runge-Kutta reference without trajectory recording.
 
     Shape (dim,), or (M, dim) for a sequence of realizations.
     """
-    return _final_state(schedule, noise, cfg, initial, _rk4_step(noise_sampling))
+    return _final_state(schedule, noise, cfg, initial, _rk4_step)
 
 
 def final_state_stepwise(schedule, noise, cfg, initial) -> np.ndarray:
@@ -368,30 +349,3 @@ def prefix_propagators(steps):
         out.append(np.diag([np.exp(-1.0j * theta), np.exp(1.0j * theta)]) @ acc)
     return out
 
-
-def accumulate_phases(schedule, noise: NoiseRealization | None, times) -> np.ndarray:
-    """Dynamical phases theta_m(t) = -integral of E_m, trapezoid on the grid.
-
-    Returns shape (len(times), 2) for the ascending levels of the effective
-    two-level model.
-    """
-    times = np.asarray(times, dtype=float)
-    a, b = schedule.ab(times)
-    k = np.hypot(a, b)
-    upper = (schedule.j0_rad + _noise_at([noise], times)[0]) * k
-    theta_upper = np.zeros_like(upper)
-    theta_upper[1:] = -np.cumsum(0.5 * (upper[1:] + upper[:-1]) * np.diff(times))
-    return np.column_stack([-theta_upper, theta_upper])
-
-
-def project_adiabatic(traj_state, h, phases) -> AdiabaticFrameState:
-    """Adiabatic-frame coefficients psi_m = exp(-i theta_m) <E_m | psi>."""
-    es = smallmat.eigh(h)
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != es.values.shape:
-        raise ValueError("one accumulated phase per eigenlevel required")
-    coeffs = np.exp(-1.0j * phases) * (es.vectors.conj().T @ np.asarray(traj_state, dtype=complex))
-    norm = float(np.sum(np.abs(coeffs) ** 2))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError("adiabatic-frame coefficients lost normalization")
-    return AdiabaticFrameState(coeffs=coeffs, phases=phases)

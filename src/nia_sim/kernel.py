@@ -19,16 +19,23 @@ matrix elements untouched, so it only accelerates the kernel phase; the
 kernel modulus factorizes as 1 / (4 T^2 k^2(t) k^2(s)) independent of the
 noise.
 
+`solve_memory_equation` tabulates g through the rank-one split
+g(t_i, t_j) = p_i q_j, with the couplings from one vectorized
+`coupling_elements` call and the gap phase integrated once on the grid.
+`kernel_value` and `gap_integral` evaluate g pointwise, with an adaptive
+quadrature of the noisy phase, as the reference for checks.
+
 The adiabatic condition is the vanishing of |int_0^t g(t,s) psi0(s) ds|;
-`adiabatic_defect` reports exactly that magnitude.
+the solver computes that magnitude once at every grid point
+(`MemorySolution.defect`), and `adiabatic_defect` and `max_defect` read it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NoiseRealization, noise_values
+from .model import NoiseRealization, _check_time, noise_values
 
 
 class ResolutionError(ValueError):
@@ -37,48 +44,42 @@ class ResolutionError(ValueError):
 
 @dataclass(frozen=True)
 class CouplingElements:
-    """Analytic eigenbasis matrix elements at one time."""
+    """Analytic eigenbasis matrix elements; each field has the shape of t."""
 
-    c01: float  # <E0|dE1/dt>
-    c10: float  # <E1|dE0/dt>
-    c11: float  # <E1|dE1/dt>
-    gap: float  # E1 - E0 (negative: the tracked level is the upper one)
-
-
-@dataclass(frozen=True)
-class KernelGrid:
-    """Lower-triangular table of g(t_i, t_j) on a uniform grid."""
-
-    times: np.ndarray
-    values: np.ndarray  # (n, n) complex, zero above the diagonal
+    c01: np.ndarray  # <E0|dE1/dt>
+    c10: np.ndarray  # <E1|dE0/dt>
+    c11: np.ndarray  # <E1|dE1/dt>
+    gap: np.ndarray  # E1 - E0 (negative: the tracked level is the upper one)
 
 
 @dataclass(frozen=True)
 class MemorySolution:
-    """psi0 on a uniform grid, with the kernel split kept for defect queries."""
+    """psi0 on a uniform grid and the adiabatic defect |int_0^t g psi0| at each point."""
 
     times: np.ndarray
     psi0: np.ndarray
-    _p: np.ndarray = field(repr=False)       # c01(t) e^{+i Phi(t)}
-    _history: np.ndarray = field(repr=False)  # trapezoid of q(s) psi0(s) up to t
+    defect: np.ndarray
 
 
-def coupling_elements(schedule, t: float) -> CouplingElements:
-    """Closed-form <E_m|dE_n/dt> elements and gap of the two-level reduction."""
+def coupling_elements(schedule, t) -> CouplingElements:
+    """Closed-form <E_m|dE_n/dt> elements and gap of the two-level reduction.
+
+    `t` is a time or an array of times.  Every sweep is linear, so the
+    slope (da, db) is taken from the endpoints.
+    """
+    _check_time(schedule, t)
     total_time = schedule.total_time
-    if not 0.0 <= t <= total_time * (1.0 + 1e-12):
-        raise ValueError(f"t={t} outside [0, {total_time}]")
     j0 = schedule.j0_rad
     a, b = schedule.ab(t)
-    da, db = schedule.ab_dot(t)
-    a, b = float(a), float(b)
+    (a0, b0), (a1, b1) = schedule.ab(0.0), schedule.ab(total_time)
+    da, db = (a1 - a0) / total_time, (b1 - b0) / total_time
     k = np.hypot(a, b)
     n0sq = (b + k) ** 2 + a ** 2
     # <E0|dH/dt|E1> with gauge-fixed real eigenvectors.
     hdot_me = j0 * (da * ((b + k) ** 2 - a ** 2) - 2.0 * db * a * (b + k)) / n0sq
     gap = -2.0 * j0 * k
     c01 = hdot_me / gap
-    return CouplingElements(c01=c01, c10=-c01, c11=0.0, gap=gap)
+    return CouplingElements(c01=c01, c10=-c01, c11=np.zeros_like(c01), gap=gap)
 
 
 def _quadratic_kt(schedule):
@@ -169,21 +170,11 @@ def _phase_on_grid(schedule, noise, times) -> np.ndarray:
 
 def _split_kernel(schedule, noise, times):
     """Rank-one split g(t_i, t_j) = p_i q_j, and the cumulative gap phase it uses."""
-    c01 = np.array([coupling_elements(schedule, t).c01 for t in times])
+    c01 = coupling_elements(schedule, times).c01
     phi = _phase_on_grid(schedule, noise, times)
     p = c01 * np.exp(1.0j * phi)
     q = c01 * np.exp(-1.0j * phi)
     return p, q, phi
-
-
-def build_kernel_grid(schedule, noise: NoiseRealization | None, n_points: int) -> KernelGrid:
-    """Tabulate g on the lower triangle of a uniform n-point grid."""
-    if n_points < 2:
-        raise ValueError("need at least two grid points")
-    times = np.linspace(0.0, schedule.total_time, n_points)
-    p, q, _ = _split_kernel(schedule, noise, times)
-    values = np.tril(np.outer(p, q))
-    return KernelGrid(times=times, values=values)
 
 
 def solve_memory_equation(schedule, noise: NoiseRealization | None,
@@ -216,18 +207,17 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
         psi[i] = guess
         hist[i] = partial + 0.5 * h * q[i] * psi[i]
         f_prev = -p[i] * hist[i]
-    return MemorySolution(times=times, psi0=psi, _p=p, _history=hist)
+    return MemorySolution(times=times, psi0=psi, defect=np.abs(p * hist))
 
 
-def adiabatic_defect(schedule, noise: NoiseRealization | None,
-                     memory: MemorySolution, t: float) -> float:
+def adiabatic_defect(memory: MemorySolution, t: float) -> float:
     """|int_0^t g(t, s) psi0(s) ds| at a grid time of the memory solution."""
     idx = int(np.argmin(np.abs(memory.times - t)))
     if abs(memory.times[idx] - t) > 1e-9 * max(memory.times[-1], 1.0):
         raise ValueError("t must lie on the memory solution grid")
-    return float(abs(memory._p[idx] * memory._history[idx]))
+    return float(memory.defect[idx])
 
 
 def max_defect(memory: MemorySolution) -> float:
     """Largest adiabatic defect over the whole grid."""
-    return float(np.max(np.abs(memory._p * memory._history)))
+    return float(np.max(memory.defect))

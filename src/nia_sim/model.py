@@ -100,9 +100,6 @@ class SingleQubitSchedule:
         x = np.asarray(t) / self.total_time
         return x, 1.0 - x
 
-    def ab_dot(self, t):
-        return 1.0 / self.total_time, -1.0 / self.total_time
-
 
 @dataclass(frozen=True)
 class TwoQubitSchedule:
@@ -139,9 +136,6 @@ class TwoQubitSchedule:
         """Effective two-level (a, b) coefficients on the block."""
         x = np.asarray(t) / self.total_time
         return x, 0.5 * (1.0 - x)
-
-    def ab_dot(self, t):
-        return 1.0 / self.total_time, -0.5 / self.total_time
 
 
 @dataclass(frozen=True)
@@ -189,9 +183,6 @@ class SpectatorSchedule:
 
     def ab(self, t):
         return self.base.ab(t)
-
-    def ab_dot(self, t):
-        return self.base.ab_dot(t)
 
 
 @dataclass(frozen=True)
@@ -257,21 +248,31 @@ def realize_noise(spec: NoiseSpec, index: int = 0) -> NoiseRealization:
     return NoiseRealization(spec=spec, index=index, phases=phases)
 
 
-def noise_values(r: NoiseRealization, times, chunk: int = 4096) -> np.ndarray:
-    """Vectorized c(t) in rad/s on an array of sample times."""
+#: Block of the direct sinusoid sum: components x sample rows per temporary.
+_NOISE_BLOCK_COMPONENTS = 4096
+_NOISE_BLOCK_ROWS = 64
+
+
+def noise_values(r: NoiseRealization, times) -> np.ndarray:
+    """Vectorized c(t) in rad/s on an array of sample times.
+
+    The sum runs in blocks of at most 64 samples x 4096 components, so its
+    temporaries stay near 2 MB whatever the grid; each sample adds up its
+    component blocks in order.
+    """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0.0):
         raise ValueError("noise is defined for t >= 0")
     spec = r.spec
-    amp = spec.component_scale
-    w0 = spec.omega0_rad
     n = spec.n_components
+    omega = np.arange(1, n + 1, dtype=float) * spec.omega0_rad
     out = np.zeros(times.shape[0])
-    j = np.arange(1, n + 1, dtype=float)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        out += np.sin(np.outer(times, j[lo:hi] * w0) + r.phases[lo:hi]).sum(axis=1)
-    return amp * out
+    for row in range(0, times.shape[0], _NOISE_BLOCK_ROWS):
+        rows = slice(row, row + _NOISE_BLOCK_ROWS)
+        for lo in range(0, n, _NOISE_BLOCK_COMPONENTS):
+            cols = slice(lo, lo + _NOISE_BLOCK_COMPONENTS)
+            out[rows] += np.sin(np.outer(times[rows], omega[cols]) + r.phases[cols]).sum(axis=1)
+    return spec.component_scale * out
 
 
 def _check_time(schedule, t) -> None:

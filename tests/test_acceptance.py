@@ -148,9 +148,7 @@ def test_criterion_06_oracle_equivalence(capsys):
         ecfg = _evolution_config(cfg)
         initial = _initial_vector(cfg)
         a = evolve.final_state_stepwise(schedule, noise, ecfg, initial)
-        sampling = "exact" if noise is None else "hold"
-        b = evolve.final_state_oracle(schedule, noise, ecfg, initial,
-                                      noise_sampling=sampling)
+        b = evolve.final_state_oracle(schedule, noise, ecfg, initial)
         inf = abs(1.0 - abs(np.vdot(a, b)) ** 2)
         bound = 1e-6 if noise is None else 1e-4
         ok = ok and inf < bound

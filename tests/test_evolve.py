@@ -1,4 +1,4 @@
-"""Evolution engines, convergence, pulse decomposition, adiabatic projection."""
+"""Evolution engines, batched members, convergence, pulse decomposition."""
 import numpy as np
 import pytest
 
@@ -32,9 +32,6 @@ class _FrozenSchedule(SingleQubitSchedule):
     def ab(self, t):
         return np.zeros_like(np.asarray(t, dtype=float)), \
             np.ones_like(np.asarray(t, dtype=float))
-
-    def ab_dot(self, t):
-        return 0.0, 0.0
 
 
 class TestEvolveStepwise:
@@ -103,6 +100,14 @@ class TestEvolveStepwise:
         assert abs(state[3] - initial[3]) < 1e-12
         final = evolve.final_state_stepwise(s, None, EvolutionConfig(dt=1e-5), initial)
         np.testing.assert_allclose(final, state, rtol=0.0, atol=1e-12)
+
+    def test_long_t_adiabatic_limit(self):
+        s = single(total_time=0.05)
+        cfg = EvolutionConfig(dt=1e-6, store_every=500)
+        traj = evolve.evolve_stepwise(s, None, cfg, ZERO)
+        assert traj.fidelity_e0.min() > 0.998
+        # Adiabatic-frame coefficient of the tracked (upper) level stays put.
+        assert np.sqrt(traj.fidelity_e0.min()) > 0.999
 
 
 class TestDenseReference:
@@ -191,13 +196,8 @@ class TestEvolveOracle:
         noise = fig3_noise()
         cfg = EvolutionConfig(dt=1e-6)
         a = evolve.final_state_stepwise(s, noise, cfg, ZERO)
-        b = evolve.final_state_oracle(s, noise, cfg, ZERO, noise_sampling="hold")
+        b = evolve.final_state_oracle(s, noise, cfg, ZERO)
         assert abs(1.0 - abs(np.vdot(a, b)) ** 2) < 1e-4
-
-    def test_bad_sampling_mode(self):
-        with pytest.raises(ValueError):
-            evolve.evolve_oracle(single(), None, EvolutionConfig(dt=1e-6), ZERO,
-                                 noise_sampling="nearest")
 
 
 class TestConvergence:
@@ -225,9 +225,6 @@ class TestPulseDecomposition:
             def ab(self, t):
                 x = np.asarray(t) / self.total_time
                 return x, np.zeros_like(x)
-
-            def ab_dot(self, t):
-                return 1.0 / self.total_time, 0.0
 
         s = PureX(j0=1000.0, total_time=1e-4, convention=ANG)
         steps = evolve.decompose_pulse(s, None, EvolutionConfig(dt=1e-5))
@@ -276,43 +273,3 @@ class TestPulseDecomposition:
         final_pulse = u @ ZERO
         assert abs(1.0 - abs(np.vdot(final_pulse, final_direct)) ** 2) < 1e-6
 
-
-class TestProjectAdiabatic:
-    def test_initial_state(self):
-        s = single()
-        h = model.h_single(s, 0.0)
-        out = evolve.project_adiabatic(ZERO, h, np.zeros(2))
-        # |0> is the upper eigenlevel of J0 sz (ascending index 1).
-        assert abs(out.coeffs[1]) == pytest.approx(1.0, abs=1e-12)
-        assert abs(out.coeffs[0]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant_hamiltonian_stationary_magnitudes(self):
-        s = _FrozenSchedule(j0=3000.0, total_time=1e-3, convention=ANG)
-        cfg = EvolutionConfig(dt=1e-6, store_every=100)
-        traj = evolve.evolve_stepwise(s, None, cfg, PLUS)
-        phases = evolve.accumulate_phases(s, None, traj.times)
-        h = model.h_single(s, 0.0)
-        mags = []
-        # Reconstruct states by direct propagation to each record time.
-        state = PLUS.copy()
-        u = smallmat.expm_unitary(h, 1e-4)
-        for i, t in enumerate(traj.times):
-            out = evolve.project_adiabatic(state, h, phases[i])
-            mags.append(np.abs(out.coeffs))
-            state = u @ state
-        mags = np.array(mags)
-        np.testing.assert_allclose(mags, np.tile(mags[0], (len(mags), 1)), atol=1e-9)
-
-    def test_long_t_adiabatic_limit(self):
-        s = single(total_time=0.05)
-        cfg = EvolutionConfig(dt=1e-6, store_every=500)
-        traj = evolve.evolve_stepwise(s, None, cfg, ZERO)
-        assert traj.fidelity_e0.min() > 0.998
-        # Adiabatic-frame coefficient of the tracked (upper) level stays put.
-        assert np.sqrt(traj.fidelity_e0.min()) > 0.999
-
-    def test_norm_violation_rejected(self):
-        s = single()
-        h = model.h_single(s, 0.0)
-        with pytest.raises(ValueError):
-            evolve.project_adiabatic(np.array([0.5, 0.0]), h, np.zeros(2))

@@ -232,14 +232,14 @@ class TestAdiabaticDefect:
     def test_zero_at_origin(self):
         s = single()
         mem = kernel.solve_memory_equation(s, None, 800)
-        assert kernel.adiabatic_defect(s, None, mem, 0.0) == 0.0
+        assert kernel.adiabatic_defect(mem, 0.0) == 0.0
 
     def test_off_grid_rejected(self):
         s = single()
         mem = kernel.solve_memory_equation(s, None, 800)
         t = 0.5 * (mem.times[3] + mem.times[4])
         with pytest.raises(ValueError):
-            kernel.adiabatic_defect(s, None, mem, t)
+            kernel.adiabatic_defect(mem, t)
 
     def test_long_t_much_smaller(self):
         short = kernel.solve_memory_equation(single(), None, 2001)
@@ -259,18 +259,17 @@ class TestAdiabaticDefect:
         assert np.mean(noisy) < clean / 3.0
 
 
-class TestBuildKernelGrid:
-    def test_lower_triangular_and_modulus(self):
-        s = single()
-        grid = kernel.build_kernel_grid(s, None, 40)
-        assert np.abs(np.triu(grid.values, 1)).max() == 0.0
-        for i in (5, 17, 39):
-            for j in (0, 3, i):
-                g = grid.values[i, j]
-                direct = kernel.kernel_value(s, None, float(grid.times[i]),
-                                             float(grid.times[j]))
-                assert abs(g) == pytest.approx(abs(direct), rel=1e-9)
 
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            kernel.build_kernel_grid(single(), None, 1)
+class TestPhaseOnGrid:
+    def test_noisy_phase_matches_gap_integral(self):
+        # The solver's cumulative gap phase, with noise, against the pointwise
+        # reference quadrature.
+        s = single()
+        spec = NoiseSpec(amplitude=400.0, omega0=1.0, omega_cut=300.0, seed=3,
+                         convention=ANG)
+        noise = realize_noise(spec, 2)
+        times = np.linspace(0.0, s.total_time, 1001)
+        phi = kernel._phase_on_grid(s, noise, times)
+        for i in (250, 500, 1000):
+            ref = kernel.gap_integral(s, noise, 0.0, float(times[i]))
+            assert phi[i] == pytest.approx(ref, rel=1e-6)
