@@ -249,6 +249,8 @@ def validate(cfg: RunConfig) -> list[str]:
         bad.append("T must be positive")
     if not cfg.dt > 0.0:
         bad.append("dt must be positive")
+    elif cfg.dt > cfg.total_time > 0.0:
+        bad.append("dt must not exceed T")
     if not cfg.j0 > 0.0:
         bad.append("J0 must be positive")
     try:

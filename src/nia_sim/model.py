@@ -16,7 +16,13 @@ on the identity.
 The synthesized noise c(t) is a sum of N equal-amplitude sinusoids at
 harmonics of a base frequency with independent uniform phases.  It enters
 the dynamics only as a scalar multiplier on the characteristic energy, so it
-rescales eigenvalues without touching eigenvectors.
+rescales eigenvalues without touching eigenvectors.  `noise_values` is the one
+synthesizer and takes two paths: on the leading run of a sample grid that is
+uniform, t0 + k h, the sum is a chirp-z transform (Bluestein's algorithm),
+evaluated with FFTs in tiles of 4096 components x 4096 samples and with
+every phase reduced exactly in turns; the samples after that run (a
+truncated last step, a final record at T) and non-uniform grids go through
+the blocked direct sinusoid sum, which also serves as the reference.
 
 All reference parameters are quoted in Hz-like numbers; the frequency
 convention flag decides whether a quoted value x means x rad/s
@@ -251,18 +257,43 @@ def realize_noise(spec: NoiseSpec, index: int = 0) -> NoiseRealization:
 #: Block of the direct sinusoid sum: components x sample rows per temporary.
 _NOISE_BLOCK_COMPONENTS = 4096
 _NOISE_BLOCK_ROWS = 64
+#: Tile of the chirp-z sum: components x samples per FFT.
+_CHIRP_TILE = 4096
+#: A sample belongs to the uniform run if it lies this many ulps of max|t|
+#: from t0 + k h.
+_GRID_ULPS = 4
+#: 2*pi to 40 digits, so that turn rates carry no float rounding of pi.
+_TWO_PI = "6.283185307179586476925286766559005768394"
 
 
 def noise_values(r: NoiseRealization, times) -> np.ndarray:
     """Vectorized c(t) in rad/s on an array of sample times.
 
-    The sum runs in blocks of at most 64 samples x 4096 components, so its
-    temporaries stay near 2 MB whatever the grid; each sample adds up its
-    component blocks in order.
+    Two paths share the work.  The leading run of `times` on a uniform
+    grid t0 + k h (the whole array, or all of it but the last sample) is
+    summed as a chirp-z transform in tiles (`_chirp_sum`); every sample
+    after that run, and every sample of a non-uniform grid, goes through
+    the blocked direct sum (`_direct_sum`).  Both keep their temporaries
+    near 2 MB whatever the number of components and samples.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0.0):
         raise ValueError("noise is defined for t >= 0")
+    run, h = _uniform_run(times)
+    out = np.empty(times.shape[0])
+    if run:
+        out[:run] = r.spec.component_scale * _chirp_sum(r, times[0], h, run)
+    out[run:] = _direct_sum(r, times[run:])
+    return out
+
+
+def _direct_sum(r: NoiseRealization, times: np.ndarray) -> np.ndarray:
+    """c(t) in rad/s as the direct sinusoid sum, the reference path.
+
+    The sum runs in blocks of at most 64 samples x 4096 components; each
+    sample adds up its component blocks in order, so its value does not
+    depend on the other samples.
+    """
     spec = r.spec
     n = spec.n_components
     omega = np.arange(1, n + 1, dtype=float) * spec.omega0_rad
@@ -273,6 +304,83 @@ def noise_values(r: NoiseRealization, times) -> np.ndarray:
             cols = slice(lo, lo + _NOISE_BLOCK_COMPONENTS)
             out[rows] += np.sin(np.outer(times[rows], omega[cols]) + r.phases[cols]).sum(axis=1)
     return spec.component_scale * out
+
+
+def _uniform_run(times: np.ndarray) -> tuple[int, float]:
+    """Length and spacing h of the leading run of `times` on t0 + k h.
+
+    h comes from the run's endpoints.  The whole array is tried first, then
+    all but its last sample (a truncated last step, or a record at T); a
+    run has at least two samples, else its length is 0.
+    """
+    for n in (len(times), len(times) - 1):
+        if n < 2:
+            break
+        h = (times[n - 1] - times[0]) / (n - 1)
+        off = np.abs(times[:n] - (times[0] + np.arange(n) * h))
+        if np.all(off <= _GRID_ULPS * np.spacing(times[:n].max())):
+            return n, h
+    return 0, 0.0
+
+
+def _turns(rate, m: np.ndarray) -> np.ndarray:
+    """rate * m modulo 1, in [-1/2, 1/2], for an exact rate in [0, 1) and integers m >= 0.
+
+    The rate is split as hi + lo with hi on a grid of 2^-s, s = 52 - bits(max m),
+    so that hi * m is exact in doubles; only lo * m, at most 2^(2 bits - 53)
+    turns, is rounded.  `rate` is a `fractions.Fraction`.
+    """
+    scale = 2 ** (52 - int(m.max()).bit_length())
+    hi = round(rate * scale)
+    x = hi / scale * m
+    x -= np.round(x)
+    x += float((rate * scale - hi) / scale) * m
+    return x - np.round(x)
+
+
+def _chirp_sum(r: NoiseRealization, t0: float, h: float, count: int) -> np.ndarray:
+    """sum_j sin(phi_j + j omega0 (t0 + k h)) for k < count, by tiled chirp-z.
+
+    With a_j = exp(i(phi_j + j omega0 t0)) and w = exp(i omega0 h) the sum is
+    Im sum_j a_j w^(jk).  A tile of components j = j0 + p and samples
+    k = k0 + q has jk = pq + p k0 + j0 q + j0 k0, and Bluestein's identity
+    pq = (p^2 + q^2 - (q - p)^2) / 2 turns its sum over p into one FFT
+    convolution with the chirp w^(-m^2/2), whose transform serves every
+    tile; w^(p k0) moves to the tile's input and w^(j0 q + j0 k0) to its
+    output.  Every phase is reduced exactly in turns: the rates
+    omega0 h / 2 pi and omega0 t0 / 2 pi are held as fractions and multiply
+    integers only, so the result does not lose accuracy at large omega t.
+    """
+    from fractions import Fraction
+
+    n = r.spec.n_components
+    w0 = Fraction(r.spec.omega0_rad) / Fraction(_TWO_PI)
+    rate, rate0 = w0 * Fraction(h) % 1, w0 * Fraction(t0) % 1
+    cols, rows = min(n, _CHIRP_TILE), min(count, _CHIRP_TILE)
+    size = 1 << (cols + rows - 2).bit_length()  # FFT length >= cols + rows - 1
+    m = np.arange(max(cols, rows))
+    # w^(m^2/2) at the rate mod 1: an integer added to the rate multiplies the
+    # three chirp factors of a term by (-1)^(p^2 + q^2 - (q - p)^2) = 1.
+    chirp = np.exp(2j * np.pi * _turns(rate / 2, m * m))
+    # w^(-m^2/2) for m = 1 - cols .. rows - 1, wrapped for a circular convolution.
+    inverse = np.zeros(size, dtype=complex)
+    inverse[:rows] = chirp[:rows].conj()
+    inverse[size - cols + 1:] = chirp[cols - 1:0:-1].conj()
+    inverse_ft = np.fft.fft(inverse)
+    out = np.empty(count)
+    for k0 in range(0, count, _CHIRP_TILE):
+        q = m[:min(_CHIRP_TILE, count - k0)]
+        acc = np.zeros(len(q), dtype=complex)
+        for j0 in range(1, n + 1, _CHIRP_TILE):
+            p = m[:min(_CHIRP_TILE, n + 1 - j0)]
+            turns = _turns(rate0, j0 + p) + _turns(rate * k0 % 1, p)
+            phases = r.phases[j0 - 1:j0 - 1 + len(p)] + 2.0 * np.pi * turns
+            u = np.exp(1j * phases) * chirp[:len(p)]
+            y = np.fft.ifft(np.fft.fft(u, size) * inverse_ft)[:len(q)]
+            twiddle = _turns(rate * j0 % 1, q) + float(rate * j0 * k0 % 1)
+            acc += y * np.exp(2j * np.pi * twiddle)
+        out[k0:k0 + len(q)] = (acc * chirp[:len(q)]).imag
+    return out
 
 
 def _check_time(schedule, t) -> None:
@@ -305,29 +413,3 @@ def h_sectors(schedule, t, c=0.0) -> np.ndarray:
 def sector_states(schedule, state) -> np.ndarray:
     """Amplitudes of a full state on each sector, shape (n_sectors, 2)."""
     return np.asarray(state, dtype=complex)[np.array([sec.indices for sec in schedule.sectors])]
-
-
-def psd_estimate(spec: NoiseSpec, n_realizations: int, duration: float, dt: float):
-    """Ensemble-averaged one-sided periodogram of sampled noise paths.
-
-    Returns (angular frequencies rad/s, power density).  dt must resolve the
-    cutoff (dt < pi / omega_cut) or the estimate would alias.
-    """
-    if n_realizations < 1:
-        raise ValueError("need n_realizations >= 1")
-    if not dt < np.pi / spec.omega_cut_rad:
-        raise ValueError("dt too coarse: aliasing above the cutoff frequency")
-    n = int(round(duration / dt))
-    if n < 8:
-        raise ValueError("duration too short for a periodogram")
-    times = np.arange(n) * dt
-    acc = np.zeros(n // 2 + 1)
-    for m in range(n_realizations):
-        c = noise_values(realize_noise(spec, m), times)
-        spectrum = np.fft.rfft(c)
-        psd = (dt / n) * np.abs(spectrum) ** 2
-        psd[1:-1] *= 2.0  # fold negative frequencies (one-sided)
-        acc += psd
-    acc /= n_realizations
-    omega = 2.0 * np.pi * np.fft.rfftfreq(n, dt)
-    return omega, acc

@@ -79,6 +79,11 @@ class TestValidate:
         bad = validate(build_config({"dt": "0"}))
         assert any("dt must be positive" in v for v in bad)
 
+    def test_dt_above_t_blocked(self):
+        bad = config.blocking(validate(load_config("fig3a", {"dt": "0.001"})))
+        assert "dt must not exceed T" in bad
+        assert config.blocking(validate(load_config("fig3a", {"dt": "0.0003"}))) == []
+
     def test_noise_invariant_named(self):
         cfg = build_config({"noise.amplitude": "10", "noise.omega0": "100",
                             "noise.omega_cut": "5"})
@@ -239,6 +244,18 @@ class TestExitCodes:
         code = cli.main(["simulate", "--config", "fig3b",
                          "--set", "dt=0", "--out", str(tmp_path)])
         assert code == 1
+
+    def test_dt_above_t_is_usage(self, tmp_path, capsys):
+        code = cli.main(["simulate", "--config", "fig3a",
+                         "--set", "dt=0.001", "--out", str(tmp_path)])
+        assert code == 1
+        assert "dt must not exceed T" in capsys.readouterr().err
+
+    def test_sweep_t_below_dt_is_usage(self, tmp_path, capsys):
+        code = cli.main(["sweep", "--config", "fig3a", "--set", "sweep.parameter=T",
+                         "--set", "sweep.values=0.0003,0.0000005", "--out", str(tmp_path)])
+        assert code == 1
+        assert "sweep value 5e-07: dt must not exceed T" in capsys.readouterr().err
 
     def test_missing_config_is_usage(self, tmp_path):
         code = cli.main(["simulate", "--config", "nope.cfg", "--out", str(tmp_path)])

@@ -1,15 +1,16 @@
 """Schedules, noise synthesis, spectra, and convention mapping."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import h_pair, h_spectator
-from nia_sim import model, smallmat
+from nia_sim import evolve, model, smallmat
 from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
                            SingleQubitSchedule, SpectatorSchedule,
                            TwoQubitSchedule, h_sectors, h_single,
                            noise_values, realize_noise)
+from noise_reference import exact_noise, psd_estimate
 
 ANG = FrequencyConvention.ANGULAR_DIRECT
 
@@ -205,12 +206,68 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseSpec(amplitude=1.0, omega0=10.0, omega_cut=5.0)
 
+    # How noise_values splits a grid: the leading uniform run goes through
+    # the chirp-z tiles, every sample after it through the direct sum.
+
+    @staticmethod
+    def _assert_straggler(r, times):
+        run, h = model._uniform_run(times)
+        assert run == len(times) - 1
+        c = noise_values(r, times)
+        np.testing.assert_array_equal(c[run:], model._direct_sum(r, times[run:]))
+        rms = r.spec.component_scale * np.sqrt(r.spec.n_components / 2.0)
+        ref = exact_noise(r, times[0], h, np.arange(run))
+        assert np.max(np.abs(c[:run] - ref)) / rms < 1e-12
+
+    def test_truncated_last_midpoint_takes_the_direct_sum(self):
+        spec = NoiseSpec(amplitude=1.0, omega0=10.0, omega_cut=5e4, seed=4, convention=ANG)
+        starts, durations = evolve._plan_steps(1.05e-4, 1e-5)
+        self._assert_straggler(realize_noise(spec, 1), starts + 0.5 * durations)
+
+    def test_final_record_at_t_takes_the_direct_sum(self):
+        spec = NoiseSpec(amplitude=1.0, omega0=10.0, omega_cut=5e4, seed=4, convention=ANG)
+        cfg = evolve.EvolutionConfig(dt=1e-5, store_every=7)
+        times = evolve.evolve_stepwise(single(total_time=1e-3), None, cfg, [1.0, 0.0]).times
+        assert len(times) == 16  # t = 0, every 7th step, and the last at T
+        self._assert_straggler(realize_noise(spec, 1), times)
+
+    def test_non_uniform_grid_is_the_direct_sum(self):
+        spec = NoiseSpec(amplitude=1.0, omega0=10.0, omega_cut=5e4, seed=4, convention=ANG)
+        r = realize_noise(spec, 1)
+        times = np.sort(np.random.default_rng(8).uniform(0.0, 1e-3, 50))
+        assert model._uniform_run(times)[0] == 0
+        np.testing.assert_array_equal(noise_values(r, times), model._direct_sum(r, times))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 6000), count=st.integers(2, 6000),
+           omega0=st.floats(0.1, 100.0), t0_units=st.integers(0, 2 ** 20),
+           h_units=st.integers(1, 2 ** 12), exponent=st.integers(4, 20),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(3000, 3649, 37.3, 0, 1, 7, 6)           # large omega0 t: t up to 28.5 s
+    @example(9000, 9001, 3.0, 2 ** 13, 1, 14, 6)     # tiles join in both directions
+    @example(200, 200001, 1.0, 2 ** 6, 1, 8, 6)      # K >> N
+    @example(50000, 5, 2.0, 3 * 2 ** 10, 1, 10, 6)   # N >> K
+    def test_uniform_grid_matches_exact_reference(self, n, count, omega0, t0_units,
+                                                  h_units, exponent, seed):
+        # Dyadic t0 and h put every t0 + k h exactly on a double.
+        spec = NoiseSpec(amplitude=1.0, omega0=omega0, omega_cut=omega0 * (n + 0.5),
+                         seed=seed, convention=ANG)
+        t0, h = t0_units * 2.0 ** -exponent, h_units * 2.0 ** -exponent
+        tile = model._CHIRP_TILE
+        edges = [k for e in range(tile, count, tile) for k in (e - 1, e)]
+        ks = np.unique(np.concatenate([[0, 1, count - 1], edges,
+                                       np.linspace(0, count - 1, 25)]).astype(int))
+        r = realize_noise(spec, 2)
+        got = noise_values(r, t0 + np.arange(count) * h)[ks]
+        rms = spec.component_scale * np.sqrt(n / 2.0)
+        assert np.max(np.abs(got - exact_noise(r, t0, h, ks))) / rms < 1e-12
+
 
 class TestPsdEstimate:
     def test_single_line(self):
         spec = NoiseSpec(amplitude=1.0, omega0=50.0, omega_cut=50.0, seed=0,
                          convention=ANG)
-        omega, psd = model.psd_estimate(spec, n_realizations=20, duration=4.0, dt=0.01)
+        omega, psd = psd_estimate(spec, n_realizations=20, duration=4.0, dt=0.01)
         peak = omega[np.argmax(psd)]
         assert peak == pytest.approx(50.0, rel=0.05)
         off_band = psd[(omega > 100.0)]
@@ -222,8 +279,8 @@ class TestPsdEstimate:
                          convention=ANG)
         # Duration an integer number of base periods: harmonics sit on bins.
         duration = 8.0 * 2.0 * np.pi / spec.omega0_rad
-        omega, psd = model.psd_estimate(spec, n_realizations=100,
-                                        duration=duration, dt=duration / 8192.0)
+        omega, psd = psd_estimate(spec, n_realizations=100,
+                                  duration=duration, dt=duration / 8192.0)
         band = (omega >= 10.0 * spec.omega0_rad) & (omega <= 0.9 * spec.omega_cut_rad)
         # Average over one harmonic spacing per window before the band check.
         win = int(round(spec.omega0_rad / (omega[1] - omega[0])))
@@ -237,4 +294,4 @@ class TestPsdEstimate:
     def test_aliasing_precondition(self):
         spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=1000.0, convention=ANG)
         with pytest.raises(ValueError):
-            model.psd_estimate(spec, 1, 1.0, dt=0.1)
+            psd_estimate(spec, 1, 1.0, dt=0.1)
