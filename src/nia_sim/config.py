@@ -31,6 +31,14 @@ PRESET_NAMES = ("fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b")
 #: Most noise components N = floor(omega_cut / omega0) a run may ask for:
 #: 400 times fig4b's 25 000, and 80 MB of random phases per realization.
 MAX_NOISE_COMPONENTS = 10**7
+#: Most member-steps, ceil(T/dt) times the members run together, a run may
+#: ask for.  The engine tabulates one (steps, M, sectors, 2, 2) complex array,
+#: 64 B per member-step and sector, so at the cap the two-sector spectator
+#: table is 128 MB; fig4b's 100 members x 1000 steps is a tenth of the cap.
+MAX_MEMBER_STEPS = 10**6
+#: Most kernel.points: the memory solver holds about 112 B per grid point
+#: (traced), so at the cap it stays within the engine table's 128 MB.
+MAX_KERNEL_POINTS = 10**6
 # Keys that say where and how a run is written, not what it computes.
 _UNHASHED_KEYS = ("out", "timestamps")
 
@@ -251,6 +259,12 @@ def validate(cfg: RunConfig) -> list[str]:
         bad.append("dt must be positive")
     elif cfg.dt > cfg.total_time > 0.0:
         bad.append("dt must not exceed T")
+    elif math.isfinite(cfg.total_time) and cfg.total_time > 0.0:
+        members = max(cfg.realizations, 1) if cfg.mode in ("ensemble", "sweep") else 1
+        steps = cfg.total_time / cfg.dt - 1e-9
+        if steps > MAX_MEMBER_STEPS or math.ceil(steps) * members > MAX_MEMBER_STEPS:
+            bad.append(f"T/dt steps for {members} member(s) exceed"
+                       f" {MAX_MEMBER_STEPS} member-steps")
     if not cfg.j0 > 0.0:
         bad.append("J0 must be positive")
     try:
@@ -296,6 +310,8 @@ def validate(cfg: RunConfig) -> list[str]:
             bad.append("sweeping a noise parameter requires a noise block")
     if cfg.mode == "kernel" and cfg.kernel_points < 500:
         bad.append("kernel.points must be >= 500")
+    if cfg.mode == "kernel" and cfg.kernel_points > MAX_KERNEL_POINTS:
+        bad.append(f"kernel.points must be <= {MAX_KERNEL_POINTS}")
     if cfg.mode in ("pulse-export", "spectator-check") and cfg.system == "pair":
         bad.append(f"{cfg.mode} mode requires a two-level driven system")
 

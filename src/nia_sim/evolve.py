@@ -5,8 +5,14 @@ the full state is split into sector states on input and rebuilt only at
 the output of `final_state_*`.  An ensemble is batched over its members:
 every engine takes one noise realization or a sequence of them, and the
 one step loop (`_propagate`) advances the sector states of all M members,
-shape (M, n_sectors, 2), together.  Noise is synthesized per member; each
-step is one vectorized operation over members and sectors.
+shape (M, n_sectors, 2), together; each step is one vectorized operation
+over members and sectors.
+
+A run takes n = ceil(T/dt) equal steps of tau = T/n, so dt is the largest
+step.  Everything it samples lies on one grid, the half steps k tau/2 for
+k = 0 .. 2n: `_propagate` synthesizes each member's noise there once, the
+engines get the odd samples (the step midpoints) and the recorder the even
+ones (the step ends).
 
 Two independent integrators share that loop.  `evolve_stepwise` is the
 production engine: a product of exact step unitaries with the Hamiltonian
@@ -65,13 +71,10 @@ class PulseStep:
     xy_phase: float
 
 
-def _plan_steps(total_time: float, dt: float):
-    """Step boundaries: uniform dt with the last step truncated onto T."""
+def _plan_steps(total_time: float, dt: float) -> tuple[int, float]:
+    """Step count n = ceil(T/dt) and the equal step length T/n <= dt."""
     n = int(np.ceil(total_time / dt - 1e-9))
-    starts = np.arange(n) * dt
-    durations = np.full(n, dt)
-    durations[-1] = total_time - starts[-1]
-    return starts, durations
+    return n, total_time / n
 
 
 def _members(noise):
@@ -112,10 +115,12 @@ def _schedule_meta(schedule, noises, cfg, batched):
     return meta
 
 
-def _noise_at(noises, times) -> np.ndarray:
-    """c(t) of every member on `times`, shape (M, len(times)); zero without noise."""
-    values = np.array([np.zeros(len(times)) if r is None else noise_values(r, times)
-                       for r in noises])
+def _noise_at(noises, h, count) -> np.ndarray:
+    """c(k h) of every member for k < count, shape (M, count); zero without noise."""
+    values = np.zeros((len(noises), count))
+    for member, r in enumerate(noises):
+        if r is not None:
+            values[member] = noise_values(r, 0.0, h, count)
     if not np.all(np.isfinite(values)):
         member, sample = np.argwhere(~np.isfinite(values))[0]
         raise NumericEvolutionError(f"non-finite noise value at sample {sample}"
@@ -126,12 +131,14 @@ def _noise_at(noises, times) -> np.ndarray:
 def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     """The one step loop of every engine, over all members at once.
 
-    `make_step(schedule, noises, starts, durations)` returns the engine's
+    `make_step(schedule, mids, tau, c_mid)` returns the engine's
     advance(k, psi) over the sector states psi of all members, shape
-    (M, n_sectors, 2); every member starts from `initial`.  Returns the
-    record times, every member's noise at them, shape (M, n_records), and
-    the sector states at t = 0 and after each record step, shape
-    (M, n_records, n_sectors, 2).  With cfg.renormalize, each recorded
+    (M, n_sectors, 2), from the step midpoints, the step length and every
+    member's noise at the midpoints, shape (M, n_steps); every member
+    starts from `initial`.  Returns the record times, every member's noise
+    at them, shape (M, n_records), and the sector states at t = 0 and after
+    each record step, shape (M, n_records, n_sectors, 2).  With
+    cfg.renormalize, each recorded
     state has its norm restored to the value at t = 0: every sector evolves
     unitarily, so this removes rounding drift only.
     """
@@ -140,17 +147,24 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
         raise ValueError(f"initial state must have dimension {schedule.dim}")
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
-    starts, durations = _plan_steps(schedule.total_time, cfg.dt)
-    # Record every store_every-th step and the last; None records the last only.
-    n = len(starts)
+    n, tau = _plan_steps(schedule.total_time, cfg.dt)
+    # The half-step grid: step k runs from sample 2k through its midpoint
+    # 2k + 1 to 2k + 2.  Its times k tau + tau/2 and k tau + tau lie within
+    # an ulp of the progression j tau/2 the noise is synthesized on, and
+    # the last is exactly T.
     steps = np.arange(n)
+    starts = steps * tau
+    grid = np.append(0.0, np.stack([starts + 0.5 * tau, starts + tau], axis=1))
+    grid[-1] = schedule.total_time
+    # Record every store_every-th step and the last; None records the last only.
     record = steps[((steps + 1) % (store_every or n) == 0) | (steps == n - 1)]
-    times = np.concatenate([[0.0], starts[record] + durations[record]])
-    # The per-step arrays of make_step set the peak memory of a run: noise
-    # synthesis peaks near 1 MiB (1.0-1.5 MiB traced on fig3d and fig4b),
-    # make_step at 2.2 MiB for 16 fig4b members and 13 MiB for 100.
-    c = _noise_at(noises, times)
-    advance = make_step(schedule, noises, starts, durations)
+    rows = np.concatenate([[0], 2 * record + 2])
+    # The per-step arrays of make_step set the peak memory of a run (traced):
+    # one member's noise synthesis peaks below 1 MiB on fig3d and fig4b, the
+    # (M, 2n + 1) noise of 100 fig4b members takes 1.6 MB, and make_step
+    # peaks at 2.1 MiB for 16 fig4b members and 12 MiB for 100.
+    c = _noise_at(noises, 0.5 * tau, 2 * n + 1)
+    advance = make_step(schedule, grid[1::2], tau, c[:, 1::2])
     psi = np.repeat(model.sector_states(schedule, state)[None], len(noises), axis=0)
     norm0 = np.linalg.norm(psi[0])
     states = [psi]
@@ -164,7 +178,7 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
                 psi = psi * (norm0 / np.linalg.norm(psi, axis=(1, 2)))[:, None, None]
             next_rec += 1
             states.append(psi)
-    return times, c, np.stack(states, axis=1)
+    return grid[rows], c[:, rows], np.stack(states, axis=1)
 
 
 def _trajectory(schedule, noises, cfg, times, c, states, engine, batched) -> metrics.Trajectory:
@@ -212,33 +226,31 @@ def _apply(op, psi) -> np.ndarray:
     return np.matmul(op, psi[..., None])[..., 0]
 
 
-def _midpoint_step(schedule, noises, starts, durations):
-    mids = starts + 0.5 * durations
+def _midpoint_step(schedule, mids, tau, c_mid):
     # Hamiltonians of every step and member, shape (n_steps, M, n_sectors, 2, 2).
-    h = model.h_sectors(schedule, mids[:, None], _noise_at(noises, mids).T)
+    h = model.h_sectors(schedule, mids[:, None], c_mid.T)
 
     def advance(k, psi):
-        return _apply(smallmat.expm_unitary(h[k], durations[k]), psi)
+        return _apply(smallmat.expm_unitary(h[k], tau), psi)
     return advance
 
 
-def _rk4_step(schedule, noises, starts, durations):
+def _rk4_step(schedule, mids, tau, c_mid):
     n_sub = 10
+    h = tau / n_sub
     # Node times per main step: substep edges, then substep midpoints.
     offsets = np.concatenate([np.arange(n_sub + 1), np.arange(n_sub) + 0.5]) / n_sub
+    nodes = mids[:, None] + tau * (offsets - 0.5)
     # The noise is held at the step midpoints, shape (M, n_steps) -> every node.
-    c_mid = _noise_at(noises, starts + 0.5 * durations)
-    nodes = np.minimum(starts[:, None] + durations[:, None] * offsets, schedule.total_time)
     # Hamiltonians at every node, shape (n_steps, n_nodes, M, n_sectors, 2, 2).
     h_nodes = model.h_sectors(schedule, nodes[..., None], c_mid.T[:, None, :])
 
     def advance(k, psi):
-        h = durations[k] / n_sub
-        edges, mids = h_nodes[k, : n_sub + 1], h_nodes[k, n_sub + 1:]
+        edges, halves = h_nodes[k, : n_sub + 1], h_nodes[k, n_sub + 1:]
         for i in range(n_sub):
             k1 = -1.0j * _apply(edges[i], psi)
-            k2 = -1.0j * _apply(mids[i], psi + 0.5 * h * k1)
-            k3 = -1.0j * _apply(mids[i], psi + 0.5 * h * k2)
+            k2 = -1.0j * _apply(halves[i], psi + 0.5 * h * k1)
+            k3 = -1.0j * _apply(halves[i], psi + 0.5 * h * k2)
             k4 = -1.0j * _apply(edges[i + 1], psi + h * k3)
             psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return psi
@@ -325,10 +337,10 @@ def decompose_pulse(schedule, noise: NoiseRealization | None,
     phi = np.where(np.abs(u01) < 1e-300, 0.0,
                    -np.angle(1.0j * np.exp(1.0j * delta) * u01))
     theta_before = np.concatenate([[0.0], np.cumsum(delta)[:-1]])
-    _, durations = _plan_steps(schedule.total_time, cfg.dt)
-    return [PulseStep(duration=float(tau), z_angle=float(d), xy_amplitude=float(g / tau),
+    _, tau = _plan_steps(schedule.total_time, cfg.dt)
+    return [PulseStep(duration=tau, z_angle=float(d), xy_amplitude=float(g / tau),
                       xy_phase=float(p - 2.0 * theta))
-            for tau, d, g, p, theta in zip(durations, delta, gamma, phi, theta_before)]
+            for d, g, p, theta in zip(delta, gamma, phi, theta_before)]
 
 
 def reconstruct_propagator(steps) -> np.ndarray:

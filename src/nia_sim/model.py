@@ -17,12 +17,11 @@ The synthesized noise c(t) is a sum of N equal-amplitude sinusoids at
 harmonics of a base frequency with independent uniform phases.  It enters
 the dynamics only as a scalar multiplier on the characteristic energy, so it
 rescales eigenvalues without touching eigenvectors.  `noise_values` is the one
-synthesizer and takes two paths: on the leading run of a sample grid that is
-uniform, t0 + k h, the sum is a chirp-z transform (Bluestein's algorithm),
-evaluated with FFTs in tiles of 4096 components x 4096 samples and with
-every phase reduced exactly in turns; the samples after that run (a
-truncated last step, a final record at T) and non-uniform grids go through
-the blocked direct sinusoid sum, which also serves as the reference.
+synthesizer.  Every caller samples an arithmetic progression t0 + k h (a run
+its half-step grid, the memory solver its fine grid), and on it the sum is
+a chirp-z transform (Bluestein's algorithm), evaluated with FFTs in tiles of
+4096 components x 4096 samples and with every phase reduced exactly in
+turns.
 
 All reference parameters are quoted in Hz-like numbers; the frequency
 convention flag decides whether a quoted value x means x rad/s
@@ -254,73 +253,24 @@ def realize_noise(spec: NoiseSpec, index: int = 0) -> NoiseRealization:
     return NoiseRealization(spec=spec, index=index, phases=phases)
 
 
-#: Block of the direct sinusoid sum: components x sample rows per temporary.
-_NOISE_BLOCK_COMPONENTS = 4096
-_NOISE_BLOCK_ROWS = 64
 #: Tile of the chirp-z sum: components x samples per FFT.
 _CHIRP_TILE = 4096
-#: A sample belongs to the uniform run if it lies this many ulps of max|t|
-#: from t0 + k h.
-_GRID_ULPS = 4
 #: 2*pi to 40 digits, so that turn rates carry no float rounding of pi.
 _TWO_PI = "6.283185307179586476925286766559005768394"
 
 
-def noise_values(r: NoiseRealization, times) -> np.ndarray:
-    """Vectorized c(t) in rad/s on an array of sample times.
+def noise_values(r: NoiseRealization, t0: float, h: float, count: int) -> np.ndarray:
+    """c(t0 + k h) in rad/s for k = 0 .. count - 1.
 
-    Two paths share the work.  The leading run of `times` on a uniform
-    grid t0 + k h (the whole array, or all of it but the last sample) is
-    summed as a chirp-z transform in tiles (`_chirp_sum`); every sample
-    after that run, and every sample of a non-uniform grid, goes through
-    the blocked direct sum (`_direct_sum`).  Both keep their temporaries
-    near 2 MB whatever the number of components and samples.
+    The sum is a chirp-z transform in tiles (`_chirp_sum`), whose
+    temporaries stay near 2 MB whatever the number of components and
+    samples.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0.0):
-        raise ValueError("noise is defined for t >= 0")
-    run, h = _uniform_run(times)
-    out = np.empty(times.shape[0])
-    if run:
-        out[:run] = r.spec.component_scale * _chirp_sum(r, times[0], h, run)
-    out[run:] = _direct_sum(r, times[run:])
-    return out
-
-
-def _direct_sum(r: NoiseRealization, times: np.ndarray) -> np.ndarray:
-    """c(t) in rad/s as the direct sinusoid sum, the reference path.
-
-    The sum runs in blocks of at most 64 samples x 4096 components; each
-    sample adds up its component blocks in order, so its value does not
-    depend on the other samples.
-    """
-    spec = r.spec
-    n = spec.n_components
-    omega = np.arange(1, n + 1, dtype=float) * spec.omega0_rad
-    out = np.zeros(times.shape[0])
-    for row in range(0, times.shape[0], _NOISE_BLOCK_ROWS):
-        rows = slice(row, row + _NOISE_BLOCK_ROWS)
-        for lo in range(0, n, _NOISE_BLOCK_COMPONENTS):
-            cols = slice(lo, lo + _NOISE_BLOCK_COMPONENTS)
-            out[rows] += np.sin(np.outer(times[rows], omega[cols]) + r.phases[cols]).sum(axis=1)
-    return spec.component_scale * out
-
-
-def _uniform_run(times: np.ndarray) -> tuple[int, float]:
-    """Length and spacing h of the leading run of `times` on t0 + k h.
-
-    h comes from the run's endpoints.  The whole array is tried first, then
-    all but its last sample (a truncated last step, or a record at T); a
-    run has at least two samples, else its length is 0.
-    """
-    for n in (len(times), len(times) - 1):
-        if n < 2:
-            break
-        h = (times[n - 1] - times[0]) / (n - 1)
-        off = np.abs(times[:n] - (times[0] + np.arange(n) * h))
-        if np.all(off <= _GRID_ULPS * np.spacing(times[:n].max())):
-            return n, h
-    return 0, 0.0
+    if not (t0 >= 0.0 and h >= 0.0):
+        raise ValueError("noise is sampled on t0 + k h with t0 >= 0 and h >= 0")
+    if count < 1:
+        raise ValueError("noise needs at least one sample")
+    return r.spec.component_scale * _chirp_sum(r, t0, h, count)
 
 
 def _turns(rate, m: np.ndarray) -> np.ndarray:

@@ -43,15 +43,13 @@ def expm_hermitian(h, dt):
 
 
 def midpoint_final(hamiltonian, schedule, noise, dt, initial):
-    """Final state of the midpoint product: uniform steps, last one cut onto T."""
+    """Final state of the midpoint product: n = ceil(T/dt) equal steps of T/n."""
     total_time = schedule.total_time
     n = int(np.ceil(total_time / dt - 1e-9))
-    starts = np.arange(n) * dt
-    durations = np.full(n, dt)
-    durations[-1] = total_time - starts[-1]
-    mids = starts + 0.5 * durations
-    c = np.zeros(n) if noise is None else noise_values(noise, mids)
+    tau = total_time / n
+    mids = (np.arange(n) + 0.5) * tau
+    c = np.zeros(n) if noise is None else noise_values(noise, 0.5 * tau, tau, n)
     state = np.array(initial, dtype=complex)
-    for t, tau, c_k in zip(mids, durations, c):
+    for t, c_k in zip(mids, c):
         state = expm_hermitian(hamiltonian(schedule, t, c_k), tau) @ state
     return state

@@ -1,4 +1,4 @@
-"""Test-side noise references, independent of `nia_sim.model`'s two sum paths.
+"""Test-side noise references, independent of `nia_sim.model`'s chirp-z sum.
 
 `exact_noise` is the noise on a uniform grid with every phase reduced
 exactly in turns: the turn rates come from fractions with a 50-digit 2*pi,
@@ -60,10 +60,9 @@ def psd_estimate(spec: NoiseSpec, n_realizations: int, duration: float, dt: floa
     n = int(round(duration / dt))
     if n < 8:
         raise ValueError("duration too short for a periodogram")
-    times = np.arange(n) * dt
     acc = np.zeros(n // 2 + 1)
     for m in range(n_realizations):
-        c = noise_values(realize_noise(spec, m), times)
+        c = noise_values(realize_noise(spec, m), 0.0, dt, n)
         spectrum = np.fft.rfft(c)
         psd = (dt / n) * np.abs(spectrum) ** 2
         psd[1:-1] *= 2.0  # fold negative frequencies (one-sided)

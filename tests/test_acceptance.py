@@ -224,13 +224,13 @@ def test_criterion_09_pulse_faithfulness(capsys):
     ecfg = _evolution_config(cfg)
     steps = evolve.decompose_pulse(schedule, noise, ecfg)
     u = evolve.reconstruct_propagator(steps)
-    starts, durations = evolve._plan_steps(schedule.total_time, ecfg.dt)
-    mids = starts + 0.5 * durations
-    c_mid = model.noise_values(noise, mids)
+    n, tau = evolve._plan_steps(schedule.total_time, ecfg.dt)
+    mids = (np.arange(n) + 0.5) * tau
+    c_mid = model.noise_values(noise, 0.5 * tau, tau, n)
     direct = np.eye(2, dtype=complex)
-    for k in range(len(starts)):
+    for k in range(n):
         direct = smallmat.expm_unitary(
-            model.h_single(schedule, mids[k], c_mid[k]), durations[k]) @ direct
+            model.h_single(schedule, mids[k], c_mid[k]), tau) @ direct
     inf = abs(1.0 - abs(np.trace(u.conj().T @ direct) / 2.0) ** 2)
     ok = inf < 1e-6
     announce(capsys, 9, "pulse decomposition faithfulness", ok,

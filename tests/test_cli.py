@@ -122,6 +122,33 @@ class TestValidate:
                   "noise.omega_cut": str(config.MAX_NOISE_COMPONENTS)}
         assert config.blocking(validate(load_config("fig3b", at_cap))) == []
 
+    def test_step_cap_counts_members(self):
+        # fig3b takes 500 steps, so `most` members fit under the cap.
+        most = config.MAX_MEMBER_STEPS // 500
+        ensemble = {"mode": "ensemble", "noise.amplitude": "1", "noise.omega_cut": "100",
+                    "noise.seed": "1"}
+        assert config.blocking(validate(load_config("fig3b", ensemble | {
+            "realizations": str(most)}))) == []
+        for mode in ("ensemble", "sweep"):
+            bad = config.blocking(validate(load_config("fig3b", ensemble | {
+                "mode": mode, "realizations": str(most + 1)})))
+            assert any("member-steps" in v for v in bad), bad
+        # Outside ensemble and sweep modes a run has one member.
+        assert config.blocking(validate(load_config("fig3b", {
+            "realizations": str(most + 1)}))) == []
+
+    @pytest.mark.parametrize("dt", ["1e-15", "1e-320"])
+    def test_step_count_blocked(self, dt):
+        bad = config.blocking(validate(load_config("fig3a", {"dt": dt})))
+        assert any("member-steps" in v for v in bad), bad
+
+    def test_kernel_points_capped(self):
+        top = {"mode": "kernel", "kernel.points": str(config.MAX_KERNEL_POINTS)}
+        assert config.blocking(validate(load_config("fig3b", top))) == []
+        bad = config.blocking(validate(load_config("fig3b", top | {
+            "kernel.points": str(config.MAX_KERNEL_POINTS + 1)})))
+        assert bad == [f"kernel.points must be <= {config.MAX_KERNEL_POINTS}"]
+
     def test_never_throws(self):
         cfg = build_config({"mode": "simulate", "T": "-1", "dt": "-1", "J0": "-1",
                             "convention": "imperial"})
@@ -279,6 +306,19 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(argv) == 1
+
+    def test_step_count_cap_is_usage(self, tmp_path, capsys):
+        # 3 x 10^11 steps: refused by validate, never allocated.
+        code = cli.main(["simulate", "--config", "fig3a",
+                         "--set", "dt=1e-15", "--out", str(tmp_path)])
+        assert code == 1
+        assert "member-steps" in capsys.readouterr().err
+
+    def test_kernel_points_cap_is_usage(self, tmp_path, capsys):
+        code = cli.main(["kernel", "--config", "fig3b",
+                         "--set", "kernel.points=1000000000000", "--out", str(tmp_path)])
+        assert code == 1
+        assert "kernel.points must be <=" in capsys.readouterr().err
 
     def test_coarse_kernel_grid_is_usage(self, tmp_path):
         code = cli.main(["kernel", "--config", "fig3b",

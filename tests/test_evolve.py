@@ -8,6 +8,7 @@ from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
 from nia_sim.model import (FrequencyConvention, NoiseSpec, SingleQubitSchedule,
                            SpectatorSchedule, TwoQubitSchedule, realize_noise)
+from noise_reference import exact_noise
 
 ANG = FrequencyConvention.ANGULAR_DIRECT
 
@@ -18,6 +19,11 @@ PAIR01 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
 
 def single(j0=4000.0, total_time=5e-4):
     return SingleQubitSchedule(j0=j0, total_time=total_time, convention=ANG)
+
+
+def rms(noise):
+    spec = noise.spec
+    return spec.component_scale * np.sqrt(spec.n_components / 2.0)
 
 
 def fig3_noise(seed=1, index=0):
@@ -159,9 +165,11 @@ class TestBatchedMembers:
         traj = evolve.evolve_stepwise(s, noises, cfg, initial)
         assert traj.times.ndim == 1
         assert traj.noise.shape == traj.pop0.shape == (len(noises), len(traj.times))
+        tau = s.total_time / (len(traj.times) - 1)
+        ks = np.arange(len(traj.times))
         for i, column in enumerate(traj.noise):
-            expected = model.noise_values(realize_noise(noises[0].spec, i), traj.times)
-            np.testing.assert_array_equal(column, expected)
+            expected = exact_noise(realize_noise(noises[0].spec, i), 0.0, tau, ks)
+            assert np.max(np.abs(column - expected)) / rms(noises[i]) < 1e-12
 
     def test_pair_members(self):
         cfg = load_config("fig4b", overrides={"T": "0.002", "noise.omega_cut": "300"})
@@ -174,6 +182,54 @@ class TestBatchedMembers:
         initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
         initial /= np.linalg.norm(initial)
         self.check(dense.h_spectator, s, noises, 1e-6, initial)
+
+
+class TestEqualSteps:
+    """A run whose T/dt is not whole takes n = ceil(T/dt) equal steps of T/n.
+
+    T = 1.05e-4 at dt = 1e-5 is 11 steps of T/11, with the noise sampled
+    at their midpoints and recorded at their ends.
+    """
+
+    T, DT, N = 1.05e-4, 1e-5, 11
+
+    def test_record_times_end_at_t(self):
+        traj = evolve.evolve_stepwise(single(total_time=self.T), None,
+                                      EvolutionConfig(dt=self.DT), ZERO)
+        np.testing.assert_allclose(traj.times, np.linspace(0.0, self.T, self.N + 1),
+                                   rtol=1e-15)
+        assert traj.times[-1] == self.T
+
+    def test_pulse_durations(self):
+        steps = evolve.decompose_pulse(single(total_time=self.T), fig3_noise(),
+                                       EvolutionConfig(dt=self.DT))
+        assert len(steps) == self.N
+        assert all(step.duration == self.T / self.N for step in steps)
+
+    def test_pair_final_matches_dense(self):
+        s = TwoQubitSchedule(j0=4000.0, total_time=self.T, convention=ANG)
+        noise = fig3_noise(seed=3, index=1)
+        ref = dense.midpoint_final(dense.h_pair, s, noise, self.DT, PAIR01)
+        final = evolve.final_state_stepwise(s, noise, EvolutionConfig(dt=self.DT), PAIR01)
+        np.testing.assert_allclose(final, ref, rtol=0.0, atol=1e-12)
+
+    def test_spectator_final_matches_dense(self):
+        s = SpectatorSchedule(base=single(total_time=self.T), j12=215.0, omega_spec=37.0)
+        noise = fig3_noise(seed=5, index=2)
+        initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
+        initial /= np.linalg.norm(initial)
+        ref = dense.midpoint_final(dense.h_spectator, s, noise, self.DT, initial)
+        final = evolve.final_state_stepwise(s, noise, EvolutionConfig(dt=self.DT), initial)
+        np.testing.assert_allclose(final, ref, rtol=0.0, atol=1e-12)
+
+    def test_noise_column_at_step_ends(self):
+        noise = fig3_noise(seed=4, index=1)
+        cfg = EvolutionConfig(dt=self.DT, store_every=7)
+        traj = evolve.evolve_stepwise(single(total_time=self.T), noise, cfg, ZERO)
+        ks = np.array([0, 7, self.N])  # t = 0, the 7th step's end, and T
+        np.testing.assert_allclose(traj.times, ks * self.T / self.N, rtol=1e-15)
+        expected = exact_noise(noise, 0.0, self.T / self.N, ks)
+        assert np.max(np.abs(traj.noise - expected)) / rms(noise) < 1e-12
 
 
 class TestEvolveOracle:
@@ -248,16 +304,16 @@ class TestPulseDecomposition:
         noise = fig3_noise()
         cfg = EvolutionConfig(dt=1e-6)
         steps = evolve.decompose_pulse(s, noise, cfg)
-        starts, durations = evolve._plan_steps(s.total_time, cfg.dt)
-        mids = starts + 0.5 * durations
-        c_mid = model.noise_values(noise, mids)
+        n, tau = evolve._plan_steps(s.total_time, cfg.dt)
+        mids = (np.arange(n) + 0.5) * tau
+        c_mid = model.noise_values(noise, 0.5 * tau, tau, n)
         prefixes = evolve.prefix_propagators(steps)
         direct = np.eye(2, dtype=complex)
         for k in (0, 1, 9, 99, 499):
             direct = np.eye(2, dtype=complex)
             for j in range(k + 1):
                 direct = smallmat.expm_unitary(
-                    model.h_single(s, mids[j], c_mid[j]), durations[j]) @ direct
+                    model.h_single(s, mids[j], c_mid[j]), tau) @ direct
             diff = prefixes[k] - direct
             inf = 1.0 - abs(np.trace(prefixes[k].conj().T @ direct) / 2.0) ** 2
             assert inf < 1e-10

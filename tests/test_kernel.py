@@ -156,6 +156,14 @@ class TestKernelValue:
                  * kernel.coupling_elements(s, t).c01 * np.exp(1.0j * phase_rev))
         assert g_rev == pytest.approx(np.conj(g), rel=1e-10)
 
+    def test_noisy_phase_reverses_with_the_interval(self):
+        s = single()
+        spec = NoiseSpec(amplitude=400.0, omega0=10.0, omega_cut=2000.0, seed=7,
+                         convention=ANG)
+        noise = realize_noise(spec, 0)
+        forward = kernel.gap_integral(s, noise, 1.0e-4, 4.0e-4)
+        assert kernel.gap_integral(s, noise, 4.0e-4, 1.0e-4) == -forward
+
     def test_ordering_enforced(self):
         s = single()
         with pytest.raises(ValueError):
@@ -181,7 +189,8 @@ class TestKernelValue:
         grid = np.linspace(sv, t, 200001)
         a, b = s.ab(grid)
         from nia_sim.model import noise_values
-        e = -2.0 * (s.j0_rad + noise_values(noise, grid)) * np.hypot(a, b)
+        c = noise_values(noise, sv, (t - sv) / 200000, 200001)
+        e = -2.0 * (s.j0_rad + c) * np.hypot(a, b)
         ref = np.trapezoid(e, grid)
         assert got == pytest.approx(ref, rel=1e-6)
 

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import h_pair, h_spectator
-from nia_sim import evolve, model, smallmat
+from nia_sim import model, smallmat
 from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
                            SingleQubitSchedule, SpectatorSchedule,
                            TwoQubitSchedule, h_sectors, h_single,
@@ -150,9 +150,9 @@ class TestNoise:
     def test_single_component_closed_form(self):
         spec = NoiseSpec(amplitude=3.0, omega0=10.0, omega_cut=10.0, convention=ANG)
         r = model.NoiseRealization(spec=spec, index=0, phases=np.zeros(1))
-        assert noise_values(r, [0.0])[0] == pytest.approx(0.0, abs=1e-12)
+        assert noise_values(r, 0.0, 0.0, 1)[0] == pytest.approx(0.0, abs=1e-12)
         t = 0.0123
-        assert noise_values(r, [t])[0] == pytest.approx(3.0 * np.sin(10.0 * t), rel=1e-12)
+        assert noise_values(r, t, 0.0, 1)[0] == pytest.approx(3.0 * np.sin(10.0 * t), rel=1e-12)
 
     def test_component_count(self):
         spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=5000.0, convention=ANG)
@@ -164,8 +164,8 @@ class TestNoise:
         a = realize_noise(spec, 3)
         b = realize_noise(spec, 3)
         np.testing.assert_array_equal(a.phases, b.phases)
-        t = np.linspace(0.0, 1.0, 50)
-        np.testing.assert_array_equal(noise_values(a, t), noise_values(b, t))
+        np.testing.assert_array_equal(noise_values(a, 0.0, 1.0 / 49, 50),
+                                      noise_values(b, 0.0, 1.0 / 49, 50))
 
     def test_realizations_differ(self):
         spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=100.0, seed=42,
@@ -176,16 +176,22 @@ class TestNoise:
     def test_negative_time_rejected(self):
         spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=10.0, convention=ANG)
         with pytest.raises(ValueError):
-            noise_values(realize_noise(spec, 0), [-1.0])[0]
+            noise_values(realize_noise(spec, 0), -1.0, 0.0, 1)[0]
+
+    @pytest.mark.parametrize("h, count", [(-1e-6, 4), (1e-6, 0)])
+    def test_bad_spacing_or_count_rejected(self, h, count):
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=10.0, convention=ANG)
+        with pytest.raises(ValueError):
+            noise_values(realize_noise(spec, 0), 0.0, h, count)
 
     def test_literal_rms(self):
         # RMS of N equal-amplitude independent-phase sinusoids: alpha sqrt(N/2).
         spec = NoiseSpec(amplitude=2.0, omega0=1.0, omega_cut=200.0, seed=5,
                          convention=ANG)
-        t = np.linspace(0.0, 1000.0 / spec.omega0, 200001)
+        h = 1000.0 / spec.omega0 / 200000
         acc = 0.0
         for i in range(5):
-            c = noise_values(realize_noise(spec, i), t)
+            c = noise_values(realize_noise(spec, i), 0.0, h, 200001)
             acc += np.mean(c ** 2)
         rms = np.sqrt(acc / 5)
         assert rms == pytest.approx(2.0 * np.sqrt(spec.n_components / 2.0), rel=0.02)
@@ -193,10 +199,10 @@ class TestNoise:
     def test_unit_rms(self):
         spec = NoiseSpec(amplitude=2.0, omega0=1.0, omega_cut=200.0, seed=5,
                          normalization=NoiseNormalization.UNIT_RMS, convention=ANG)
-        t = np.linspace(0.0, 1000.0 / spec.omega0, 200001)
+        h = 1000.0 / spec.omega0 / 200000
         acc = 0.0
         for i in range(5):
-            c = noise_values(realize_noise(spec, i), t)
+            c = noise_values(realize_noise(spec, i), 0.0, h, 200001)
             acc += np.mean(c ** 2)
         assert np.sqrt(acc / 5) == pytest.approx(2.0, rel=0.02)
 
@@ -205,38 +211,6 @@ class TestNoise:
             NoiseSpec(amplitude=1.0, omega0=0.0, omega_cut=10.0)
         with pytest.raises(ValueError):
             NoiseSpec(amplitude=1.0, omega0=10.0, omega_cut=5.0)
-
-    # How noise_values splits a grid: the leading uniform run goes through
-    # the chirp-z tiles, every sample after it through the direct sum.
-
-    @staticmethod
-    def _assert_straggler(r, times):
-        run, h = model._uniform_run(times)
-        assert run == len(times) - 1
-        c = noise_values(r, times)
-        np.testing.assert_array_equal(c[run:], model._direct_sum(r, times[run:]))
-        rms = r.spec.component_scale * np.sqrt(r.spec.n_components / 2.0)
-        ref = exact_noise(r, times[0], h, np.arange(run))
-        assert np.max(np.abs(c[:run] - ref)) / rms < 1e-12
-
-    def test_truncated_last_midpoint_takes_the_direct_sum(self):
-        spec = NoiseSpec(amplitude=1.0, omega0=10.0, omega_cut=5e4, seed=4, convention=ANG)
-        starts, durations = evolve._plan_steps(1.05e-4, 1e-5)
-        self._assert_straggler(realize_noise(spec, 1), starts + 0.5 * durations)
-
-    def test_final_record_at_t_takes_the_direct_sum(self):
-        spec = NoiseSpec(amplitude=1.0, omega0=10.0, omega_cut=5e4, seed=4, convention=ANG)
-        cfg = evolve.EvolutionConfig(dt=1e-5, store_every=7)
-        times = evolve.evolve_stepwise(single(total_time=1e-3), None, cfg, [1.0, 0.0]).times
-        assert len(times) == 16  # t = 0, every 7th step, and the last at T
-        self._assert_straggler(realize_noise(spec, 1), times)
-
-    def test_non_uniform_grid_is_the_direct_sum(self):
-        spec = NoiseSpec(amplitude=1.0, omega0=10.0, omega_cut=5e4, seed=4, convention=ANG)
-        r = realize_noise(spec, 1)
-        times = np.sort(np.random.default_rng(8).uniform(0.0, 1e-3, 50))
-        assert model._uniform_run(times)[0] == 0
-        np.testing.assert_array_equal(noise_values(r, times), model._direct_sum(r, times))
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 6000), count=st.integers(2, 6000),
@@ -258,7 +232,7 @@ class TestNoise:
         ks = np.unique(np.concatenate([[0, 1, count - 1], edges,
                                        np.linspace(0, count - 1, 25)]).astype(int))
         r = realize_noise(spec, 2)
-        got = noise_values(r, t0 + np.arange(count) * h)[ks]
+        got = noise_values(r, t0, h, count)[ks]
         rms = spec.component_scale * np.sqrt(n / 2.0)
         assert np.max(np.abs(got - exact_noise(r, t0, h, ks))) / rms < 1e-12
 
