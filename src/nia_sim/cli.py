@@ -21,60 +21,22 @@ import time
 import numpy as np
 
 from . import evolve, kernel, metrics, model
-from .config import (ConfigError, RunConfig, apply_sweep_value, blocking,
-                     config_hash, effective_items, load_config, validate)
+from .config import (ConfigError, RunConfig, blocking, config_hash, effective_items,
+                     load_config, runs, validate)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_THRESHOLD = 3
 
-_NUMERIC_ERRORS = (
-    evolve.NumericEvolutionError,
-    kernel.ResolutionError,
-    metrics.GridMismatchError,
-)
-
-
-def _initial_vector(cfg: RunConfig):
-    """Initial state for the configured system; explicit amplitudes normalized."""
-    name = cfg.effective_initial()
-    named2 = {
-        "zero": np.array([1.0, 0.0], dtype=complex),
-        "one": np.array([0.0, 1.0], dtype=complex),
-        "plus": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    }
-    dim = cfg.schedule().dim
-    if name in named2:
-        driven = named2[name]
-        if cfg.system == "spectator":
-            return np.kron(driven, np.array([1.0, 0.0], dtype=complex))
-        if dim != 2:
-            raise ConfigError(f"initial_state {name!r} needs a two-level system")
-        return driven
-    if name == "pair01":
-        if cfg.system != "pair":
-            raise ConfigError("initial_state 'pair01' needs system = pair")
-        return np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-    amps = np.array([complex(part) for part in name.split(",")])
-    if cfg.system == "spectator" and amps.shape == (2,):
-        amps = np.kron(amps, np.array([1.0, 0.0], dtype=complex))
-    if amps.shape != (dim,):
-        raise ConfigError(f"explicit initial state needs {dim} amplitudes")
-    norm = np.linalg.norm(amps)
-    if norm == 0.0:
-        raise ConfigError("explicit initial state must be nonzero")
-    if cfg.system == "pair" and (amps[0] != 0.0 or amps[3] != 0.0):
-        raise ConfigError("a pair initial state must lie in the {|01>, |10>} block"
-                          " (zero amplitude on |00> and |11>)")
-    return amps / norm
+# kernel.ResolutionError and metrics.GridMismatchError are ValueErrors, and
+# FloatingPointError (a non-finite noise sum or result) an ArithmeticError.
+_NUMERIC_ERRORS = (evolve.NumericEvolutionError, ValueError, ArithmeticError)
 
 
 def _noise_realization(cfg: RunConfig, index: int):
     spec = cfg.noise_spec()
-    if spec is None:
-        return None
-    return model.realize_noise(spec, index)
+    return None if spec is None else model.realize_noise(spec, index)
 
 
 def _evolution_config(cfg: RunConfig) -> evolve.EvolutionConfig:
@@ -84,25 +46,22 @@ def _evolution_config(cfg: RunConfig) -> evolve.EvolutionConfig:
 def _simulate(cfg: RunConfig) -> metrics.Trajectory:
     """One trajectory of the configured run, with noise realization 0."""
     return evolve.evolve_stepwise(cfg.schedule(), _noise_realization(cfg, 0),
-                                  _evolution_config(cfg), _initial_vector(cfg))
+                                  _evolution_config(cfg), cfg.initial_vector())
 
 
 def _run_ensemble(cfg: RunConfig) -> metrics.EnsembleSummary:
     """Mean and standard error over every member, propagated together in one call."""
     noises = [_noise_realization(cfg, i) for i in range(cfg.realizations)]
     return metrics.aggregate(evolve.evolve_stepwise(cfg.schedule(), noises,
-                                                    _evolution_config(cfg), _initial_vector(cfg)))
+                                                    _evolution_config(cfg), cfg.initial_vector()))
 
 
 def _preamble(cfg: RunConfig, mode: str, extra: dict | None = None) -> list[str]:
     lines = [f"# nia-sim {mode}", f"# config_hash = {config_hash(cfg)}"]
     if cfg.timestamps:
         lines.append(f"# generated = {time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
-    for key, value in effective_items(cfg):
-        lines.append(f"# {key} = {value}")
-    for key, value in (extra or {}).items():
-        lines.append(f"# {key} = {value}")
-    return lines
+    items = [*effective_items(cfg), *(extra or {}).items()]
+    return lines + [f"# {key} = {value}" for key, value in items]
 
 
 def _fmt(x) -> str:
@@ -110,6 +69,12 @@ def _fmt(x) -> str:
 
 
 def _write_rows(path: str, preamble: list[str], header: list[str], rows) -> None:
+    """Write a CSV file; a non-finite value is refused before the file is opened."""
+    rows = [[float(x) for x in row] for row in rows]
+    if not np.isfinite(rows).all():
+        row, col = np.argwhere(~np.isfinite(rows))[0]
+        raise FloatingPointError(f"non-finite {header[col]} in row {row} of"
+                                 f" {os.path.basename(path)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in preamble:
             fh.write(line + "\n")
@@ -118,13 +83,10 @@ def _write_rows(path: str, preamble: list[str], header: list[str], rows) -> None
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-_TRAJ_COLUMNS = ("pop0", "pop1", "im_coherence", "fidelity_e0", "gap", "noise")
-
-
 def write_trajectory(path: str, cfg: RunConfig, traj: metrics.Trajectory,
                      mode: str = "simulate") -> None:
-    header = ["t", *_TRAJ_COLUMNS]
-    rows = zip(traj.times, *(traj.metric(name) for name in _TRAJ_COLUMNS))
+    header = ["t", *metrics.METRIC_NAMES]
+    rows = zip(traj.times, *(traj.metric(name) for name in metrics.METRIC_NAMES))
     _write_rows(path, _preamble(cfg, mode), header, rows)
 
 
@@ -132,7 +94,7 @@ def write_summary(path: str, cfg: RunConfig, summary: metrics.EnsembleSummary,
                   mode: str = "ensemble") -> None:
     header = ["t"]
     cols = [summary.times]
-    for name in _TRAJ_COLUMNS:
+    for name in metrics.METRIC_NAMES:
         header += [f"mean_{name}", f"se_{name}"]
         cols += [summary.mean[name], summary.se[name]]
     extra = {"realizations": summary.m,
@@ -159,22 +121,18 @@ def _mode_sweep(cfg: RunConfig, out_dir: str) -> int:
     param = cfg.sweep_parameter
     base_hash = config_hash(cfg, exclude=(param,))
     summary_rows = []
-    for i, value in enumerate(cfg.sweep_values):
-        sub = apply_sweep_value(cfg, value)
+    for i, (value, sub) in enumerate(zip(cfg.sweep_values, runs(cfg))):
         if config_hash(sub, exclude=(param,)) != base_hash:
             raise RuntimeError("sweep touched a non-swept parameter")
-        bad = blocking(validate(sub))
-        if bad:
-            raise ConfigError(f"sweep value {value:g}: {bad[0]}")
         member_path = os.path.join(out_dir, f"sweep_{i:03d}.csv")
-        if sub.has_noise and sub.realizations > 1:
+        if sub.members > 1:
             summary = _run_ensemble(sub)
             write_summary(member_path, sub, summary, mode="sweep")
-            finals = [summary.mean[name][-1] for name in _TRAJ_COLUMNS[:4]]
+            finals = [summary.mean[name][-1] for name in metrics.METRIC_NAMES[:4]]
         else:
             traj = _simulate(sub)
             write_trajectory(member_path, sub, traj, mode="sweep")
-            finals = [traj.metric(name)[-1] for name in _TRAJ_COLUMNS[:4]]
+            finals = [traj.metric(name)[-1] for name in metrics.METRIC_NAMES[:4]]
         summary_rows.append([value, *finals])
     header = [param.replace(".", "_"), "final_pop0", "final_pop1",
               "final_im_coherence", "final_fidelity_e0"]
@@ -229,7 +187,7 @@ def _mode_oracle_check(cfg: RunConfig, out_dir: str) -> int:
     schedule = cfg.schedule()
     noise = _noise_realization(cfg, 0)
     ecfg = _evolution_config(cfg)
-    initial = _initial_vector(cfg)
+    initial = cfg.initial_vector()
     final_step = evolve.final_state_stepwise(schedule, noise, ecfg, initial)
     final_orc = evolve.final_state_oracle(schedule, noise, ecfg, initial)
     inf = _infidelity(final_step, final_orc)
@@ -243,12 +201,7 @@ def _mode_oracle_check(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _mode_spectator_check(cfg: RunConfig, out_dir: str) -> int:
-    from dataclasses import replace
-
-    base_cfg = replace(cfg, system="single")
-    spec_cfg = replace(cfg, system="spectator")
-    base = _simulate(base_cfg)
-    embedded = _simulate(spec_cfg)
+    base, embedded = (_simulate(run) for run in runs(cfg))
     err = metrics.spectator_error(base, embedded)
     verdict = "PASS" if err < 0.01 else "FAIL"
     line = (f"spectator-check: max relative pop0 error = {err:.4%} "
@@ -286,14 +239,14 @@ def _parse_args(argv):
 
 
 def run(cfg: RunConfig) -> int:
-    """Validated dispatch; raises on usage problems, returns an exit code."""
+    """Validated dispatch: a refused config exits 1 before anything is written."""
     violations = validate(cfg)
     bad = blocking(violations)
     if bad:
-        raise ConfigError("; ".join(bad))
-    for warning in violations:
-        if warning.startswith("warning:"):
-            print(warning, file=sys.stderr)
+        print(f"nia-sim: config error: {'; '.join(bad)}", file=sys.stderr)
+        return EXIT_USAGE
+    for warning in violations:  # nothing blocks, so every entry is a warning
+        print(warning, file=sys.stderr)
     out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)
     return _MODE_RUNNERS[cfg.mode](cfg, out_dir)
@@ -323,9 +276,6 @@ def main(argv=None) -> int:
         print(f"nia-sim: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _NUMERIC_ERRORS as exc:
-        print(f"nia-sim: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValueError, ArithmeticError) as exc:
         print(f"nia-sim: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

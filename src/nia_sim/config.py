@@ -10,11 +10,13 @@ block a run).
 """
 from __future__ import annotations
 
-import cmath
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+import os
+from dataclasses import dataclass, fields, replace
 from importlib import resources
+
+import numpy as np
 
 from .model import (DEFAULT_CONVENTION, FrequencyConvention, NoiseNormalization,
                     NoiseSpec, SingleQubitSchedule, SpectatorSchedule,
@@ -23,7 +25,6 @@ from .model import (DEFAULT_CONVENTION, FrequencyConvention, NoiseNormalization,
 MODES = ("simulate", "ensemble", "sweep", "kernel", "pulse-export",
          "oracle-check", "spectator-check")
 SYSTEMS = ("single", "pair", "spectator")
-INITIAL_PRESETS = ("zero", "one", "plus", "pair01")
 SWEEPABLE = ("T", "J0", "noise.amplitude", "noise.omega_cut", "J12")
 
 PRESET_NAMES = ("fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b")
@@ -94,20 +95,62 @@ class RunConfig:
 
     def schedule(self):
         conv = self.frequency_convention()
-        if self.system == "single":
-            return SingleQubitSchedule(j0=self.j0, total_time=self.total_time,
-                                       convention=conv)
         if self.system == "pair":
-            return TwoQubitSchedule(j0=self.j0, total_time=self.total_time,
-                                    convention=conv)
-        base = SingleQubitSchedule(j0=self.j0, total_time=self.total_time,
-                                   convention=conv)
-        return SpectatorSchedule(base=base, j12=self.j12, omega_spec=self.omega_spec)
+            return TwoQubitSchedule(j0=self.j0, total_time=self.total_time, convention=conv)
+        single = SingleQubitSchedule(j0=self.j0, total_time=self.total_time, convention=conv)
+        if self.system == "single":
+            return single
+        return SpectatorSchedule(base=single, j12=self.j12, omega_spec=self.omega_spec)
 
-    def effective_initial(self) -> str:
-        if self.initial_state:
-            return self.initial_state
-        return "pair01" if self.system == "pair" else "zero"
+    @property
+    def members(self) -> int:
+        """Members run together: the realizations of an ensemble or a noisy sweep, else 1."""
+        if self.mode == "ensemble" or (self.mode == "sweep" and self.has_noise):
+            return self.realizations
+        return 1
+
+    def initial_vector(self) -> np.ndarray:
+        """The normalized initial state, or ConfigError if the system cannot take it.
+
+        A named state (`_NAMED_STATES`; a spectator starts in |0>) or complex
+        amplitudes separated by commas; a spectator also takes the driven
+        qubit's two.  Empty means pair01 for the pair model, zero otherwise.
+        """
+        name = self.initial_state or ("pair01" if self.system == "pair" else "zero")
+        if name in _NAMED_STATES:
+            if name == "pair01" and self.system != "pair":
+                raise ConfigError("initial_state 'pair01' needs system = pair")
+            if name != "pair01" and self.system == "pair":
+                raise ConfigError(f"initial_state {name!r} needs a two-level system")
+            amps = np.array(_NAMED_STATES[name], dtype=complex)
+        else:
+            try:
+                amps = np.array([complex(part) for part in name.split(",")])
+            except ValueError:
+                raise ConfigError("initial_state must be a named preset or"
+                                  " comma-separated amplitudes") from None
+            if not np.isfinite(amps).all():
+                raise ConfigError("initial_state amplitudes must be finite")
+        if self.system == "spectator" and amps.shape == (2,):
+            amps = np.kron(amps, [1.0, 0.0])
+        dim = 2 if self.system == "single" else 4
+        if amps.shape != (dim,):
+            raise ConfigError(f"explicit initial state needs {dim} amplitudes")
+        # Scaled by the largest real or imaginary part first, so that the
+        # norm neither overflows nor underflows.
+        parts = amps.view(float)
+        scale = np.abs(parts).max()
+        if scale == 0.0:
+            raise ConfigError("explicit initial state must be nonzero")
+        if self.system == "pair" and (amps[0] != 0.0 or amps[3] != 0.0):
+            raise ConfigError("a pair initial state must lie in the {|01>, |10>} block"
+                              " (zero amplitude on |00> and |11>)")
+        amps = (parts / scale).view(complex)
+        return amps / np.linalg.norm(amps)
+
+
+# Unnormalized: zero, one and plus of the driven qubit, and |01> of the pair model.
+_NAMED_STATES = {"zero": (1, 0), "one": (0, 1), "plus": (1, 1), "pair01": (0, 1, 0, 0)}
 
 
 # key name in files <-> RunConfig field name
@@ -190,8 +233,6 @@ def build_config(pairs: dict, overrides: dict | None = None) -> RunConfig:
 
 def load_config(source: str, overrides: dict | None = None) -> RunConfig:
     """Load from a file path or a packaged preset name (fig3a ... fig4b)."""
-    import os
-
     if os.path.exists(source):
         with open(source, encoding="utf-8") as fh:
             pairs = parse_pairs(fh)
@@ -239,8 +280,21 @@ def validate(cfg: RunConfig) -> list[str]:
     """All violations of the config, empty iff a run would accept it.
 
     Entries starting with "warning:" are advisory (physics sanity) and do
-    not block execution.
+    not block execution.  Each of the `runs` of a sweep or a spectator
+    check is checked too; what blocks only a sweep run names its value.
     """
+    bad = _violations(cfg)
+    if cfg.mode == "spectator-check":
+        for run in runs(cfg):
+            bad += [v for v in blocking(_violations(run)) if v not in bad]
+    if cfg.mode == "sweep" and cfg.sweep_parameter in SWEEPABLE:
+        for value, run in zip(cfg.sweep_values, runs(cfg)):
+            bad += [f"sweep value {value:g}: {v}" for v in blocking(_violations(run))
+                    if v not in bad]
+    return bad
+
+
+def _violations(cfg: RunConfig) -> list[str]:
     bad = []
     for key, value in (("T", cfg.total_time), ("dt", cfg.dt), ("J0", cfg.j0),
                        ("J12", cfg.j12), ("omega_spec", cfg.omega_spec),
@@ -260,10 +314,9 @@ def validate(cfg: RunConfig) -> list[str]:
     elif cfg.dt > cfg.total_time > 0.0:
         bad.append("dt must not exceed T")
     elif math.isfinite(cfg.total_time) and cfg.total_time > 0.0:
-        members = max(cfg.realizations, 1) if cfg.mode in ("ensemble", "sweep") else 1
         steps = cfg.total_time / cfg.dt - 1e-9
-        if steps > MAX_MEMBER_STEPS or math.ceil(steps) * members > MAX_MEMBER_STEPS:
-            bad.append(f"T/dt steps for {members} member(s) exceed"
+        if steps > MAX_MEMBER_STEPS or math.ceil(steps) * cfg.members > MAX_MEMBER_STEPS:
+            bad.append(f"T/dt steps for {cfg.members} member(s) exceed"
                        f" {MAX_MEMBER_STEPS} member-steps")
     if not cfg.j0 > 0.0:
         bad.append("J0 must be positive")
@@ -277,13 +330,11 @@ def validate(cfg: RunConfig) -> list[str]:
         bad.append("store_every must be >= 1")
     if cfg.j12 < 0.0:
         bad.append("J12 must be non-negative")
-    init = cfg.effective_initial()
-    if init not in INITIAL_PRESETS:
-        amps = _explicit_amplitudes(init)
-        if amps is None:
-            bad.append("initial_state must be a named preset or comma-separated amplitudes")
-        elif not all(cmath.isfinite(amp) for amp in amps):
-            bad.append("initial_state amplitudes must be finite")
+    if cfg.system in SYSTEMS:
+        try:
+            cfg.initial_vector()
+        except ConfigError as exc:
+            bad.append(str(exc))
     if cfg.has_noise:
         if cfg.noise_omega_cut is None:
             bad.append("noise.omega_cut required when noise.amplitude is set")
@@ -312,8 +363,10 @@ def validate(cfg: RunConfig) -> list[str]:
         bad.append("kernel.points must be >= 500")
     if cfg.mode == "kernel" and cfg.kernel_points > MAX_KERNEL_POINTS:
         bad.append(f"kernel.points must be <= {MAX_KERNEL_POINTS}")
-    if cfg.mode in ("pulse-export", "spectator-check") and cfg.system == "pair":
-        bad.append(f"{cfg.mode} mode requires a two-level driven system")
+    if cfg.mode == "spectator-check" and cfg.system == "pair":
+        bad.append("spectator-check mode requires a two-level driven system")
+    if cfg.mode == "pulse-export" and cfg.system != "single":
+        bad.append("pulse-export mode requires system = single")
 
     if not bad and cfg.total_time > 0.0 and cfg.dt > 0.0:
         # Under-resolution sanity: step phase budget at the typical field scale.
@@ -332,16 +385,16 @@ def blocking(violations: list[str]) -> list[str]:
     return [v for v in violations if not v.startswith("warning:")]
 
 
-def _explicit_amplitudes(text: str) -> list[complex] | None:
-    """Comma-separated complex amplitudes, or None if text is not such a list."""
-    if "," not in text:
-        return None
-    try:
-        return [complex(part) for part in text.split(",")]
-    except ValueError:
-        return None
-
-
 def apply_sweep_value(cfg: RunConfig, value: float) -> RunConfig:
     """Copy of cfg with the swept parameter replaced by one sweep value."""
     return replace(cfg, **{_KEY_TO_FIELD[cfg.sweep_parameter]: value})
+
+
+def runs(cfg: RunConfig) -> list[RunConfig]:
+    """The config of each run the mode makes: one per sweep value, the driven
+    qubit alone and then with its spectator for a spectator check, else cfg."""
+    if cfg.mode == "sweep":
+        return [apply_sweep_value(cfg, value) for value in cfg.sweep_values]
+    if cfg.mode == "spectator-check":
+        return [replace(cfg, system=system) for system in ("single", "spectator")]
+    return [cfg]

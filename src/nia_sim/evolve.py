@@ -115,19 +115,6 @@ def _schedule_meta(schedule, noises, cfg, batched):
     return meta
 
 
-def _noise_at(noises, h, count) -> np.ndarray:
-    """c(k h) of every member for k < count, shape (M, count); zero without noise."""
-    values = np.zeros((len(noises), count))
-    for member, r in enumerate(noises):
-        if r is not None:
-            values[member] = noise_values(r, 0.0, h, count)
-    if not np.all(np.isfinite(values)):
-        member, sample = np.argwhere(~np.isfinite(values))[0]
-        raise NumericEvolutionError(f"non-finite noise value at sample {sample}"
-                                    f" of member {member}")
-    return values
-
-
 def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     """The one step loop of every engine, over all members at once.
 
@@ -163,7 +150,10 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     # one member's noise synthesis peaks below 1 MiB on fig3d and fig4b, the
     # (M, 2n + 1) noise of 100 fig4b members takes 1.6 MB, and make_step
     # peaks at 2.1 MiB for 16 fig4b members and 12 MiB for 100.
-    c = _noise_at(noises, 0.5 * tau, 2 * n + 1)
+    c = np.zeros((len(noises), 2 * n + 1))
+    for member, r in enumerate(noises):
+        if r is not None:
+            c[member] = noise_values(r, 0.0, 0.5 * tau, 2 * n + 1)
     advance = make_step(schedule, grid[1::2], tau, c[:, 1::2])
     psi = np.repeat(model.sector_states(schedule, state)[None], len(noises), axis=0)
     norm0 = np.linalg.norm(psi[0])
@@ -240,13 +230,14 @@ def _rk4_step(schedule, mids, tau, c_mid):
     h = tau / n_sub
     # Node times per main step: substep edges, then substep midpoints.
     offsets = np.concatenate([np.arange(n_sub + 1), np.arange(n_sub) + 0.5]) / n_sub
-    nodes = mids[:, None] + tau * (offsets - 0.5)
-    # The noise is held at the step midpoints, shape (M, n_steps) -> every node.
-    # Hamiltonians at every node, shape (n_steps, n_nodes, M, n_sectors, 2, 2).
-    h_nodes = model.h_sectors(schedule, nodes[..., None], c_mid.T[:, None, :])
 
     def advance(k, psi):
-        edges, halves = h_nodes[k, : n_sub + 1], h_nodes[k, n_sub + 1:]
+        # Hamiltonians at the step's nodes, shape (n_nodes, M, n_sectors, 2, 2),
+        # built per step so that memory does not grow with the step count.
+        # The noise is held at the step midpoint.
+        nodes = mids[k] + tau * (offsets - 0.5)
+        h_nodes = model.h_sectors(schedule, nodes[:, None], c_mid[:, k])
+        edges, halves = h_nodes[: n_sub + 1], h_nodes[n_sub + 1:]
         for i in range(n_sub):
             k1 = -1.0j * _apply(edges[i], psi)
             k2 = -1.0j * _apply(halves[i], psi + 0.5 * h * k1)

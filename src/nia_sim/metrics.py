@@ -19,7 +19,7 @@ class GridMismatchError(ValueError):
     """Trajectories do not share a time grid / schedule."""
 
 
-_METRIC_NAMES = ("pop0", "pop1", "im_coherence", "fidelity_e0", "gap", "noise")
+METRIC_NAMES = ("pop0", "pop1", "im_coherence", "fidelity_e0", "gap", "noise")
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def metric(self, name: str) -> np.ndarray:
-        if name not in _METRIC_NAMES:
+        if name not in METRIC_NAMES:
             raise KeyError(name)
         return getattr(self, name)
 
@@ -100,7 +100,7 @@ def aggregate(trajs) -> EnsembleSummary:
             raise GridMismatchError("trajectories come from different schedules")
     stacks = {name: np.concatenate([np.reshape(tr.metric(name), (-1, t0.times.size))
                                     for tr in trajs])
-              for name in _METRIC_NAMES}
+              for name in METRIC_NAMES}
     m = len(stacks["pop0"])
     mean = {name: stack.mean(axis=0) for name, stack in stacks.items()}
     se = {name: stack.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros(stack.shape[1])

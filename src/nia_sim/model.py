@@ -247,7 +247,8 @@ def realize_noise(spec: NoiseSpec, index: int = 0) -> NoiseRealization:
     Philox is counter-based and keyed on (seed, index), so realizations are
     reproducible across platforms and independent of draw order.
     """
-    rng = np.random.Generator(np.random.Philox(key=[spec.seed & (2**64 - 1), index & (2**64 - 1)]))
+    key = np.array([spec.seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     phases = rng.uniform(0.0, 2.0 * np.pi, spec.n_components)
     phases.setflags(write=False)
     return NoiseRealization(spec=spec, index=index, phases=phases)
@@ -264,13 +265,16 @@ def noise_values(r: NoiseRealization, t0: float, h: float, count: int) -> np.nda
 
     The sum is a chirp-z transform in tiles (`_chirp_sum`), whose
     temporaries stay near 2 MB whatever the number of components and
-    samples.
+    samples.  A sum that overflows raises FloatingPointError.
     """
     if not (t0 >= 0.0 and h >= 0.0):
         raise ValueError("noise is sampled on t0 + k h with t0 >= 0 and h >= 0")
     if count < 1:
         raise ValueError("noise needs at least one sample")
-    return r.spec.component_scale * _chirp_sum(r, t0, h, count)
+    values = r.spec.component_scale * _chirp_sum(r, t0, h, count)
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"non-finite noise value in realization {r.index}")
+    return values
 
 
 def _turns(rate, m: np.ndarray) -> np.ndarray:

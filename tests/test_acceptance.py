@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nia_sim import config, evolve, kernel, metrics, model, smallmat
-from nia_sim.cli import _evolution_config, _initial_vector, _run_ensemble, _simulate
+from nia_sim.cli import _evolution_config, _run_ensemble, _simulate
 from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
 from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
@@ -115,7 +115,7 @@ def test_criterion_05_memory_equation_exactness(capsys):
         cfg = load_config(preset)
         schedule = cfg.schedule()
         traj = evolve.evolve_oracle(schedule, None, _evolution_config(cfg),
-                                    _initial_vector(cfg))
+                                    cfg.initial_vector())
         mem = kernel.solve_memory_equation(schedule, None, 2001)
         fid = np.interp(mem.times, traj.times, traj.fidelity_e0)
         worst = max(worst, float(np.abs(np.abs(mem.psi0) ** 2 - fid).max()))
@@ -146,7 +146,7 @@ def test_criterion_06_oracle_equivalence(capsys):
         if cfg.has_noise:
             noise = realize_noise(cfg.noise_spec(), 0)
         ecfg = _evolution_config(cfg)
-        initial = _initial_vector(cfg)
+        initial = cfg.initial_vector()
         a = evolve.final_state_stepwise(schedule, noise, ecfg, initial)
         b = evolve.final_state_oracle(schedule, noise, ecfg, initial)
         inf = abs(1.0 - abs(np.vdot(a, b)) ** 2)

@@ -1,5 +1,6 @@
 """Config parsing, validation, presets, CSV reproducibility, exit codes."""
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +28,23 @@ PRESET_EXPECTATIONS = {
 }
 
 
+# Inputs a run cannot take, each with the refusal it gets: initial states
+# the system has no room for, and modes the system does not support.
+UNRUNNABLE = [
+    ("simulate", "fig3a", {"initial_state": "0,0"}, "must be nonzero"),
+    ("simulate", "fig3a", {"initial_state": "1,0,0"}, "needs 2 amplitudes"),
+    ("simulate", "fig3a", {"initial_state": "pair01"}, "needs system = pair"),
+    ("simulate", "fig4a", {"initial_state": "one"}, "needs a two-level system"),
+    ("simulate", "fig4a", {"initial_state": "1,0,0,0"}, "{|01>, |10>} block"),
+    # The check also runs the driven qubit alone, which takes two amplitudes.
+    ("spectator-check", "fig3b", {"system": "spectator", "initial_state": "0.6,0,0,0.8"},
+     "needs 2 amplitudes"),
+    ("pulse-export", "fig3b", {"system": "spectator"}, "requires system = single"),
+]
+
+
 def read_csv(path):
-    lines = [l for l in open(path, encoding="utf-8") if not l.startswith("#")]
+    lines = [l for l in Path(path).read_text("utf-8").splitlines() if not l.startswith("#")]
     header = lines[0].strip().split(",")
     data = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
     return header, {name: data[:, i] for i, name in enumerate(header)}
@@ -137,6 +153,29 @@ class TestValidate:
         assert config.blocking(validate(load_config("fig3b", {
             "realizations": str(most + 1)}))) == []
 
+    def test_noise_free_sweep_has_one_member(self):
+        # Each of these runs takes 500 steps, however many realizations are set.
+        sweep = {"mode": "sweep", "sweep.parameter": "T", "sweep.values": "0.0005",
+                 "realizations": "2001"}
+        cfg = load_config("fig3b", sweep)
+        assert cfg.members == 1
+        assert config.blocking(validate(cfg)) == []
+        noisy = load_config("fig3b", sweep | {"noise.amplitude": "1", "noise.omega_cut": "100"})
+        assert noisy.members == 2001
+
+    @pytest.mark.parametrize("mode, preset, overrides, message", UNRUNNABLE)
+    def test_unrunnable_blocked(self, mode, preset, overrides, message):
+        bad = config.blocking(validate(load_config(preset, overrides | {"mode": mode})))
+        assert any(message in v for v in bad), bad
+
+    def test_initial_vector_normalizes_extreme_amplitudes(self):
+        for text in ("1e308,1e308", "5e-324,0", "1e-170,-1e-170j"):
+            vec = load_config("fig3a", {"initial_state": text}).initial_vector()
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
+        spectator = load_config("fig3a", {"system": "spectator", "initial_state": "plus"})
+        np.testing.assert_array_equal(spectator.initial_vector(),
+                                      np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0))
+
     @pytest.mark.parametrize("dt", ["1e-15", "1e-320"])
     def test_step_count_blocked(self, dt):
         bad = config.blocking(validate(load_config("fig3a", {"dt": dt})))
@@ -217,7 +256,7 @@ class TestCliRuns:
         # Non-swept remainder identical: both members carry the same base hash.
         preambles = []
         for i in range(2):
-            text = open(tmp_path / f"sweep_{i:03d}.csv", encoding="utf-8").read()
+            text = (tmp_path / f"sweep_{i:03d}.csv").read_text("utf-8")
             lines = dict(l[2:].split(" = ") for l in text.splitlines()
                          if l.startswith("# ") and " = " in l)
             preambles.append({k: v for k, v in lines.items()
@@ -229,7 +268,7 @@ class TestCliRuns:
         for sub, extra in (("h1", []), ("h2", ["--set", "timestamps=false"])):
             out = tmp_path / sub
             assert cli.main(["simulate", "--config", "fig3a", *extra, "--out", str(out)]) == 0
-            text = open(out / "trajectory.csv", encoding="utf-8").read()
+            text = (out / "trajectory.csv").read_text("utf-8")
             stamps.append([l for l in text.splitlines() if l.startswith("# config_hash")])
         assert stamps[0] == stamps[1] and len(stamps[0]) == 1
 
@@ -243,7 +282,7 @@ class TestCliRuns:
     def test_pulse_export(self, tmp_path):
         code = cli.main(["pulse-export", "--config", "fig3b", "--out", str(tmp_path)])
         assert code == 0
-        lines = [l for l in open(tmp_path / "pulses.txt", encoding="utf-8")
+        lines = [l for l in (tmp_path / "pulses.txt").read_text("utf-8").splitlines()
                  if not l.startswith("#")]
         assert len(lines) == 500
         fields = lines[0].split("\t")
@@ -254,6 +293,14 @@ class TestCliRuns:
     def test_oracle_check_passes(self, tmp_path):
         code = cli.main(["oracle-check", "--config", "fig3b", "--out", str(tmp_path)])
         assert code == 0
+
+    def test_noise_free_sweep_ignores_realizations(self, tmp_path):
+        code = cli.main(["sweep", "--config", "fig3b", "--set", "sweep.parameter=T",
+                         "--set", "sweep.values=0.0005", "--set", "realizations=2001",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        header, _ = read_csv(tmp_path / "sweep_000.csv")
+        assert header[1] == "pop0"
 
     def test_spectator_check_passes(self, tmp_path):
         code = cli.main(["spectator-check", "--config", "fig3d",
@@ -283,6 +330,30 @@ class TestExitCodes:
                          "--set", "sweep.values=0.0003,0.0000005", "--out", str(tmp_path)])
         assert code == 1
         assert "sweep value 5e-07: dt must not exceed T" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, preset, overrides, message", UNRUNNABLE)
+    def test_unrunnable_is_usage_before_output(self, tmp_path, capsys, mode, preset,
+                                               overrides, message):
+        argv = [mode, "--config", preset, "--out", str(tmp_path / "out")]
+        for key, value in overrides.items():
+            argv += ["--set", f"{key}={value}"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("argv, csv", [
+        # The noise sum overflows.
+        (["kernel", "--config", "fig3d", "--set", "noise.amplitude=1e308"], "kernel.csv"),
+        # The noise is finite, but its variance over the members is not.
+        (["ensemble", "--config", "fig3d", "--set", "realizations=2",
+          "--set", "noise.amplitude=1e300"], "ensemble.csv"),
+    ])
+    def test_non_finite_result_is_numeric(self, tmp_path, capsys, argv, csv):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert "numeric failure" in capsys.readouterr().err
+        assert not (tmp_path / csv).exists()
 
     def test_missing_config_is_usage(self, tmp_path):
         code = cli.main(["simulate", "--config", "nope.cfg", "--out", str(tmp_path)])

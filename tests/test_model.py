@@ -173,6 +173,22 @@ class TestNoise:
         assert not np.array_equal(realize_noise(spec, 0).phases,
                                   realize_noise(spec, 1).phases)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_rejected(self):
+        # Both the engines and the memory solver sample noise only through here.
+        spec = NoiseSpec(amplitude=1e308, omega0=1.0, omega_cut=5000.0, convention=ANG)
+        with pytest.raises(FloatingPointError, match="non-finite noise value"):
+            noise_values(realize_noise(spec, 0), 0.0, 1e-6, 100)
+
+    def test_seeds_above_2_63_stay_distinct(self):
+        # Negative seeds are taken modulo 2^64, so they land there too.
+        phases = [realize_noise(NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=10.0,
+                                          seed=seed, convention=ANG)).phases
+                  for seed in (-5, -6, 2**63 + 1, 2**63 + 2)]
+        for i in range(4):
+            for j in range(i):
+                assert not np.array_equal(phases[i], phases[j])
+
     def test_negative_time_rejected(self):
         spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=10.0, convention=ANG)
         with pytest.raises(ValueError):
