@@ -195,20 +195,24 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
     if noise is None and np.max(np.abs(np.diff(phi))) > 0.5:
         raise ResolutionError("grid does not resolve the kernel phase")
 
-    psi = np.zeros(len(times), dtype=complex)
-    hist = np.zeros(len(times), dtype=complex)  # trapezoid of q psi up to node i
-    psi[0] = 1.0
-    f_prev = -p[0] * hist[0]
     # The trapezoid step psi_i = psi_{i-1} + h/2 (f_{i-1} + f_i), with
     # f_i = -p_i (partial_i + h/2 q_i psi_i), is linear in psi_i.  Its
     # divisor is at least 1: p_i q_i = c01(t_i)^2 is real and non-negative.
     gain = 1.0 / (1.0 + 0.25 * h * h * (p * q).real)
+    # The recurrence runs on Python complex numbers: the same IEEE
+    # operations as numpy scalars, without boxing one per element.
+    half_h = float(0.5 * h)
+    p_list, q_list, gain_list = p.tolist(), q.tolist(), gain.tolist()
+    psi = [1.0 + 0.0j]
+    hist = [0.0j]  # trapezoid of q psi up to node i
+    f_prev = -p_list[0] * hist[0]
     for i in range(1, len(times)):
-        partial = hist[i - 1] + 0.5 * h * q[i - 1] * psi[i - 1]
-        psi[i] = (psi[i - 1] + 0.5 * h * (f_prev - p[i] * partial)) * gain[i]
-        hist[i] = partial + 0.5 * h * q[i] * psi[i]
-        f_prev = -p[i] * hist[i]
-    return MemorySolution(times=times, psi0=psi, defect=np.abs(p * hist))
+        partial = hist[i - 1] + half_h * q_list[i - 1] * psi[i - 1]
+        psi.append((psi[i - 1] + half_h * (f_prev - p_list[i] * partial)) * gain_list[i])
+        hist.append(partial + half_h * q_list[i] * psi[i])
+        f_prev = -p_list[i] * hist[i]
+    return MemorySolution(times=times, psi0=np.array(psi),
+                          defect=np.abs(p * np.array(hist)))
 
 
 def adiabatic_defect(memory: MemorySolution, t: float) -> float:
