@@ -68,26 +68,30 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_rows(path: str, preamble: list[str], header: list[str], rows) -> None:
-    """Write a CSV file; a non-finite value is refused before the file is opened."""
-    rows = [[float(x) for x in row] for row in rows]
-    if not np.isfinite(rows).all():
-        row, col = np.argwhere(~np.isfinite(rows))[0]
+def _write_rows(path: str, preamble: list[str], header: list[str], table) -> None:
+    """Write a CSV file of a (rows, columns) float table.
+
+    Every value is written as `_fmt` writes it; a non-finite value is
+    refused before the file is opened.
+    """
+    table = np.asarray(table, dtype=float)
+    if not np.isfinite(table).all():
+        row, col = np.argwhere(~np.isfinite(table))[0]
         raise FloatingPointError(f"non-finite {header[col]} in row {row} of"
                                  f" {os.path.basename(path)}")
+    row_format = ",".join(["%.12g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in preamble:
             fh.write(line + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write("".join(row_format % tuple(row) for row in table.tolist()))
 
 
 def write_trajectory(path: str, cfg: RunConfig, traj: metrics.Trajectory,
                      mode: str = "simulate") -> None:
     header = ["t", *metrics.METRIC_NAMES]
-    rows = zip(traj.times, *(traj.metric(name) for name in metrics.METRIC_NAMES))
-    _write_rows(path, _preamble(cfg, mode), header, rows)
+    table = np.column_stack([traj.times, *(traj.metric(name) for name in metrics.METRIC_NAMES)])
+    _write_rows(path, _preamble(cfg, mode), header, table)
 
 
 def write_summary(path: str, cfg: RunConfig, summary: metrics.EnsembleSummary,
@@ -99,7 +103,7 @@ def write_summary(path: str, cfg: RunConfig, summary: metrics.EnsembleSummary,
         cols += [summary.mean[name], summary.se[name]]
     extra = {"realizations": summary.m,
              "seeds": " ".join(str(s) for s in summary.meta.get("seeds", []))}
-    _write_rows(path, _preamble(cfg, mode, extra), header, zip(*cols))
+    _write_rows(path, _preamble(cfg, mode, extra), header, np.column_stack(cols))
 
 
 def _mode_simulate(cfg: RunConfig, out_dir: str) -> int:
@@ -150,11 +154,11 @@ def _mode_kernel(cfg: RunConfig, out_dir: str) -> int:
     psi0 = memory.psi0
     # The kernel phase vanishes on the diagonal: |g(t, t)| = c01(t)^2.
     c01 = kernel.coupling_elements(schedule, memory.times).c01
-    rows = zip(memory.times, np.abs(psi0) ** 2, psi0.real, psi0.imag,
-               memory.defect, c01 ** 2)
+    table = np.column_stack([memory.times, np.abs(psi0) ** 2, psi0.real, psi0.imag,
+                             memory.defect, c01 ** 2])
     header = ["t", "psi0_abs2", "psi0_re", "psi0_im", "defect", "kernel_mod_diag"]
     _write_rows(os.path.join(out_dir, "kernel.csv"), _preamble(cfg, "kernel"),
-                header, rows)
+                header, table)
     print(f"kernel: max defect = {kernel.max_defect(memory):.6g}, "
           f"|psi0(T)|^2 = {abs(memory.psi0[-1]) ** 2:.6f}")
     return EXIT_OK

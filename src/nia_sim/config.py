@@ -33,12 +33,13 @@ PRESET_NAMES = ("fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b")
 #: 400 times fig4b's 25 000, and 80 MB of random phases per realization.
 MAX_NOISE_COMPONENTS = 10**7
 #: Most member-steps, ceil(T/dt) times the members run together, a run may
-#: ask for.  The engine tabulates one (steps, M, sectors, 2, 2) complex array,
-#: 64 B per member-step and sector, so at the cap the two-sector spectator
-#: table is 128 MB; fig4b's 100 members x 1000 steps is a tenth of the cap.
+#: ask for.  The engine holds every member's noise, 16 B per member-step, and
+#: when it records every step the states, 32 B per member-step and sector, so
+#: at the cap a two-sector spectator trajectory's states take 64 MB; fig4b's
+#: 100 members x 1000 steps is a tenth of the cap.
 MAX_MEMBER_STEPS = 10**6
 #: Most kernel.points: the memory solver holds about 112 B per grid point
-#: (traced), so at the cap it stays within the engine table's 128 MB.
+#: (traced), 112 MB at the cap.
 MAX_KERNEL_POINTS = 10**6
 # Keys that say where and how a run is written, not what it computes.
 _UNHASHED_KEYS = ("out", "timestamps")

@@ -5,8 +5,9 @@ the full state is split into sector states on input and rebuilt only at
 the output of `final_state_*`.  An ensemble is batched over its members:
 every engine takes one noise realization or a sequence of them, and the
 one step loop (`_propagate`) advances the sector states of all M members,
-shape (M, n_sectors, 2), together; each step is one vectorized operation
-over members and sectors.
+shape (M, n_sectors, 2), together, in blocks of consecutive steps that
+hold at most `_BLOCK_MATRICES` step x member x sector matrices.  The loop
+checks, records and renormalizes once per block.
 
 A run takes n = ceil(T/dt) equal steps of tau = T/n, so dt is the largest
 step.  Everything it samples lies on one grid, the half steps k tau/2 for
@@ -17,10 +18,11 @@ ones (the step ends).
 Two independent integrators share that loop.  `evolve_stepwise` is the
 production engine: a product of exact step unitaries with the Hamiltonian
 (and noise) sampled at step midpoints, built by one `smallmat.expm_unitary`
-call per step.  `evolve_oracle` is a classic fourth-order Runge-Kutta
-integration at a tenth of the step size, used to cross-check the stepwise
-engine; it holds the noise at the same step midpoints the stepwise engine
-uses, so a comparison isolates the propagator discretization.
+call per block and applied step by step.  `evolve_oracle` is a classic
+fourth-order Runge-Kutta integration at a tenth of the step size, used to
+cross-check the stepwise engine; it holds the noise at the same step
+midpoints the stepwise engine uses, so a comparison isolates the
+propagator discretization.
 
 `decompose_pulse` factors a two-level run of the stepwise engine into
 spectrometer-style pulse steps: per step an equatorial rotation whose phase
@@ -38,6 +40,12 @@ import numpy as np
 from . import metrics, model, smallmat
 from .model import (NoiseRealization, SingleQubitSchedule, SpectatorSchedule,
                     noise_values)
+
+
+# Step x member x sector matrices per block of `_propagate`: a block's
+# Hamiltonians and unitaries take 64 B per matrix, and the exponential's
+# temporaries a few times that.
+_BLOCK_MATRICES = 2 ** 10
 
 
 class NumericEvolutionError(RuntimeError):
@@ -119,15 +127,24 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     """The one step loop of every engine, over all members at once.
 
     `make_step(schedule, mids, tau, c_mid)` returns the engine's
-    advance(k, psi) over the sector states psi of all members, shape
-    (M, n_sectors, 2), from the step midpoints, the step length and every
-    member's noise at the midpoints, shape (M, n_steps); every member
-    starts from `initial`.  Returns the record times, every member's noise
-    at them, shape (M, n_records), and the sector states at t = 0 and after
-    each record step, shape (M, n_records, n_sectors, 2).  With
-    cfg.renormalize, each recorded
+    advance(start, stop, psi), which takes the sector states psi of all
+    members, shape (M, n_sectors, 2), through steps start .. stop - 1 and
+    returns the states after each of them, shape
+    (stop - start, M, n_sectors, 2).  It is
+    built from the step midpoints, the step length and every member's noise
+    at the midpoints, shape (M, n_steps); every member starts from
+    `initial`.  Returns the record times, every member's noise at them,
+    shape (M, n_records), and the sector states at t = 0 and after each
+    record step, shape (M, n_records, n_sectors, 2).
+
+    The run advances in blocks of at most `_BLOCK_MATRICES` step x member x
+    sector matrices (at least one step each).  Per block the loop checks
+    that every state is finite, naming the first step that is not, and
+    takes the block's record steps.  With cfg.renormalize, each recorded
     state has its norm restored to the value at t = 0: every sector evolves
-    unitarily, so this removes rounding drift only.
+    unitarily, so this removes rounding drift only.  Within a block the
+    steps continue from the unrenormalized states; the next block starts
+    from the renormalized one when the block's last step is recorded.
     """
     state = np.asarray(initial, dtype=complex)
     if state.shape != (schedule.dim,):
@@ -146,10 +163,11 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     # Record every store_every-th step and the last; None records the last only.
     record = steps[((steps + 1) % (store_every or n) == 0) | (steps == n - 1)]
     rows = np.concatenate([[0], 2 * record + 2])
-    # The per-step arrays of make_step set the peak memory of a run (traced):
-    # one member's noise synthesis peaks below 1 MiB on fig3d and fig4b, the
-    # (M, 2n + 1) noise of 100 fig4b members takes 1.6 MB, and make_step
-    # peaks at 2.1 MiB for 16 fig4b members and 12 MiB for 100.
+    # Peak memory of a run (traced): one member's noise synthesis peaks
+    # below 1 MiB on fig3d and fig4b, the (M, 2n + 1) noise takes 16 B per
+    # member-step (1.6 MB for 100 fig4b members), and the recorded states
+    # 32 B per member, record and sector.  A block's Hamiltonians,
+    # unitaries and states peak at 0.4 MiB on both, whatever the step count.
     c = np.zeros((len(noises), 2 * n + 1))
     for member, r in enumerate(noises):
         if r is not None:
@@ -157,18 +175,22 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     advance = make_step(schedule, grid[1::2], tau, c[:, 1::2])
     psi = np.repeat(model.sector_states(schedule, state)[None], len(noises), axis=0)
     norm0 = np.linalg.norm(psi[0])
-    states = [psi]
-    next_rec = 0
-    for k in range(n):
-        psi = advance(k, psi)
-        if not np.isfinite(psi).all():
-            raise NumericEvolutionError(f"non-finite state after step {k}")
-        if record[next_rec] == k:
-            if cfg.renormalize:
-                psi = psi * (norm0 / np.linalg.norm(psi, axis=(1, 2)))[:, None, None]
-            next_rec += 1
-            states.append(psi)
-    return grid[rows], c[:, rows], np.stack(states, axis=1)
+    states = np.empty((len(noises), len(rows)) + psi.shape[1:], dtype=complex)
+    states[:, 0] = psi
+    block = max(1, _BLOCK_MATRICES // (psi.shape[0] * psi.shape[1]))
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        out = advance(start, stop, psi)
+        bad = ~np.isfinite(out).all(axis=(1, 2, 3))
+        if bad.any():
+            raise NumericEvolutionError(f"non-finite state after step {start + bad.argmax()}")
+        lo, hi = np.searchsorted(record, [start, stop])
+        kept = out[record[lo:hi] - start]
+        if cfg.renormalize:
+            kept *= (norm0 / np.linalg.norm(kept, axis=(2, 3)))[..., None, None]
+        states[:, 1 + lo:1 + hi] = kept.swapaxes(0, 1)
+        psi = kept[-1] if hi > lo and record[hi - 1] == stop - 1 else out[-1]
+    return grid[rows], c[:, rows], states
 
 
 def _trajectory(schedule, noises, cfg, times, c, states, engine, batched) -> metrics.Trajectory:
@@ -217,11 +239,16 @@ def _apply(op, psi) -> np.ndarray:
 
 
 def _midpoint_step(schedule, mids, tau, c_mid):
-    # Hamiltonians of every step and member, shape (n_steps, M, n_sectors, 2, 2).
-    h = model.h_sectors(schedule, mids[:, None], c_mid.T)
-
-    def advance(k, psi):
-        return _apply(smallmat.expm_unitary(h[k], tau), psi)
+    def advance(start, stop, psi):
+        # The block's step unitaries, shape (stop - start, M, n_sectors, 2, 2),
+        # in one call; the module attribute keeps the call traceable.
+        u = smallmat.expm_unitary(model.h_sectors(schedule, mids[start:stop, None],
+                                                  c_mid[:, start:stop].T), tau)
+        out = np.empty(u.shape[:-1] + (1,), dtype=complex)
+        psi = psi[..., None]
+        for j, u_j in enumerate(u):
+            psi = np.matmul(u_j, psi, out=out[j])
+        return out[..., 0]
     return advance
 
 
@@ -231,20 +258,23 @@ def _rk4_step(schedule, mids, tau, c_mid):
     # Node times per main step: substep edges, then substep midpoints.
     offsets = np.concatenate([np.arange(n_sub + 1), np.arange(n_sub) + 0.5]) / n_sub
 
-    def advance(k, psi):
-        # Hamiltonians at the step's nodes, shape (n_nodes, M, n_sectors, 2, 2),
-        # built per step so that memory does not grow with the step count.
-        # The noise is held at the step midpoint.
-        nodes = mids[k] + tau * (offsets - 0.5)
-        h_nodes = model.h_sectors(schedule, nodes[:, None], c_mid[:, k])
-        edges, halves = h_nodes[: n_sub + 1], h_nodes[n_sub + 1:]
-        for i in range(n_sub):
-            k1 = -1.0j * _apply(edges[i], psi)
-            k2 = -1.0j * _apply(halves[i], psi + 0.5 * h * k1)
-            k3 = -1.0j * _apply(halves[i], psi + 0.5 * h * k2)
-            k4 = -1.0j * _apply(edges[i + 1], psi + h * k3)
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return psi
+    def advance(start, stop, psi):
+        out = np.empty((stop - start,) + psi.shape, dtype=complex)
+        for k in range(start, stop):
+            # Hamiltonians at the step's nodes, shape (n_nodes, M, n_sectors, 2, 2),
+            # built per step so that memory does not grow with the step count.
+            # The noise is held at the step midpoint.
+            nodes = mids[k] + tau * (offsets - 0.5)
+            h_nodes = model.h_sectors(schedule, nodes[:, None], c_mid[:, k])
+            edges, halves = h_nodes[: n_sub + 1], h_nodes[n_sub + 1:]
+            for i in range(n_sub):
+                k1 = -1.0j * _apply(edges[i], psi)
+                k2 = -1.0j * _apply(halves[i], psi + 0.5 * h * k1)
+                k3 = -1.0j * _apply(halves[i], psi + 0.5 * h * k2)
+                k4 = -1.0j * _apply(edges[i + 1], psi + h * k3)
+                psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[k - start] = psi
+        return out
     return advance
 
 

@@ -207,6 +207,26 @@ class TestPresetFidelity:
             assert load_config(name).noise_seed is not None
 
 
+class TestWriteRows:
+    # Signed zero, the smallest subnormal, a whole number past 2^53, whole
+    # numbers, and values that need all twelve significant digits.
+    EDGE = [-0.0, 5e-324, 1e16, 2.0, -7.0, 0.1, 1.0 / 3.0, -2.5e-300,
+            123456789012.0, 1e-5, 1e21, -1.0]
+
+    def test_rows_match_per_value_format(self, tmp_path):
+        table = np.array(self.EDGE).reshape(-1, 3)
+        path = tmp_path / "t.csv"
+        cli._write_rows(str(path), ["# pre"], ["a", "b", "c"], table)
+        rows = "".join(",".join(f"{x:.12g}" for x in row) + "\n" for row in table.tolist())
+        assert path.read_text("utf-8") == "# pre\na,b,c\n" + rows
+
+    def test_non_finite_refused_before_open(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(FloatingPointError, match="non-finite b in row 1"):
+            cli._write_rows(str(path), [], ["a", "b"], [[1.0, 2.0], [3.0, np.inf]])
+        assert not path.exists()
+
+
 class TestCliRuns:
     def test_simulate_writes_csv(self, tmp_path):
         code = cli.main(["simulate", "--config", "fig3b", "--out", str(tmp_path)])

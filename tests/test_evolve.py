@@ -234,6 +234,88 @@ class TestEqualSteps:
         assert np.max(np.abs(traj.noise - expected)) / rms(noise) < 1e-12
 
 
+class TestBlocks:
+    """`_propagate` advances a run in blocks of steps; their size changes no result.
+
+    A block of 17 matrices holds 5 steps of 3 pair members and 2 of 3
+    spectator members: neither divides the 241 steps or aligns with
+    store_every = 7.  The default block splits the spectator run too.
+    """
+
+    T, DT, STORE_EVERY = 2.41e-3, 1e-5, 7
+    ENGINES = {"stepwise": (evolve._midpoint_step, evolve.final_state_stepwise),
+               "oracle": (evolve._rk4_step, evolve.final_state_oracle)}
+
+    def system(self, name):
+        if name == "pair":
+            return dense.h_pair, TwoQubitSchedule(j0=4000.0, total_time=self.T,
+                                                  convention=ANG), PAIR01
+        initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
+        initial /= np.linalg.norm(initial)
+        s = SpectatorSchedule(base=single(total_time=self.T), j12=215.0, omega_spec=37.0)
+        return dense.h_spectator, s, initial
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("name", ["pair", "spectator"])
+    def test_block_size_changes_nothing(self, monkeypatch, name, engine):
+        hamiltonian, s, initial = self.system(name)
+        make_step, final_state = self.ENGINES[engine]
+        noises = [fig3_noise(seed=6, index=i) for i in range(3)]
+        cfg = EvolutionConfig(dt=self.DT, store_every=self.STORE_EVERY)
+        runs = []
+        for size in (evolve._BLOCK_MATRICES, 1, 17):
+            monkeypatch.setattr(evolve, "_BLOCK_MATRICES", size)
+            runs.append((evolve._propagate(s, noises, cfg, initial, make_step,
+                                           self.STORE_EVERY),
+                         final_state(s, noises, cfg, initial)))
+        (times, c, states), finals = runs[0]
+        assert len(times) == 241 // self.STORE_EVERY + 2
+        for (other_times, other_c, other_states), other_finals in runs[1:]:
+            np.testing.assert_array_equal(other_times, times)
+            np.testing.assert_array_equal(other_c, c)
+            np.testing.assert_allclose(other_states, states, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(other_finals, finals, rtol=0.0, atol=1e-12)
+        if engine == "stepwise":
+            for i, noise in enumerate(noises):
+                ref = dense.midpoint_final(hamiltonian, s, noise, self.DT, initial)
+                for _, run_finals in runs:
+                    np.testing.assert_allclose(run_finals[i], ref, rtol=0.0, atol=1e-12)
+
+    def test_non_finite_state_names_its_step(self, monkeypatch):
+        # Three members in blocks of 33 steps; member 1 turns NaN at step
+        # 257, the 27th step of the eighth block.
+        bad_step = 257
+
+        def make_step(schedule, mids, tau, c_mid):
+            def advance(start, stop, psi):
+                out = np.repeat(psi[None], stop - start, axis=0)
+                out[np.arange(start, stop) >= bad_step, 1, 0, 1] = np.nan
+                return out
+            return advance
+
+        monkeypatch.setattr(evolve, "_BLOCK_MATRICES", 100)
+        with pytest.raises(evolve.NumericEvolutionError, match=r"after step 257$"):
+            evolve._propagate(single(), [None] * 3, EvolutionConfig(dt=1e-6), ZERO,
+                              make_step, 1)
+
+    def test_memory_does_not_grow_with_a_step_table(self):
+        # Traced peak growth from 500 to 2000 steps of 100 noisy members.  The
+        # (M, 2n + 1) noise takes 16 B per member-step; a table of every
+        # step's Hamiltonians alone would add 64 B.
+        noises = [fig3_noise(seed=2, index=i) for i in range(100)]
+        cfg = EvolutionConfig(dt=1e-6)
+        peaks = []
+        for n in (500, 2000):
+            tracemalloc.start()
+            try:
+                evolve.final_state_stepwise(single(total_time=n * 1e-6), noises, cfg, ZERO)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_member_step = (peaks[1] - peaks[0]) / (len(noises) * 1500)
+        assert per_member_step < 32.0, per_member_step
+
+
 class TestEvolveOracle:
     def test_larmor_closed_form(self):
         # Constant sz, initial |+>: Im(alpha beta*) = -sin(2 J0 t)/2.
