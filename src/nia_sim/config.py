@@ -41,6 +41,11 @@ MAX_MEMBER_STEPS = 10**6
 #: Most kernel.points: the memory solver holds about 112 B per grid point
 #: (traced), 112 MB at the cap.
 MAX_KERNEL_POINTS = 10**6
+#: Largest worst-case rotation of one step, in rad.  A step's phase theta
+#: is rounded to about theta 2^-53, and the engines are held to agree to
+#: 1e-12, so theta may not exceed 1e-12 * 2^53, about 9000 rad: 2^13.
+#: fig4b's worst case, all 25 000 noise components in phase, is 250 rad.
+MAX_STEP_ROTATION = 2.0**13
 # Keys that say where and how a run is written, not what it computes.
 _UNHASHED_KEYS = ("out", "timestamps")
 
@@ -369,14 +374,28 @@ def _violations(cfg: RunConfig) -> list[str]:
     if cfg.mode == "pulse-export" and cfg.system != "single":
         bad.append("pulse-export mode requires system = single")
 
-    if not bad and cfg.total_time > 0.0 and cfg.dt > 0.0:
-        # Under-resolution sanity: step phase budget at the typical field scale.
+    if not bad:
+        # A step turns a sector state by at most its step times the largest
+        # field: the drive J0 with every noise component in phase, plus the
+        # spectator's z offset and shift.  Beyond MAX_STEP_ROTATION no step
+        # resolves the run; below it, the typical field (noise at its RMS)
+        # only warns.  Products of huge finite inputs round to inf, as Python
+        # floats and so without a warning, and are refused.
         f = cfg.frequency_convention().factor
-        scale = f * cfg.j0
-        if cfg.has_noise and cfg.noise_omega_cut is not None:
+        worst = typical = f * cfg.j0
+        if cfg.system == "spectator":
+            worst += f * (cfg.j12 / 4.0 + abs(cfg.omega_spec))
+        if cfg.has_noise:
             spec = cfg.noise_spec()
-            scale += spec.component_scale * (spec.n_components / 2.0) ** 0.5
-        if cfg.dt * scale > 0.5:
+            worst += float(spec.component_scale) * spec.n_components
+            typical += spec.component_scale * (spec.n_components / 2.0) ** 0.5
+        # The memory solver steps on its own grid, the engines by dt.
+        step = cfg.total_time / (cfg.kernel_points - 1) if cfg.mode == "kernel" else cfg.dt
+        if step * worst > MAX_STEP_ROTATION:
+            bad.append(f"a step of {step:.3g} s may turn the state by {step * worst:.3g} rad,"
+                       f" more than the {MAX_STEP_ROTATION:g} rad whose rounding stays"
+                       " below 1e-12; lower the step, J0 or the noise")
+        elif cfg.dt * typical > 0.5:
             bad.append("warning: dt times the typical field magnitude exceeds 0.5 rad;"
                        " the step evolution may be under-resolved")
     return bad

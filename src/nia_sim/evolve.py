@@ -163,11 +163,13 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     # Record every store_every-th step and the last; None records the last only.
     record = steps[((steps + 1) % (store_every or n) == 0) | (steps == n - 1)]
     rows = np.concatenate([[0], 2 * record + 2])
-    # Peak memory of a run (traced): one member's noise synthesis peaks
-    # below 1 MiB on fig3d and fig4b, the (M, 2n + 1) noise takes 16 B per
-    # member-step (1.6 MB for 100 fig4b members), and the recorded states
-    # 32 B per member, record and sector.  A block's Hamiltonians,
-    # unitaries and states peak at 0.4 MiB on both, whatever the step count.
+    # Peak memory of a run (traced): one member's noise synthesis peaks at
+    # 0.27 MiB on fig3d and 0.61 MiB on fig4b, besides the grid plan that
+    # the first member builds and the rest reuse (0.26 and 0.79 MiB); the
+    # (M, 2n + 1) noise takes 16 B per member-step (1.6 MB for 100 fig4b
+    # members), and the recorded states 32 B per member, record and
+    # sector.  A block's Hamiltonians, unitaries and states peak at
+    # 0.4 MiB on both, whatever the step count.
     c = np.zeros((len(noises), 2 * n + 1))
     for member, r in enumerate(noises):
         if r is not None:

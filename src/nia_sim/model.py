@@ -19,9 +19,10 @@ the dynamics only as a scalar multiplier on the characteristic energy, so it
 rescales eigenvalues without touching eigenvectors.  `noise_values` is the one
 synthesizer.  Every caller samples an arithmetic progression t0 + k h (a run
 its half-step grid, the memory solver its fine grid), and on it the sum is
-a chirp-z transform (Bluestein's algorithm), evaluated with FFTs in tiles of
-4096 components x 4096 samples and with every phase reduced exactly in
-turns.
+a chirp-z transform (Bluestein's algorithm), evaluated with FFTs of
+5-smooth length in tiles of 2^13 components x 2^12 samples and with every
+phase reduced exactly in turns.  What depends only on the grid is planned
+once and reused by every member of a run.
 
 All reference parameters are quoted in Hz-like numbers; the frequency
 convention flag decides whether a quoted value x means x rad/s
@@ -33,6 +34,7 @@ times, which contradicts the reference curves (see README).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,8 +256,11 @@ def realize_noise(spec: NoiseSpec, index: int = 0) -> NoiseRealization:
     return NoiseRealization(spec=spec, index=index, phases=phases)
 
 
-#: Tile of the chirp-z sum: components x samples per FFT.
-_CHIRP_TILE = 4096
+#: Tile of the chirp-z sum: components x samples per FFT convolution.
+_TILE_COMPONENTS, _TILE_SAMPLES = 2 ** 13, 2 ** 12
+#: Most bytes a memoized grid plan (`_chirp_plan`) keeps; the factors of
+#: tiles beyond it are rebuilt on every call.
+_PLAN_BUDGET = 4 * 2 ** 20
 #: 2*pi to 40 digits, so that turn rates carry no float rounding of pi.
 _TWO_PI = "6.283185307179586476925286766559005768394"
 
@@ -263,15 +268,21 @@ _TWO_PI = "6.283185307179586476925286766559005768394"
 def noise_values(r: NoiseRealization, t0: float, h: float, count: int) -> np.ndarray:
     """c(t0 + k h) in rad/s for k = 0 .. count - 1.
 
-    The sum is a chirp-z transform in tiles (`_chirp_sum`), whose
-    temporaries stay near 2 MB whatever the number of components and
-    samples.  A sum that overflows raises FloatingPointError.
+    The sum is a chirp-z transform in tiles of at most 2^13 components x
+    2^12 samples (`_chirp_sum`).  Everything that depends only on the grid
+    is planned once and memoized for the latest grid (`_chirp_plan`), so
+    the members of an ensemble pay only their own exp(i phi), one FFT pair
+    per tile and one accumulation.  The plan keeps at most `_PLAN_BUDGET`
+    bytes, and a call's temporaries stay near 2 MB whatever the number of
+    components and samples.  A sum that overflows raises FloatingPointError.
     """
     if not (t0 >= 0.0 and h >= 0.0):
         raise ValueError("noise is sampled on t0 + k h with t0 >= 0 and h >= 0")
     if count < 1:
         raise ValueError("noise needs at least one sample")
-    values = r.spec.component_scale * _chirp_sum(r, t0, h, count)
+    spec = r.spec
+    values = _chirp_sum(r.phases, _chirp_plan(spec.omega0_rad, spec.n_components, t0, h, count))
+    values *= spec.component_scale
     if not np.isfinite(values).all():
         raise FloatingPointError(f"non-finite noise value in realization {r.index}")
     return values
@@ -292,48 +303,106 @@ def _turns(rate, m: np.ndarray) -> np.ndarray:
     return x - np.round(x)
 
 
-def _chirp_sum(r: NoiseRealization, t0: float, h: float, count: int) -> np.ndarray:
-    """sum_j sin(phi_j + j omega0 (t0 + k h)) for k < count, by tiled chirp-z.
+def _smooth_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: a length numpy's FFT handles at full speed."""
+    while True:
+        rest = n
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _tile_origins(n: int, count: int):
+    """(j0, k0) of every tile: first component (from 1) and first sample, in summation order."""
+    for j0 in range(1, n + 1, _TILE_COMPONENTS):
+        for k0 in range(0, count, _TILE_SAMPLES):
+            yield j0, k0
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _ChirpPlan:
+    """Everything of the chirp-z sum on one grid but the phases.
 
     With a_j = exp(i(phi_j + j omega0 t0)) and w = exp(i omega0 h) the sum is
     Im sum_j a_j w^(jk).  A tile of components j = j0 + p and samples
     k = k0 + q has jk = pq + p k0 + j0 q + j0 k0, and Bluestein's identity
     pq = (p^2 + q^2 - (q - p)^2) / 2 turns its sum over p into one FFT
-    convolution with the chirp w^(-m^2/2), whose transform serves every
-    tile; w^(p k0) moves to the tile's input and w^(j0 q + j0 k0) to its
-    output.  Every phase is reduced exactly in turns: the rates
-    omega0 h / 2 pi and omega0 t0 / 2 pi are held as fractions and multiply
-    integers only, so the result does not lose accuracy at large omega t.
-    """
-    from fractions import Fraction
+    convolution with the chirp w^(-m^2/2), whose transform (`inverse_ft`,
+    of 5-smooth length `size`) serves every tile.  A tile's input factor
+    is w^(p k0) exp(i omega0 t0 j) w^(p^2/2) and its output factor
+    w^(j0 q + j0 k0) w^(q^2/2).  Every phase is reduced exactly in turns:
+    the rates omega0 h / 2 pi and omega0 t0 / 2 pi are held as fractions
+    and multiply integers only, so the result does not lose accuracy at
+    large omega t.
 
-    n = r.spec.n_components
-    w0 = Fraction(r.spec.omega0_rad) / Fraction(_TWO_PI)
-    rate, rate0 = w0 * Fraction(h) % 1, w0 * Fraction(t0) % 1
-    cols, rows = min(n, _CHIRP_TILE), min(count, _CHIRP_TILE)
-    size = 1 << (cols + rows - 2).bit_length()  # FFT length >= cols + rows - 1
-    m = np.arange(max(cols, rows))
-    # w^(m^2/2) at the rate mod 1: an integer added to the rate multiplies the
-    # three chirp factors of a term by (-1)^(p^2 + q^2 - (q - p)^2) = 1.
-    chirp = np.exp(2j * np.pi * _turns(rate / 2, m * m))
-    # w^(-m^2/2) for m = 1 - cols .. rows - 1, wrapped for a circular convolution.
-    inverse = np.zeros(size, dtype=complex)
-    inverse[:rows] = chirp[:rows].conj()
-    inverse[size - cols + 1:] = chirp[cols - 1:0:-1].conj()
-    inverse_ft = np.fft.fft(inverse)
-    out = np.empty(count)
-    for k0 in range(0, count, _CHIRP_TILE):
-        q = m[:min(_CHIRP_TILE, count - k0)]
-        acc = np.zeros(len(q), dtype=complex)
-        for j0 in range(1, n + 1, _CHIRP_TILE):
-            p = m[:min(_CHIRP_TILE, n + 1 - j0)]
-            turns = _turns(rate0, j0 + p) + _turns(rate * k0 % 1, p)
-            phases = r.phases[j0 - 1:j0 - 1 + len(p)] + 2.0 * np.pi * turns
-            u = np.exp(1j * phases) * chirp[:len(p)]
-            y = np.fft.ifft(np.fft.fft(u, size) * inverse_ft)[:len(q)]
-            twiddle = _turns(rate * j0 % 1, q) + float(rate * j0 * k0 % 1)
-            acc += y * np.exp(2j * np.pi * twiddle)
-        out[k0:k0 + len(q)] = (acc * chirp[:len(q)]).imag
+    `factors` holds the (input, output) factors of the leading tiles, as
+    many as keep the plan within `_PLAN_BUDGET` bytes; `tile_factors`
+    builds the others.  Every array is read-only.
+    """
+
+    def __init__(self, omega0_rad: float, n: int, t0: float, h: float, count: int):
+        from fractions import Fraction  # imported here: runs without noise never need it
+
+        w0 = Fraction(omega0_rad) / Fraction(_TWO_PI)
+        self.n, self.count = n, count
+        self.rate, self.rate0 = w0 * Fraction(h) % 1, w0 * Fraction(t0) % 1
+        cols, rows = min(n, _TILE_COMPONENTS), min(count, _TILE_SAMPLES)
+        self.size = _smooth_length(cols + rows - 1)
+        m = np.arange(max(cols, rows))
+        # w^(m^2/2) at the rate mod 1: an integer added to the rate multiplies the
+        # three chirp factors of a term by (-1)^(p^2 + q^2 - (q - p)^2) = 1.
+        self.chirp = _frozen(np.exp(2j * np.pi * _turns(self.rate / 2, m * m)))
+        # w^(-m^2/2) for m = 1 - cols .. rows - 1, wrapped for a circular convolution.
+        inverse = np.zeros(self.size, dtype=complex)
+        inverse[:rows] = self.chirp[:rows].conj()
+        inverse[self.size - cols + 1:] = self.chirp[cols - 1:0:-1].conj()
+        self.inverse_ft = _frozen(np.fft.fft(inverse))
+        spare = _PLAN_BUDGET - self.chirp.nbytes - self.inverse_ft.nbytes
+        factors = []
+        for j0, k0 in _tile_origins(n, count):
+            cost = 16 * (min(cols, n + 1 - j0) + min(rows, count - k0))
+            if cost > spare:
+                break
+            spare -= cost
+            factors.append(tuple(map(_frozen, self.tile_factors(j0, k0))))
+        self.factors = tuple(factors)
+
+    def tile_factors(self, j0: int, k0: int) -> tuple[np.ndarray, np.ndarray]:
+        """Input and output factors of the tile at component j0 and sample k0."""
+        p = np.arange(min(_TILE_COMPONENTS, self.n + 1 - j0))
+        q = np.arange(min(_TILE_SAMPLES, self.count - k0))
+        into = _turns(self.rate0, j0 + p) + _turns(self.rate * k0 % 1, p)
+        outof = _turns(self.rate * j0 % 1, q) + float(self.rate * j0 * k0 % 1)
+        return (np.exp(2j * np.pi * into) * self.chirp[:len(p)],
+                np.exp(2j * np.pi * outof) * self.chirp[:len(q)])
+
+
+@functools.lru_cache(maxsize=1)
+def _chirp_plan(omega0_rad: float, n: int, t0: float, h: float, count: int) -> _ChirpPlan:
+    """The plan of the latest grid: every member of a run reuses it."""
+    return _ChirpPlan(omega0_rad, n, t0, h, count)
+
+
+def _chirp_sum(phases: np.ndarray, plan: _ChirpPlan) -> np.ndarray:
+    """sum_j sin(phi_j + j omega0 (t0 + k h)) for k < count, by tiled chirp-z.
+
+    Per tile: one product with the input factor, one FFT pair and one
+    accumulation of the imaginary part after the output factor.
+    """
+    out = np.zeros(plan.count)
+    for i, (j0, k0) in enumerate(_tile_origins(plan.n, plan.count)):
+        if k0 == 0:
+            a = np.exp(1j * phases[j0 - 1:j0 - 1 + _TILE_COMPONENTS])
+        into, outof = plan.factors[i] if i < len(plan.factors) else plan.tile_factors(j0, k0)
+        y = np.fft.ifft(np.fft.fft(a * into, plan.size) * plan.inverse_ft)[:len(outof)]
+        out[k0:k0 + len(outof)] += (y * outof).imag
     return out
 
 

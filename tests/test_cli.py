@@ -40,6 +40,11 @@ UNRUNNABLE = [
     ("spectator-check", "fig3b", {"system": "spectator", "initial_state": "0.6,0,0,0.8"},
      "needs 2 amplitudes"),
     ("pulse-export", "fig3b", {"system": "spectator"}, "requires system = single"),
+    # Finite inputs that no step resolves, refused alike in every mode.
+    ("simulate", "fig3b", {"J0": "1e300"}, "may turn the state by"),
+    ("oracle-check", "fig3b", {"J0": "1e300"}, "may turn the state by"),
+    ("ensemble", "fig3d", {"noise.amplitude": "1e300"}, "may turn the state by"),
+    ("kernel", "fig3b", {"J0": "1e300"}, "may turn the state by"),
 ]
 
 
@@ -90,6 +95,25 @@ class TestValidate:
 
     def test_fig3a_empty(self):
         assert validate(load_config("fig3a")) == []
+
+    def test_worst_case_rotation_per_step(self):
+        for name in config.PRESET_NAMES:
+            assert config.blocking(validate(load_config(name))) == []
+
+        def refused(preset, **overrides):
+            bad = config.blocking(validate(load_config(preset, overrides)))
+            return any("may turn the state by" in v for v in bad)
+
+        # fig4b: dt (J0 + amplitude x 25 000 components) is 250 rad as shipped
+        # and crosses 2^13 rad near amplitude 32 768.
+        assert not refused("fig4b", **{"noise.amplitude": "32000"})
+        assert refused("fig4b", **{"noise.amplitude": "32800"})
+        # The spectator's z offset J12 / 4 counts too.
+        assert refused("fig3b", system="spectator", J12="4e10")
+        # The memory solver's step is T / (kernel.points - 1), 0.5 us on fig3b.
+        assert refused("fig3b", J0="1e10")
+        assert not refused("fig3b", mode="kernel", J0="1e10")
+        assert refused("fig3b", mode="kernel", J0="1e10", **{"kernel.points": "500"})
 
     def test_dt_zero(self):
         bad = validate(build_config({"dt": "0"}))
@@ -364,11 +388,12 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("argv, csv", [
-        # The noise sum overflows.
-        (["kernel", "--config", "fig3d", "--set", "noise.amplitude=1e308"], "kernel.csv"),
-        # The noise is finite, but its variance over the members is not.
-        (["ensemble", "--config", "fig3d", "--set", "realizations=2",
-          "--set", "noise.amplitude=1e300"], "ensemble.csv"),
+        # The memory grid does not resolve the noise-free kernel phase.
+        (["kernel", "--config", "fig3b", "--set", "J0=2e6"], "kernel.csv"),
+        # Each step turns the state by 0.5 rad at most, but the noise, about
+        # 5e199 rad/s over a 1e-200 s run, squares to inf in the members' variance.
+        (["ensemble", "--config", "fig3d", "--set", "realizations=2", "--set", "T=1e-200",
+          "--set", "dt=1e-202", "--set", "noise.amplitude=1e198"], "ensemble.csv"),
     ])
     def test_non_finite_result_is_numeric(self, tmp_path, capsys, argv, csv):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2

@@ -8,7 +8,6 @@ import math
 import tempfile
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -122,10 +121,6 @@ def _small(cfg) -> bool:
     return True
 
 
-# Extreme finite inputs (J0 or a noise amplitude of 1e300) overflow inside
-# numpy on their way to exit 2.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @given(mode=st.sampled_from(config.MODES),
        preset=st.sampled_from(config.PRESET_NAMES),
        overrides=_overrides(_SMALL, required=tuple(_SMALL)))

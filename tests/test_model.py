@@ -1,4 +1,6 @@
 """Schedules, noise synthesis, spectra, and convention mapping."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -234,7 +236,9 @@ class TestNoise:
            h_units=st.integers(1, 2 ** 12), exponent=st.integers(4, 20),
            seed=st.integers(0, 2 ** 32 - 1))
     @example(3000, 3649, 37.3, 0, 1, 7, 6)           # large omega0 t: t up to 28.5 s
-    @example(9000, 9001, 3.0, 2 ** 13, 1, 14, 6)     # tiles join in both directions
+    @example(model._TILE_COMPONENTS + 1, 5, 3.0, 2 ** 13, 1, 14, 6)  # past the column edge
+    @example(20, model._TILE_SAMPLES + 1, 3.0, 2 ** 13, 1, 14, 6)     # past the row edge
+    @example(20000, 9001, 3.0, 2 ** 13, 1, 14, 6)    # tiles join in both directions
     @example(200, 200001, 1.0, 2 ** 6, 1, 8, 6)      # K >> N
     @example(50000, 5, 2.0, 3 * 2 ** 10, 1, 10, 6)   # N >> K
     def test_uniform_grid_matches_exact_reference(self, n, count, omega0, t0_units,
@@ -243,7 +247,7 @@ class TestNoise:
         spec = NoiseSpec(amplitude=1.0, omega0=omega0, omega_cut=omega0 * (n + 0.5),
                          seed=seed, convention=ANG)
         t0, h = t0_units * 2.0 ** -exponent, h_units * 2.0 ** -exponent
-        tile = model._CHIRP_TILE
+        tile = model._TILE_SAMPLES
         edges = [k for e in range(tile, count, tile) for k in (e - 1, e)]
         ks = np.unique(np.concatenate([[0, 1, count - 1], edges,
                                        np.linspace(0, count - 1, 25)]).astype(int))
@@ -251,6 +255,57 @@ class TestNoise:
         got = noise_values(r, t0, h, count)[ks]
         rms = spec.component_scale * np.sqrt(n / 2.0)
         assert np.max(np.abs(got - exact_noise(r, t0, h, ks))) / rms < 1e-12
+
+
+class TestChirpPlan:
+    """The grid plan is memoized for the latest grid and never changes a result."""
+
+    @staticmethod
+    def fresh(r, t0, h, count):
+        model._chirp_plan.cache_clear()
+        return noise_values(r, t0, h, count)
+
+    def test_reuse_is_bit_identical(self):
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=20000.5, seed=3,
+                         convention=ANG)
+        a, b = realize_noise(spec, 0), realize_noise(spec, 1)
+        # Grids B, C and D each differ from A in one of t0, h and count.
+        grid_a = (0.0, 5e-7, 4099)
+        grids = [grid_a, (2.5e-4, 5e-7, 4099), (0.0, 1e-6, 4099), (0.0, 5e-7, 1001)]
+        want = {(r.index, g): self.fresh(r, *g) for r in (a, b) for g in grids}
+        model._chirp_plan.cache_clear()
+        for g in grids[1:]:
+            for r, grid in ((a, grid_a), (b, grid_a), (a, g), (b, g), (a, grid_a)):
+                np.testing.assert_array_equal(noise_values(r, *grid), want[r.index, grid])
+
+    def test_plan_is_read_only_and_within_budget(self):
+        for count in (1001, 2001, 2 * 10 ** 6):
+            plan = model._chirp_plan(1.0, 25000, 0.0, 5e-7, count)
+            arrays = [plan.chirp, plan.inverse_ft, *(x for pair in plan.factors for x in pair)]
+            assert sum(a.nbytes for a in arrays) <= model._PLAN_BUDGET
+            assert not any(a.flags.writeable for a in arrays)
+        # fig4b's grid: four tiles, of 3 x 8192 and 424 components, by 2001 samples.
+        plan = model._chirp_plan(1.0, 25000, 0.0, 5e-6, 2001)
+        assert (plan.size, len(plan.factors)) == (10240, 4)
+
+    def test_fft_lengths_are_5_smooth(self):
+        assert [model._smooth_length(n) for n in (1, 6, 4595, 5095, 6000, 18384, 20479)] == [
+            1, 6, 4608, 5120, 6000, 18432, 20480]
+
+    def test_long_grid_peaks_within_budget(self):
+        # 2 x 10^6 samples are 489 tiles; the plan keeps the leading ones and
+        # the others are rebuilt, so the call holds its output, the plan and
+        # one tile's temporaries (about 2 MB), never a factor per tile.
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=5000.5, convention=ANG)
+        r = realize_noise(spec, 0)
+        model._chirp_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            values = noise_values(r, 0.0, 5e-7, 2 * 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - values.nbytes <= model._PLAN_BUDGET + 3 * 2 ** 20
 
 
 class TestPsdEstimate:
