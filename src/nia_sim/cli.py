@@ -101,8 +101,8 @@ def write_summary(path: str, cfg: RunConfig, summary: metrics.EnsembleSummary,
     for name in metrics.METRIC_NAMES:
         header += [f"mean_{name}", f"se_{name}"]
         cols += [summary.mean[name], summary.se[name]]
-    extra = {"realizations": summary.m,
-             "seeds": " ".join(str(s) for s in summary.meta.get("seeds", []))}
+    # The realization indices `_run_ensemble` draws.
+    extra = {"realizations": summary.m, "seeds": " ".join(map(str, range(summary.m)))}
     _write_rows(path, _preamble(cfg, mode, extra), header, np.column_stack(cols))
 
 

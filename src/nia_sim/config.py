@@ -389,14 +389,27 @@ def _violations(cfg: RunConfig) -> list[str]:
             spec = cfg.noise_spec()
             worst += float(spec.component_scale) * spec.n_components
             typical += spec.component_scale * (spec.n_components / 2.0) ** 0.5
-        # The memory solver steps on its own grid, the engines by dt.
-        step = cfg.total_time / (cfg.kernel_points - 1) if cfg.mode == "kernel" else cfg.dt
+        # The memory solver steps on np.linspace(0, T, kernel.points), exactly
+        # T / (kernel.points - 1) apart; the engines step by dt.
+        kernel = cfg.mode == "kernel"
+        step = cfg.total_time / (cfg.kernel_points - 1) if kernel else cfg.dt
         if step * worst > MAX_STEP_ROTATION:
             bad.append(f"a step of {step:.3g} s may turn the state by {step * worst:.3g} rad,"
                        f" more than the {MAX_STEP_ROTATION:g} rad whose rounding stays"
                        " below 1e-12; lower the step, J0 or the noise")
-        elif cfg.dt * typical > 0.5:
-            bad.append("warning: dt times the typical field magnitude exceeds 0.5 rad;"
+        # The memory solver's own limits: k <= 1 on every schedule, so the
+        # noise-free kernel phase turns by at most 2 f J0 per unit time.
+        elif kernel and not cfg.has_noise and 2.0 * f * cfg.j0 * step > 0.5:
+            bad.append(f"a memory-grid step of {step:.3g} s may turn the kernel phase by"
+                       f" {2.0 * f * cfg.j0 * step:.3g} rad, more than 0.5 rad;"
+                       " raise kernel.points or lower J0")
+        elif kernel and cfg.has_noise and spec.omega_cut_rad * step > 0.5 * math.pi:
+            bad.append(f"a memory-grid step of {step:.3g} s does not resolve noise.omega_cut:"
+                       f" omega_cut times the step is {spec.omega_cut_rad * step:.3g} rad,"
+                       " more than pi/2; raise kernel.points")
+        elif step * typical > 0.5:
+            what = "the memory-grid step" if kernel else "dt"
+            bad.append(f"warning: {what} times the typical field magnitude exceeds 0.5 rad;"
                        " the step evolution may be under-resolved")
     return bad
 

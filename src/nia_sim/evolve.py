@@ -7,7 +7,8 @@ every engine takes one noise realization or a sequence of them, and the
 one step loop (`_propagate`) advances the sector states of all M members,
 shape (M, n_sectors, 2), together, in blocks of consecutive steps that
 hold at most `_BLOCK_MATRICES` step x member x sector matrices.  The loop
-checks, records and renormalizes once per block.
+checks and records once per block, and restores every recorded state's
+norm, which removes rounding drift only.
 
 A run takes n = ceil(T/dt) equal steps of tau = T/n, so dt is the largest
 step.  Everything it samples lies on one grid, the half steps k tau/2 for
@@ -38,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, model, smallmat
-from .model import (NoiseRealization, SingleQubitSchedule, SpectatorSchedule,
-                    noise_values)
+from .model import NoiseRealization, SingleQubitSchedule, noise_values
 
 
 # Step x member x sector matrices per block of `_propagate`: a block's
@@ -59,7 +59,6 @@ class UnsupportedScheduleError(TypeError):
 @dataclass(frozen=True)
 class EvolutionConfig:
     dt: float
-    renormalize: bool = True
     store_every: int = 1
 
     def __post_init__(self):
@@ -99,30 +98,6 @@ def _members(noise):
     return noises, True
 
 
-def _schedule_meta(schedule, noises, cfg, batched):
-    if isinstance(schedule, SpectatorSchedule):
-        system, j0, extra = "spectator", schedule.base.j0, (schedule.j12, schedule.omega_spec)
-    else:
-        system = "single" if isinstance(schedule, SingleQubitSchedule) else "pair"
-        j0, extra = schedule.j0, ()
-    indices = [None if r is None else r.index for r in noises]
-    meta = {
-        "schedule": (system, j0, schedule.total_time, schedule.convention.value) + extra,
-        "system": system,
-        "j0": j0,
-        "total_time": schedule.total_time,
-        "convention": schedule.convention.value,
-        "dt": cfg.dt,
-        "store_every": cfg.store_every,
-        "realization_index": indices if batched else indices[0],
-    }
-    if noises[0] is not None:
-        spec = noises[0].spec
-        meta.update(seed=spec.seed, noise_amplitude=spec.amplitude, noise_omega0=spec.omega0,
-                    noise_omega_cut=spec.omega_cut, noise_normalization=spec.normalization.value)
-    return meta
-
-
 def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     """The one step loop of every engine, over all members at once.
 
@@ -140,11 +115,11 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     The run advances in blocks of at most `_BLOCK_MATRICES` step x member x
     sector matrices (at least one step each).  Per block the loop checks
     that every state is finite, naming the first step that is not, and
-    takes the block's record steps.  With cfg.renormalize, each recorded
-    state has its norm restored to the value at t = 0: every sector evolves
-    unitarily, so this removes rounding drift only.  Within a block the
-    steps continue from the unrenormalized states; the next block starts
-    from the renormalized one when the block's last step is recorded.
+    takes the block's record steps.  Each recorded state has its norm
+    restored to the value at t = 0: every sector evolves unitarily, so this
+    removes rounding drift only.  Within a block the steps continue from the
+    unrenormalized states; the next block starts from the renormalized one
+    when the block's last step is recorded.
     """
     state = np.asarray(initial, dtype=complex)
     if state.shape != (schedule.dim,):
@@ -188,14 +163,13 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
             raise NumericEvolutionError(f"non-finite state after step {start + bad.argmax()}")
         lo, hi = np.searchsorted(record, [start, stop])
         kept = out[record[lo:hi] - start]
-        if cfg.renormalize:
-            kept *= (norm0 / np.linalg.norm(kept, axis=(2, 3)))[..., None, None]
+        kept *= (norm0 / np.linalg.norm(kept, axis=(2, 3)))[..., None, None]
         states[:, 1 + lo:1 + hi] = kept.swapaxes(0, 1)
         psi = kept[-1] if hi > lo and record[hi - 1] == stop - 1 else out[-1]
     return grid[rows], c[:, rows], states
 
 
-def _trajectory(schedule, noises, cfg, times, c, states, engine, batched) -> metrics.Trajectory:
+def _trajectory(schedule, times, c, states, batched) -> metrics.Trajectory:
     """Per-record metrics of every member with the continuity-tracked eigenlevel.
 
     Tracking runs on the direction operator a(t) sx + b(t) sz, whose
@@ -229,10 +203,7 @@ def _trajectory(schedule, noises, cfg, times, c, states, engine, batched) -> met
     }
     if not batched:
         columns = {name: column[0] for name, column in columns.items()}
-    return metrics.Trajectory(
-        times=times, **columns,
-        meta=_schedule_meta(schedule, noises, cfg, batched) | {"engine": engine},
-    )
+    return metrics.Trajectory(times=times, **columns)
 
 
 def _apply(op, psi) -> np.ndarray:
@@ -280,10 +251,10 @@ def _rk4_step(schedule, mids, tau, c_mid):
     return advance
 
 
-def _evolve(schedule, noise, cfg, initial, make_step, engine) -> metrics.Trajectory:
+def _evolve(schedule, noise, cfg, initial, make_step) -> metrics.Trajectory:
     noises, batched = _members(noise)
     times, c, states = _propagate(schedule, noises, cfg, initial, make_step, cfg.store_every)
-    return _trajectory(schedule, noises, cfg, times, c, states, engine, batched)
+    return _trajectory(schedule, times, c, states, batched)
 
 
 def _final_state(schedule, noise, cfg, initial, make_step) -> np.ndarray:
@@ -306,7 +277,7 @@ def evolve_stepwise(schedule, noise, cfg: EvolutionConfig, initial) -> metrics.T
     A sequence runs all members together, and every column of the result
     gains a leading member axis; `times` stays one-dimensional.
     """
-    return _evolve(schedule, noise, cfg, initial, _midpoint_step, "stepwise")
+    return _evolve(schedule, noise, cfg, initial, _midpoint_step)
 
 
 def evolve_oracle(schedule, noise, cfg: EvolutionConfig, initial) -> metrics.Trajectory:
@@ -316,7 +287,7 @@ def evolve_oracle(schedule, noise, cfg: EvolutionConfig, initial) -> metrics.Tra
     which isolates the propagator discretization in comparisons.  `noise`
     is taken as in `evolve_stepwise`.
     """
-    return _evolve(schedule, noise, cfg, initial, _rk4_step, "oracle")
+    return _evolve(schedule, noise, cfg, initial, _rk4_step)
 
 
 def final_state_oracle(schedule, noise, cfg, initial) -> np.ndarray:

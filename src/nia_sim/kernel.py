@@ -27,7 +27,7 @@ quadrature of the noisy phase, as the reference for checks.
 
 The adiabatic condition is the vanishing of |int_0^t g(t,s) psi0(s) ds|;
 the solver computes that magnitude once at every grid point
-(`MemorySolution.defect`), and `adiabatic_defect` and `max_defect` read it.
+(`MemorySolution.defect`), and `max_defect` takes its largest value.
 """
 from __future__ import annotations
 
@@ -213,14 +213,6 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
         f_prev = -p_list[i] * hist[i]
     return MemorySolution(times=times, psi0=np.array(psi),
                           defect=np.abs(p * np.array(hist)))
-
-
-def adiabatic_defect(memory: MemorySolution, t: float) -> float:
-    """|int_0^t g(t, s) psi0(s) ds| at a grid time of the memory solution."""
-    idx = int(np.argmin(np.abs(memory.times - t)))
-    if abs(memory.times[idx] - t) > 1e-9 * max(memory.times[-1], 1.0):
-        raise ValueError("t must lie on the memory solution grid")
-    return float(memory.defect[idx])
 
 
 def max_defect(memory: MemorySolution) -> float:

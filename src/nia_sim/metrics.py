@@ -10,21 +10,23 @@ ordering.  The recorded gap column is E1 - E0 in the connected labeling
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class GridMismatchError(ValueError):
-    """Trajectories do not share a time grid / schedule."""
+    """Trajectories do not share a time grid."""
 
 
 METRIC_NAMES = ("pop0", "pop1", "im_coherence", "fidelity_e0", "gap", "noise")
+# Smallest pop0 denominator of `spectator_error`.
+_POP0_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-time metrics of one evolution run plus its reproducibility metadata."""
+    """Per-time metrics of one evolution run, or of every member of an ensemble."""
 
     times: np.ndarray
     pop0: np.ndarray
@@ -33,7 +35,6 @@ class Trajectory:
     fidelity_e0: np.ndarray
     gap: np.ndarray
     noise: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def metric(self, name: str) -> np.ndarray:
         if name not in METRIC_NAMES:
@@ -49,7 +50,6 @@ class EnsembleSummary:
     m: int
     mean: dict
     se: dict
-    meta: dict = field(default_factory=dict)
 
 
 def basis_metrics(state):
@@ -82,46 +82,29 @@ def reduced_density(sectors) -> np.ndarray:
     return np.einsum("...si,...sj->...ij", sectors, sectors.conj())
 
 
-def aggregate(trajs) -> EnsembleSummary:
+def aggregate(traj: Trajectory) -> EnsembleSummary:
     """Pointwise ensemble mean and standard error over the member axis.
 
-    `trajs` is one batched trajectory, whose columns have shape
-    (M, n_records), or a sequence of trajectories on one grid, whose
-    members are stacked.
+    `traj` is one batched trajectory, whose columns have shape
+    (M, n_records).  The standard error is the ddof=1 deviation over
+    sqrt(M), and zero for a single member.
     """
-    trajs = [trajs] if isinstance(trajs, Trajectory) else list(trajs)
-    if not trajs:
-        raise ValueError("empty ensemble")
-    t0 = trajs[0]
-    for tr in trajs[1:]:
-        if tr.times.shape != t0.times.shape or not np.array_equal(tr.times, t0.times):
-            raise GridMismatchError("trajectories recorded on different time grids")
-        if tr.meta.get("schedule") != t0.meta.get("schedule"):
-            raise GridMismatchError("trajectories come from different schedules")
-    stacks = {name: np.concatenate([np.reshape(tr.metric(name), (-1, t0.times.size))
-                                    for tr in trajs])
-              for name in METRIC_NAMES}
-    m = len(stacks["pop0"])
-    mean = {name: stack.mean(axis=0) for name, stack in stacks.items()}
-    se = {name: stack.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros(stack.shape[1])
-          for name, stack in stacks.items()}
-    seeds = []
-    for tr in trajs:
-        index = tr.meta.get("realization_index")
-        seeds += index if isinstance(index, list) else [index]
-    meta = dict(t0.meta)
-    meta["realizations"] = m
-    meta["seeds"] = seeds
-    return EnsembleSummary(times=t0.times.copy(), m=m, mean=mean, se=se, meta=meta)
+    if traj.pop0.ndim != 2:
+        raise ValueError("aggregate needs a batched trajectory, columns (M, n_records)")
+    m = len(traj.pop0)
+    mean = {name: traj.metric(name).mean(axis=0) for name in METRIC_NAMES}
+    se = {name: traj.metric(name).std(axis=0, ddof=1) / np.sqrt(m) if m > 1
+          else np.zeros(traj.times.size) for name in METRIC_NAMES}
+    return EnsembleSummary(times=traj.times, m=m, mean=mean, se=se)
 
 
-def spectator_error(base: Trajectory, embedded: Trajectory, eps_floor: float = 1e-3) -> float:
+def spectator_error(base: Trajectory, embedded: Trajectory) -> float:
     """Max relative deviation of the driven-qubit pop0 caused by the spectator.
 
-    The denominator is floored at eps_floor to keep the ratio finite where
-    pop0 approaches zero.
+    The denominator is floored at `_POP0_FLOOR` to keep the ratio finite
+    where pop0 approaches zero.
     """
     if base.times.shape != embedded.times.shape or not np.array_equal(base.times, embedded.times):
         raise GridMismatchError("trajectories recorded on different time grids")
-    denom = np.maximum(base.pop0, eps_floor)
+    denom = np.maximum(base.pop0, _POP0_FLOOR)
     return float(np.max(np.abs(base.pop0 - embedded.pop0) / denom))

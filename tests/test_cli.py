@@ -45,6 +45,10 @@ UNRUNNABLE = [
     ("oracle-check", "fig3b", {"J0": "1e300"}, "may turn the state by"),
     ("ensemble", "fig3d", {"noise.amplitude": "1e300"}, "may turn the state by"),
     ("kernel", "fig3b", {"J0": "1e300"}, "may turn the state by"),
+    # The memory solver's own limits on its grid step h = T / (kernel.points - 1):
+    # a noise-free kernel phase step 2 J0 h of 2 rad, and omega_cut h = 2 rad.
+    ("kernel", "fig3b", {"J0": "2e6"}, "may turn the kernel phase by"),
+    ("kernel", "fig3d", {"T": "0.4", "dt": "1e-5"}, "does not resolve noise.omega_cut"),
 ]
 
 
@@ -278,6 +282,9 @@ class TestCliRuns:
         header, col = read_csv(tmp_path / "ensemble.csv")
         assert "mean_pop0" in header and "se_pop0" in header
         assert (col["se_pop0"][1:] > 0.0).any()
+        # The realization indices the members are drawn with, 0 .. M - 1.
+        lines = (tmp_path / "ensemble.csv").read_text("utf-8").splitlines()
+        assert [l for l in lines if l.startswith("# seeds")] == ["# seeds = 0 1 2"]
 
     def test_seed_flag_changes_output(self, tmp_path):
         outs = []
@@ -387,18 +394,14 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("argv, csv", [
-        # The memory grid does not resolve the noise-free kernel phase.
-        (["kernel", "--config", "fig3b", "--set", "J0=2e6"], "kernel.csv"),
+    def test_non_finite_result_is_numeric(self, tmp_path, capsys):
         # Each step turns the state by 0.5 rad at most, but the noise, about
         # 5e199 rad/s over a 1e-200 s run, squares to inf in the members' variance.
-        (["ensemble", "--config", "fig3d", "--set", "realizations=2", "--set", "T=1e-200",
-          "--set", "dt=1e-202", "--set", "noise.amplitude=1e198"], "ensemble.csv"),
-    ])
-    def test_non_finite_result_is_numeric(self, tmp_path, capsys, argv, csv):
+        argv = ["ensemble", "--config", "fig3d", "--set", "realizations=2", "--set", "T=1e-200",
+                "--set", "dt=1e-202", "--set", "noise.amplitude=1e198"]
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert "numeric failure" in capsys.readouterr().err
-        assert not (tmp_path / csv).exists()
+        assert not (tmp_path / "ensemble.csv").exists()
 
     def test_missing_config_is_usage(self, tmp_path):
         code = cli.main(["simulate", "--config", "nope.cfg", "--out", str(tmp_path)])

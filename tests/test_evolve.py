@@ -83,19 +83,13 @@ class TestEvolveStepwise:
                                    np.array([1.0, 1.0]))
 
     def test_norm_preserved_without_renormalization(self):
-        s = single(total_time=1e-2)  # 10^4 steps
-        cfg = EvolutionConfig(dt=1e-6, renormalize=False, store_every=10000)
-        traj = evolve.evolve_stepwise(s, None, cfg, ZERO)
-        norm_sq = traj.pop0[-1] + traj.pop1[-1]
-        assert abs(norm_sq - 1.0) < 1e-10
-
-    def test_metadata_records_run_parameters(self):
-        noise = fig3_noise(seed=9, index=4)
-        traj = evolve.evolve_stepwise(single(), noise, EvolutionConfig(dt=1e-6), ZERO)
-        assert traj.meta["seed"] == 9
-        assert traj.meta["realization_index"] == 4
-        assert traj.meta["dt"] == 1e-6
-        assert traj.meta["system"] == "single"
+        # 10^4 steps of the stepwise engine's own advance, none renormalized.
+        s = single(total_time=1e-2)
+        n, tau = evolve._plan_steps(s.total_time, 1e-6)
+        advance = evolve._midpoint_step(s, (np.arange(n) + 0.5) * tau, tau, np.zeros((1, n)))
+        final = advance(0, n, ZERO[None, None])[-1]
+        assert n == 10000
+        assert abs(np.linalg.norm(final) ** 2 - 1.0) < 1e-10
 
     def test_two_qubit_block_invariance(self):
         # |00> and |11> sit at eigenvalue zero of the dense pair Hamiltonian,
@@ -425,8 +419,7 @@ class TestPulseDecomposition:
         cfg = EvolutionConfig(dt=1e-6)
         steps = evolve.decompose_pulse(s, noise, cfg)
         u = evolve.reconstruct_propagator(steps)
-        final_direct = evolve.final_state_stepwise(
-            s, noise, EvolutionConfig(dt=1e-6, renormalize=False), ZERO)
+        final_direct = evolve.final_state_stepwise(s, noise, cfg, ZERO)
         final_pulse = u @ ZERO
         assert abs(1.0 - abs(np.vdot(final_pulse, final_direct)) ** 2) < 1e-6
 

@@ -241,14 +241,17 @@ class TestAdiabaticDefect:
     def test_zero_at_origin(self):
         s = single()
         mem = kernel.solve_memory_equation(s, None, 800)
-        assert kernel.adiabatic_defect(mem, 0.0) == 0.0
+        assert mem.defect[0] == 0.0
 
-    def test_off_grid_rejected(self):
+    def test_defect_is_the_memory_integral(self):
+        # |int_0^t g(t, s) psi0(s) ds| by the trapezoid rule on the solver's
+        # grid, with g from the pointwise reference `kernel_value`.
         s = single()
         mem = kernel.solve_memory_equation(s, None, 800)
-        t = 0.5 * (mem.times[3] + mem.times[4])
-        with pytest.raises(ValueError):
-            kernel.adiabatic_defect(mem, t)
+        for i in (1, 250, 799):
+            g = [kernel.kernel_value(s, None, mem.times[i], t) for t in mem.times[:i + 1]]
+            direct = abs(np.trapezoid(np.array(g) * mem.psi0[:i + 1], mem.times[:i + 1]))
+            assert mem.defect[i] == pytest.approx(direct, rel=1e-12)
 
     def test_long_t_much_smaller(self):
         short = kernel.solve_memory_equation(single(), None, 2001)

@@ -107,56 +107,53 @@ class TestEigenstateFidelity:
 
 
 class TestAggregate:
-    def make_traj(self, index, im=0.0):
+    def make_traj(self, indices):
+        """One batched trajectory of five records, member i at pop0 = 0.5 + 0.1 i."""
         times = np.linspace(0.0, 1.0, 5)
+        shift = 0.1 * np.array(indices, dtype=float)[:, None]
+        ones = np.ones((len(indices), 5))
         return metrics.Trajectory(
-            times=times, pop0=np.full(5, 0.5 + 0.1 * index),
-            pop1=np.full(5, 0.5 - 0.1 * index), im_coherence=np.full(5, im),
-            fidelity_e0=np.ones(5), gap=np.ones(5), noise=np.zeros(5),
-            meta={"schedule": ("single", 1.0, 1.0, "angular"),
-                  "realization_index": index})
+            times=times, pop0=0.5 + shift * ones, pop1=0.5 - shift * ones,
+            im_coherence=np.zeros_like(ones), fidelity_e0=ones, gap=ones,
+            noise=np.zeros_like(ones))
 
     def test_single_member(self):
-        summary = metrics.aggregate([self.make_traj(0)])
+        summary = metrics.aggregate(self.make_traj([0]))
         assert summary.m == 1
         np.testing.assert_array_equal(summary.mean["pop0"], 0.5)
         np.testing.assert_array_equal(summary.se["pop0"], 0.0)
 
     def test_identical_members_zero_variance(self):
-        summary = metrics.aggregate([self.make_traj(0)] * 5)
+        summary = metrics.aggregate(self.make_traj([0] * 5))
         np.testing.assert_allclose(summary.se["pop0"], 0.0, atol=1e-15)
 
     def test_mean_and_se(self):
-        summary = metrics.aggregate([self.make_traj(0), self.make_traj(1)])
+        summary = metrics.aggregate(self.make_traj([0, 1]))
         np.testing.assert_allclose(summary.mean["pop0"], 0.55, atol=1e-12)
         expected_se = np.std([0.5, 0.6], ddof=1) / np.sqrt(2.0)
         np.testing.assert_allclose(summary.se["pop0"], expected_se, atol=1e-12)
-        assert summary.meta["seeds"] == [0, 1]
 
-    def test_grid_mismatch(self):
-        a = self.make_traj(0)
-        b = metrics.Trajectory(
-            times=a.times * 2.0, pop0=a.pop0, pop1=a.pop1,
-            im_coherence=a.im_coherence, fidelity_e0=a.fidelity_e0, gap=a.gap,
-            noise=a.noise, meta=a.meta)
-        with pytest.raises(metrics.GridMismatchError):
-            metrics.aggregate([a, b])
+    def test_unbatched_rejected(self):
+        traj = evolve.evolve_stepwise(single(total_time=1e-5), None, EvolutionConfig(dt=1e-6), ZERO)
+        with pytest.raises(ValueError):
+            metrics.aggregate(traj)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            metrics.aggregate([])
+            evolve.evolve_stepwise(single(), [], EvolutionConfig(dt=1e-6), ZERO)
 
     def test_batched_run_matches_member_runs(self):
         s, cfg = single(total_time=1e-4), EvolutionConfig(dt=1e-6)
         noises = [fig3_noise(index=i) for i in range(3)]
         batched = metrics.aggregate(evolve.evolve_stepwise(s, noises, cfg, ZERO))
-        members = metrics.aggregate([evolve.evolve_stepwise(s, n, cfg, ZERO) for n in noises])
-        assert batched.m == members.m == 3
-        assert batched.meta["seeds"] == members.meta["seeds"] == [0, 1, 2]
-        for name in members.mean:
-            np.testing.assert_allclose(batched.mean[name], members.mean[name],
+        runs = [evolve.evolve_stepwise(s, n, cfg, ZERO) for n in noises]
+        assert batched.m == 3
+        for name in metrics.METRIC_NAMES:
+            stack = np.stack([run.metric(name) for run in runs])
+            np.testing.assert_allclose(batched.mean[name], np.mean(stack, axis=0),
                                        rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(batched.se[name], members.se[name],
+            np.testing.assert_allclose(batched.se[name],
+                                       np.std(stack, axis=0, ddof=1) / np.sqrt(3.0),
                                        rtol=1e-12, atol=1e-12)
 
 
