@@ -46,6 +46,10 @@ MAX_KERNEL_POINTS = 10**6
 #: 1e-12, so theta may not exceed 1e-12 * 2^53, about 9000 rad: 2^13.
 #: fig4b's worst case, all 25 000 noise components in phase, is 250 rad.
 MAX_STEP_ROTATION = 2.0**13
+#: Largest worst-case rotation of one substep of the oracle-check's
+#: Runge-Kutta integration (dt/10, see `evolve._rk4_step`), in rad: RK4 is
+#: stable on the imaginary axis up to |h lambda| = 2 sqrt(2).
+MAX_RK4_SUBSTEP_ROTATION = 2.0 * math.sqrt(2.0)
 # Keys that say where and how a run is written, not what it computes.
 _UNHASHED_KEYS = ("out", "timestamps")
 
@@ -397,6 +401,11 @@ def _violations(cfg: RunConfig) -> list[str]:
             bad.append(f"a step of {step:.3g} s may turn the state by {step * worst:.3g} rad,"
                        f" more than the {MAX_STEP_ROTATION:g} rad whose rounding stays"
                        " below 1e-12; lower the step, J0 or the noise")
+        elif cfg.mode == "oracle-check" and step / 10.0 * worst > MAX_RK4_SUBSTEP_ROTATION:
+            bad.append(f"an oracle substep of {step / 10.0:.3g} s may turn the state by"
+                       f" {step / 10.0 * worst:.3g} rad, more than the"
+                       f" {MAX_RK4_SUBSTEP_ROTATION:.3g} rad at which Runge-Kutta turns"
+                       " unstable; lower dt, J0 or the noise")
         # The memory solver's own limits: k <= 1 on every schedule, so the
         # noise-free kernel phase turns by at most 2 f J0 per unit time.
         elif kernel and not cfg.has_noise and 2.0 * f * cfg.j0 * step > 0.5:

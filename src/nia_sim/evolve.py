@@ -18,12 +18,17 @@ ones (the step ends).
 
 Two independent integrators share that loop.  `evolve_stepwise` is the
 production engine: a product of exact step unitaries with the Hamiltonian
-(and noise) sampled at step midpoints, built by one `smallmat.expm_unitary`
-call per block and applied step by step.  `evolve_oracle` is a classic
-fourth-order Runge-Kutta integration at a tenth of the step size, used to
-cross-check the stepwise engine; it holds the noise at the same step
-midpoints the stepwise engine uses, so a comparison isolates the
-propagator discretization.
+(and noise) sampled at step midpoints.  On every sector a step is an SU(2)
+element, held as its pair (alpha, beta), times a constant phase.  A block
+gets one `smallmat.expm_unitary` call for all its pairs, composes them into
+prefix products by recursive doubling (a Hillis-Steele scan of log2 depth,
+see Blelloch, "Prefix sums and their applications", CMU-CS-90-190) and
+applies each prefix to the block's starting states.  A non-finite step
+spoils every later prefix of its block, so the loop's check still names
+it.  `evolve_oracle` is a classic fourth-order Runge-Kutta integration at
+a tenth of the step size, used to cross-check the stepwise engine; it
+holds the noise at the same step midpoints the stepwise engine uses, so a
+comparison isolates the propagator discretization.
 
 `decompose_pulse` factors a two-level run of the stepwise engine into
 spectrometer-style pulse steps: per step an equatorial rotation whose phase
@@ -42,14 +47,14 @@ from . import metrics, model, smallmat
 from .model import NoiseRealization, SingleQubitSchedule, noise_values
 
 
-# Step x member x sector matrices per block of `_propagate`: a block's
-# Hamiltonians and unitaries take 64 B per matrix, and the exponential's
-# temporaries a few times that.
+# Step x member x sector matrices per block of `_propagate`: a block's step
+# pairs take 32 B per matrix, its states 32 B, and the exponential's and the
+# scan's temporaries a few times that.
 _BLOCK_MATRICES = 2 ** 10
 
 
 class NumericEvolutionError(RuntimeError):
-    """Non-finite value encountered during evolution (carries the step index)."""
+    """Non-finite or vanished state during evolution (carries the step index)."""
 
 
 class UnsupportedScheduleError(TypeError):
@@ -117,7 +122,8 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     that every state is finite, naming the first step that is not, and
     takes the block's record steps.  Each recorded state has its norm
     restored to the value at t = 0: every sector evolves unitarily, so this
-    removes rounding drift only.  Within a block the steps continue from the
+    removes rounding drift only; a recorded norm too small to restore is an
+    error naming its step.  Within a block the steps continue from the
     unrenormalized states; the next block starts from the renormalized one
     when the block's last step is recorded.
     """
@@ -143,8 +149,8 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     # the first member builds and the rest reuse (0.26 and 0.79 MiB); the
     # (M, 2n + 1) noise takes 16 B per member-step (1.6 MB for 100 fig4b
     # members), and the recorded states 32 B per member, record and
-    # sector.  A block's Hamiltonians, unitaries and states peak at
-    # 0.4 MiB on both, whatever the step count.
+    # sector.  A block's coefficients, step pairs and states peak at
+    # 0.13 MiB on both, whatever the step count.
     c = np.zeros((len(noises), 2 * n + 1))
     for member, r in enumerate(noises):
         if r is not None:
@@ -163,7 +169,14 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
             raise NumericEvolutionError(f"non-finite state after step {start + bad.argmax()}")
         lo, hi = np.searchsorted(record, [start, stop])
         kept = out[record[lo:hi] - start]
-        kept *= (norm0 / np.linalg.norm(kept, axis=(2, 3)))[..., None, None]
+        norm = np.linalg.norm(kept, axis=(2, 3))
+        # A norm below the smallest normal float cannot be restored: an
+        # unstable integration (the oracle beyond its step) decayed it.
+        lost = (norm < np.finfo(float).tiny).any(axis=1)
+        if lost.any():
+            step = record[lo + lost.argmax()]
+            raise NumericEvolutionError(f"state norm vanished after step {step}")
+        kept *= (norm0 / norm)[..., None, None]
         states[:, 1 + lo:1 + hi] = kept.swapaxes(0, 1)
         psi = kept[-1] if hi > lo and record[hi - 1] == stop - 1 else out[-1]
     return grid[rows], c[:, rows], states
@@ -212,16 +225,31 @@ def _apply(op, psi) -> np.ndarray:
 
 
 def _midpoint_step(schedule, mids, tau, c_mid):
+    # On sector s the step Hamiltonian is g a sx + (g b + z_s) sz + shift_s I,
+    # g = J0 + c: an SU(2) step times the sector's constant phase.
+    a, b = schedule.ab(mids)
+    z_offsets = np.array([sec.z_offset for sec in schedule.sectors])
+    shifts = np.array([sec.shift for sec in schedule.sectors])
+
     def advance(start, stop, psi):
-        # The block's step unitaries, shape (stop - start, M, n_sectors, 2, 2),
-        # in one call; the module attribute keeps the call traceable.
-        u = smallmat.expm_unitary(model.h_sectors(schedule, mids[start:stop, None],
-                                                  c_mid[:, start:stop].T), tau)
-        out = np.empty(u.shape[:-1] + (1,), dtype=complex)
-        psi = psi[..., None]
-        for j, u_j in enumerate(u):
-            psi = np.matmul(u_j, psi, out=out[j])
-        return out[..., 0]
+        # The block's step pairs, shape (stop - start, M, n_sectors), in one
+        # call; the module attribute keeps the call traceable.
+        g = (schedule.j0_rad + c_mid[:, start:stop].T)[..., None]
+        alpha, beta = smallmat.expm_unitary(g * a[start:stop, None, None],
+                                            g * b[start:stop, None, None] + z_offsets, tau)
+        # Prefix products by doubling: after the pass of span d, entry j
+        # holds steps max(0, j - 2d + 1) .. j composed, later steps on the left.
+        d = 1
+        while d < len(alpha):
+            a2, b2, a1, b1 = alpha[d:], beta[d:], alpha[:-d], beta[:-d]
+            alpha[d:], beta[d:] = a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
+            d *= 2
+        out = np.empty(alpha.shape + (2,), dtype=complex)
+        out[..., 0] = alpha * psi[..., 0] - beta.conj() * psi[..., 1]
+        out[..., 1] = beta * psi[..., 0] + alpha.conj() * psi[..., 1]
+        out *= np.exp(-1.0j * tau * np.multiply.outer(np.arange(1, len(out) + 1), shifts)
+                      )[:, None, :, None]
+        return out
     return advance
 
 

@@ -1,11 +1,12 @@
-"""Closed-form complex Hermitian linear algebra for dimension 2.
+"""Closed-form two-level linear algebra.
 
 Every model in the package is evolved as exact 2x2 sectors, so the
-routines here only ever see two-level operators: eigendecomposition with
-a deterministic gauge, and analytic unitary exponentials of whole stacks of
-operators (leading axes: members, sectors).  Operators are numpy complex
-arrays; the functions validate the invariants the rest of the package
-relies on.
+routines here only ever see two-level operators: the eigendecomposition
+of a complex Hermitian operator with a deterministic gauge, and the
+exponential of a real traceless generator x sx + z sz over whole stacks
+of coefficients (leading axes: steps, members, sectors).  That exponential
+lies in SU(2) and is returned as its first column (alpha, beta), the pair
+the engine composes and applies without forming matrices.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ DEGENERACY_REL_TOL = 1e-12
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_IDENTITY = np.eye(2, dtype=complex)
 
 
 class NonHermitianError(ValueError):
@@ -98,24 +98,18 @@ def eigh(h) -> EigenSystem:
     return EigenSystem(values=values, vectors=np.column_stack([gauge_fix(down), gauge_fix(up)]))
 
 
-def expm_unitary(h, dt) -> np.ndarray:
-    """exp(-i h dt) for a stack of 2x2 Hermitian h, shape (..., 2, 2), in closed form.
+def expm_unitary(x, z, dt) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i dt (x sx + z sz)) = [[alpha, -conj(beta)], [beta, conj(alpha)]].
 
-    dt is a scalar or broadcasts against the leading axes of h.  Degenerate
-    spectra are fine here (the exponential is well defined); only the
-    public eigh contract treats them as errors.
+    x and z are real coefficient stacks that broadcast against each other
+    and against dt; alpha and beta have their broadcast shape.  With
+    r = hypot(x, z) and theta = r dt the pair is alpha = cos(theta) -
+    i z sin(theta) / r and beta = -i x sin(theta) / r.  A non-finite
+    coefficient gives a non-finite pair, which the caller's check names.
     """
-    h = _as_operator(h)
-    dt = np.asarray(dt, dtype=float)
-    if not (np.isfinite(dt) & (dt >= 0.0)).all():
-        raise ValueError("dt must be finite and non-negative")
-    dt = dt[..., None, None]
-    # 1x1 slices keep every quantity broadcastable against the 2x2 axes.
-    h00, h11 = h[..., :1, :1].real, h[..., 1:, 1:].real
-    e0 = 0.5 * (h00 + h11)
-    r = np.hypot(0.5 * (h00 - h11), np.abs(h[..., :1, 1:]))
+    r = np.hypot(x, z)
     theta = r * dt
-    # exp(-i h dt) = e^{-i e0 dt} [cos(theta) I - i sin(theta) (h - e0 I) / r];
-    # where r = 0, h - e0 I vanishes and any nonzero divisor will do.
-    u = (h - e0 * _IDENTITY) * (-1.0j * (np.sin(theta) / (r + (r == 0.0))))
-    return np.exp(-1.0j * e0 * dt) * (u + np.cos(theta) * _IDENTITY)
+    # Where r = 0 the generator vanishes and any nonzero divisor will do.
+    s = np.sin(theta) / (r + (r == 0.0))
+    alpha = np.cos(theta) - 1.0j * (z * s)
+    return alpha, -1.0j * (x * s)

@@ -6,6 +6,7 @@ console) and then asserts.  Heavy ensembles are shared as module fixtures.
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from nia_sim import config, evolve, kernel, metrics, model, smallmat
 from nia_sim.cli import _evolution_config, _run_ensemble, _simulate
 from nia_sim.config import load_config
@@ -229,7 +230,7 @@ def test_criterion_09_pulse_faithfulness(capsys):
     c_mid = model.noise_values(noise, 0.5 * tau, tau, n)
     direct = np.eye(2, dtype=complex)
     for k in range(n):
-        direct = smallmat.expm_unitary(
+        direct = dense.expm_hermitian(
             model.h_single(schedule, mids[k], c_mid[k]), tau) @ direct
     inf = abs(1.0 - abs(np.trace(u.conj().T @ direct) / 2.0) ** 2)
     ok = inf < 1e-6

@@ -49,6 +49,9 @@ UNRUNNABLE = [
     # a noise-free kernel phase step 2 J0 h of 2 rad, and omega_cut h = 2 rad.
     ("kernel", "fig3b", {"J0": "2e6"}, "may turn the kernel phase by"),
     ("kernel", "fig3d", {"T": "0.4", "dt": "1e-5"}, "does not resolve noise.omega_cut"),
+    # The oracle's Runge-Kutta substep dt/10 turning the state by 10 rad,
+    # beyond RK4's stability limit of 2 sqrt(2) rad.
+    ("oracle-check", "fig3b", {"J0": "1e8"}, "at which Runge-Kutta turns unstable"),
 ]
 
 
@@ -402,6 +405,17 @@ class TestExitCodes:
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert "numeric failure" in capsys.readouterr().err
         assert not (tmp_path / "ensemble.csv").exists()
+
+    def test_vanished_oracle_state_is_numeric(self, tmp_path, capsys):
+        # 2 rad per Runge-Kutta substep is within RK4's stability limit, but
+        # each substep shrinks the state by a factor 0.75 until its norm is
+        # lost; the run names the recorded step instead of dividing by zero.
+        argv = ["oracle-check", "--config", "fig3b", "--set", "J0=2e7", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        assert "numeric failure: state norm vanished after step 499" in capsys.readouterr().err
+        assert not (tmp_path / "oracle_check.txt").exists()
 
     def test_missing_config_is_usage(self, tmp_path):
         code = cli.main(["simulate", "--config", "nope.cfg", "--out", str(tmp_path)])

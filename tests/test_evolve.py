@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
-from nia_sim import evolve, model, smallmat
+from nia_sim import evolve, model
 from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
 from nia_sim.model import (FrequencyConvention, NoiseSpec, SingleQubitSchedule,
@@ -233,7 +233,11 @@ class TestBlocks:
 
     A block of 17 matrices holds 5 steps of 3 pair members and 2 of 3
     spectator members: neither divides the 241 steps or aligns with
-    store_every = 7.  The default block splits the spectator run too.
+    store_every = 7.  The default block splits the spectator run too.  The
+    one-member pair run of 2300 steps fills two default blocks of 1024
+    steps, each composed by a doubling scan of depth 10, before a partial
+    one; it runs the stepwise engine only, the oracle being slow at that
+    length.
     """
 
     T, DT, STORE_EVERY = 2.41e-3, 1e-5, 7
@@ -241,20 +245,25 @@ class TestBlocks:
                "oracle": (evolve._rk4_step, evolve.final_state_oracle)}
 
     def system(self, name):
+        """The run's dense Hamiltonian, schedule, initial state and member count."""
         if name == "pair":
             return dense.h_pair, TwoQubitSchedule(j0=4000.0, total_time=self.T,
-                                                  convention=ANG), PAIR01
+                                                  convention=ANG), PAIR01, 3
+        if name == "long pair":
+            return dense.h_pair, TwoQubitSchedule(j0=4000.0, total_time=2300 * self.DT,
+                                                  convention=ANG), PAIR01, 1
         initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
         initial /= np.linalg.norm(initial)
         s = SpectatorSchedule(base=single(total_time=self.T), j12=215.0, omega_spec=37.0)
-        return dense.h_spectator, s, initial
+        return dense.h_spectator, s, initial, 3
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
-    @pytest.mark.parametrize("name", ["pair", "spectator"])
+    @pytest.mark.parametrize("name, engine", [
+        ("pair", "oracle"), ("pair", "stepwise"), ("spectator", "oracle"),
+        ("spectator", "stepwise"), ("long pair", "stepwise")])
     def test_block_size_changes_nothing(self, monkeypatch, name, engine):
-        hamiltonian, s, initial = self.system(name)
+        hamiltonian, s, initial, members = self.system(name)
         make_step, final_state = self.ENGINES[engine]
-        noises = [fig3_noise(seed=6, index=i) for i in range(3)]
+        noises = [fig3_noise(seed=6, index=i) for i in range(members)]
         cfg = EvolutionConfig(dt=self.DT, store_every=self.STORE_EVERY)
         runs = []
         for size in (evolve._BLOCK_MATRICES, 1, 17):
@@ -263,7 +272,8 @@ class TestBlocks:
                                            self.STORE_EVERY),
                          final_state(s, noises, cfg, initial)))
         (times, c, states), finals = runs[0]
-        assert len(times) == 241 // self.STORE_EVERY + 2
+        n, _ = evolve._plan_steps(s.total_time, self.DT)
+        assert len(times) == -(-n // self.STORE_EVERY) + 1
         for (other_times, other_c, other_states), other_finals in runs[1:]:
             np.testing.assert_array_equal(other_times, times)
             np.testing.assert_array_equal(other_c, c)
@@ -291,6 +301,21 @@ class TestBlocks:
         with pytest.raises(evolve.NumericEvolutionError, match=r"after step 257$"):
             evolve._propagate(single(), [None] * 3, EvolutionConfig(dt=1e-6), ZERO,
                               make_step, 1)
+
+    def test_non_finite_step_spoils_only_later_prefixes(self, monkeypatch):
+        # The stepwise engine itself, with member 1's noise NaN at step 257:
+        # the doubling scan carries the NaN into every later prefix of the
+        # block, and no earlier one, so the check names step 257.
+        def make_step(schedule, mids, tau, c_mid):
+            c_mid = c_mid.copy()
+            c_mid[1, 257] = np.nan
+            return evolve._midpoint_step(schedule, mids, tau, c_mid)
+
+        for size in (100, evolve._BLOCK_MATRICES):
+            monkeypatch.setattr(evolve, "_BLOCK_MATRICES", size)
+            with pytest.raises(evolve.NumericEvolutionError, match=r"after step 257$"):
+                evolve._propagate(single(), [None] * 3, EvolutionConfig(dt=1e-6), ZERO,
+                                  make_step, 1)
 
     def test_memory_does_not_grow_with_a_step_table(self):
         # Traced peak growth from 500 to 2000 steps of 100 noisy members.  The
@@ -407,7 +432,7 @@ class TestPulseDecomposition:
         for k in (0, 1, 9, 99, 499):
             direct = np.eye(2, dtype=complex)
             for j in range(k + 1):
-                direct = smallmat.expm_unitary(
+                direct = dense.expm_hermitian(
                     model.h_single(s, mids[j], c_mid[j]), tau) @ direct
             diff = prefixes[k] - direct
             inf = 1.0 - abs(np.trace(prefixes[k].conj().T @ direct) / 2.0) ** 2

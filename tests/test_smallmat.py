@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nia_sim import smallmat
+import dense_reference as dense
+from nia_sim import config, smallmat
 
 
 def random_hermitian(rng, dim):
@@ -40,11 +41,10 @@ def eigh_by_sectors(h):
     return np.array(values)[order], np.column_stack(vectors)[:, order]
 
 
-def expm_by_sectors(h, dt):
-    u = np.zeros_like(h)
-    for idx in SECTORS[h.shape[0]]:
-        u[np.ix_(idx, idx)] = smallmat.expm_unitary(h[np.ix_(idx, idx)], dt)
-    return u
+def pair_matrices(alpha, beta):
+    """[[alpha, -conj(beta)], [beta, conj(alpha)]], shape (..., 2, 2)."""
+    return np.stack([np.stack([alpha, -np.conj(beta)], axis=-1),
+                     np.stack([beta, np.conj(alpha)], axis=-1)], axis=-2)
 
 
 def finite_floats(lo=-1e3, hi=1e3):
@@ -98,8 +98,6 @@ class TestEigh:
         for h in (np.eye(3), np.eye(4)):
             with pytest.raises(smallmat.DimensionMismatchError):
                 smallmat.eigh(h)
-            with pytest.raises(smallmat.DimensionMismatchError):
-                smallmat.expm_unitary(h, 0.1)
 
     @given(vx=finite_floats(), vy=finite_floats(), vz=finite_floats(),
            e0=finite_floats())
@@ -134,38 +132,71 @@ class TestGaugeFix:
 
 
 class TestExpmUnitary:
+    """The pair (alpha, beta) of exp(-i dt (x sx + z sz)), against numpy's eigh."""
+
     def test_identity_at_zero_dt(self):
-        h = random_hermitian(np.random.default_rng(0), 2)
-        np.testing.assert_allclose(smallmat.expm_unitary(h, 0.0), np.eye(2), atol=1e-15)
+        x, z = np.random.default_rng(0).standard_normal((2, 3, 4))
+        alpha, beta = smallmat.expm_unitary(x, z, 0.0)
+        np.testing.assert_array_equal(alpha, 1.0)
+        np.testing.assert_array_equal(beta, 0.0)
 
     def test_sigma_z_rotation(self):
-        u = smallmat.expm_unitary(smallmat.SIGMA_Z, np.pi / 2.0)
+        alpha, beta = smallmat.expm_unitary(0.0, 1.0, np.pi / 2.0)
         expected = np.diag([np.exp(-1.0j * np.pi / 2.0), np.exp(1.0j * np.pi / 2.0)])
-        np.testing.assert_allclose(u, expected, atol=1e-14)
+        np.testing.assert_allclose(pair_matrices(alpha, beta), expected, atol=1e-14)
 
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("seed", range(10))
     def test_unitary_and_matches_diagonalization(self, dim, seed):
+        # Five steps of a dim-level operator that is block-diagonal on
+        # SECTORS[dim], all from one call with leading (step, sector) axes.
         rng = np.random.default_rng(seed + 100)
-        h = random_operator(rng, dim)
+        x, z = 50.0 * rng.standard_normal((2, 5, dim // 2))
         dt = float(rng.uniform(0.0, 2.0))
-        u = expm_by_sectors(h, dt)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
-        w, v = np.linalg.eigh(h)
-        ref = (v * np.exp(-1.0j * w * dt)) @ v.conj().T
-        np.testing.assert_allclose(u, ref, atol=1e-12)
+        u = pair_matrices(*smallmat.expm_unitary(x, z, dt))
+        for k in range(5):
+            h, full = np.zeros((2, dim, dim), dtype=complex)
+            for i, idx in enumerate(SECTORS[dim]):
+                h[np.ix_(idx, idx)] = x[k, i] * smallmat.SIGMA_X + z[k, i] * smallmat.SIGMA_Z
+                full[np.ix_(idx, idx)] = u[k, i]
+            np.testing.assert_allclose(full @ full.conj().T, np.eye(dim), atol=1e-12)
+            np.testing.assert_allclose(full, dense.expm_hermitian(h, dt), atol=1e-12)
 
     def test_degenerate_spectrum_allowed(self):
-        # exp(-i h dt) is well defined even where eigh refuses to label levels.
-        u = smallmat.expm_unitary(np.eye(2), 0.7)
-        np.testing.assert_allclose(u, np.exp(-0.7j) * np.eye(2), atol=1e-14)
+        # r = 0: the generator vanishes and the step is the identity, also
+        # beside nonzero entries of the same stack.
+        alpha, beta = smallmat.expm_unitary(np.array([0.0, 3.0]), np.array([0.0, -4.0]), 0.7)
+        assert alpha[0] == 1.0 and beta[0] == 0.0
+        np.testing.assert_allclose(pair_matrices(alpha[1], beta[1]),
+                                   dense.expm_hermitian(3.0 * smallmat.SIGMA_X
+                                                        - 4.0 * smallmat.SIGMA_Z, 0.7),
+                                   atol=1e-14)
+
+    def test_near_the_step_rotation_bound(self):
+        # theta within a factor 1 - 1e-6 of MAX_STEP_ROTATION: both sides
+        # round theta to about theta 2^-53, so they agree to a few of those.
+        rng = np.random.default_rng(5)
+        angle = rng.uniform(0.0, 2.0 * np.pi, 20)
+        r = config.MAX_STEP_ROTATION * rng.uniform(1.0 - 1e-6, 1.0, 20)
+        dt = 1e-3
+        x, z = r * np.cos(angle) / dt, r * np.sin(angle) / dt
+        u = pair_matrices(*smallmat.expm_unitary(x, z, dt))
+        for k in range(20):
+            h = x[k] * smallmat.SIGMA_X + z[k] * smallmat.SIGMA_Z
+            np.testing.assert_allclose(u[k], dense.expm_hermitian(h, dt),
+                                       atol=8.0 * config.MAX_STEP_ROTATION * 2.0**-53)
+
+    @given(x=finite_floats(-1e4, 1e4), z=finite_floats(-1e4, 1e4),
+           dt=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_unit_norm(self, x, z, dt):
+        alpha, beta = smallmat.expm_unitary(x, z, dt)
+        assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-15
 
     @given(vx=finite_floats(-50, 50), vz=finite_floats(-50, 50),
            dt=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=100, deadline=None)
     def test_group_property(self, vx, vz, dt):
-        h = vx * smallmat.SIGMA_X + vz * smallmat.SIGMA_Z
-        u1 = smallmat.expm_unitary(h, dt)
-        u2 = smallmat.expm_unitary(h, 0.5 * dt)
+        u1 = pair_matrices(*smallmat.expm_unitary(vx, vz, dt))
+        u2 = pair_matrices(*smallmat.expm_unitary(vx, vz, 0.5 * dt))
         np.testing.assert_allclose(u2 @ u2, u1, atol=1e-10)
-

@@ -8,6 +8,8 @@ the benchmark; this test finds that in the tier-1 suite.
 import importlib.util
 from pathlib import Path
 
+from nia_sim import evolve
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -34,3 +36,21 @@ def test_every_binding_resolves_and_is_restored(tmp_path):
         assert getattr(namespace, name) is original, name
     spans = {span["name"] for span in tracer.spans}
     assert {"evolve.stepwise", "model.noise", "metrics.aggregate", "cli.write"} <= spans
+
+
+def test_traced_ensemble_folds_one_expm_per_block(tmp_path):
+    # 1200 steps of 3 members run in blocks of 1024 // 3 = 341 steps: four
+    # blocks, each with one call of the step exponential.  An engine that
+    # bypassed `smallmat.expm_unitary` would fold no leaf, and its time would
+    # count as evolve's own.
+    tracing, workloads = load("tracing"), load("workloads")
+    tracer = tracing.Tracer()
+    argv = ["ensemble", "--config", "fig3d", "--set", "realizations=3", "--set", "T=1.2e-3",
+            "--out", str(tmp_path)]
+    with tracer.patched(workloads):
+        code, _ = tracer.run_op(lambda: workloads.run_cli(argv))
+    assert code == 0
+    [span] = [span for span in tracer.spans if span["name"] == "evolve.stepwise"]
+    block = evolve._BLOCK_MATRICES // 3
+    assert span["attrs"]["steps"] == 1200
+    assert span["folded"]["smallmat.expm"][0] == -(-1200 // block) == 4
