@@ -28,6 +28,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_THRESHOLD = 3
+# Rows formatted per write in `_write_rows`.
+_CSV_CHUNK_ROWS = 1024
 
 # kernel.ResolutionError and metrics.GridMismatchError are ValueErrors, and
 # FloatingPointError (a non-finite noise sum or result) an ArithmeticError.
@@ -84,7 +86,10 @@ def _write_rows(path: str, preamble: list[str], header: list[str], table) -> Non
         for line in preamble:
             fh.write(line + "\n")
         fh.write(",".join(header) + "\n")
-        fh.write("".join(row_format % tuple(row) for row in table.tolist()))
+        # One format operation per chunk of rows, never one tuple of the whole table.
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            chunk = table[start:start + _CSV_CHUNK_ROWS]
+            fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def write_trajectory(path: str, cfg: RunConfig, traj: metrics.Trajectory,

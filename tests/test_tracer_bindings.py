@@ -54,3 +54,22 @@ def test_traced_ensemble_folds_one_expm_per_block(tmp_path):
     block = evolve._BLOCK_MATRICES // 3
     assert span["attrs"]["steps"] == 1200
     assert span["folded"]["smallmat.expm"][0] == -(-1200 // block) == 4
+
+
+def test_traced_memory_solve_keeps_its_layers(tmp_path):
+    # One memory_kernel operation: the solve is one kernel span whose noise
+    # synthesis is its only child span and whose couplings are one folded
+    # vectorized call; it never enters the stepping engine.
+    tracing, workloads = load("tracing"), load("workloads")
+    tracer = tracing.Tracer()
+    workload = workloads.MemoryKernelWorkload(1, str(tmp_path))
+    _, solve = workload.round()[0]
+    with tracer.patched(workloads):
+        code, _ = tracer.run_op(solve)
+    assert code == 0
+    [span] = [span for span in tracer.spans if span["name"] == "kernel.solve"]
+    children = [child["name"] for child in tracer.spans if child["parent"] == span["id"]]
+    assert children == ["model.noise"]
+    assert span["folded"]["kernel.coupling"][0] == 1
+    assert span["attrs"]["points"] == workloads.MEMORY_POINTS
+    assert "evolve.stepwise" not in {span["name"] for span in tracer.spans}
