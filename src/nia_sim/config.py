@@ -105,13 +105,13 @@ class RunConfig:
         )
 
     def schedule(self):
-        conv = self.frequency_convention()
+        drive = {"j0": self.j0, "total_time": self.total_time,
+                 "convention": self.frequency_convention()}
+        if self.system == "spectator":
+            return SpectatorSchedule(**drive, j12=self.j12, omega_spec=self.omega_spec)
         if self.system == "pair":
-            return TwoQubitSchedule(j0=self.j0, total_time=self.total_time, convention=conv)
-        single = SingleQubitSchedule(j0=self.j0, total_time=self.total_time, convention=conv)
-        if self.system == "single":
-            return single
-        return SpectatorSchedule(base=single, j12=self.j12, omega_spec=self.omega_spec)
+            return TwoQubitSchedule(**drive)
+        return SingleQubitSchedule(**drive)
 
     @property
     def members(self) -> int:
@@ -370,6 +370,10 @@ def _violations(cfg: RunConfig) -> list[str]:
             bad.append("sweep.values must be a nonempty list")
         if cfg.sweep_parameter in ("noise.amplitude", "noise.omega_cut") and not cfg.has_noise:
             bad.append("sweeping a noise parameter requires a noise block")
+        if cfg.sweep_parameter == "J12" and cfg.system != "spectator":
+            bad.append("sweeping J12 requires system = spectator")
+    if cfg.mode == "kernel" and cfg.system == "spectator":
+        bad.append("kernel mode requires system = single or pair")
     if cfg.mode == "kernel" and cfg.kernel_points < 500:
         bad.append("kernel.points must be >= 500")
     if cfg.mode == "kernel" and cfg.kernel_points > MAX_KERNEL_POINTS:
@@ -382,14 +386,13 @@ def _violations(cfg: RunConfig) -> list[str]:
     if not bad:
         # A step turns a sector state by at most its step times the largest
         # field: the drive J0 with every noise component in phase, plus the
-        # spectator's z offset and shift.  Beyond MAX_STEP_ROTATION no step
-        # resolves the run; below it, the typical field (noise at its RMS)
-        # only warns.  Products of huge finite inputs round to inf, as Python
-        # floats and so without a warning, and are refused.
+        # largest sector offset |z_offset| + |shift|.  Beyond MAX_STEP_ROTATION
+        # no step resolves the run; below it, the typical field (noise at its
+        # RMS) only warns.  Products of huge finite inputs round to inf, as
+        # Python floats and so without a warning, and are refused.
         f = cfg.frequency_convention().factor
         worst = typical = f * cfg.j0
-        if cfg.system == "spectator":
-            worst += f * (cfg.j12 / 4.0 + abs(cfg.omega_spec))
+        worst += max(abs(sec.z_offset) + abs(sec.shift) for sec in cfg.schedule().sectors)
         if cfg.has_noise:
             spec = cfg.noise_spec()
             worst += float(spec.component_scale) * spec.n_components

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, model, smallmat
-from .model import NoiseRealization, SingleQubitSchedule, noise_values
+from .model import NoiseRealization, noise_values
 
 
 # Step x member x sector matrices per block of `_propagate`: a block's step
@@ -343,7 +343,7 @@ def decompose_pulse(schedule, noise: NoiseRealization | None,
     frame, so the whole run reconstructs as one trailing z rotation (of the
     summed z angles) applied after the equatorial product.
     """
-    if not isinstance(schedule, SingleQubitSchedule):
+    if schedule.dim != 2:
         raise UnsupportedScheduleError("pulse decomposition requires a two-level schedule")
     # The sweep is traceless, so each prefix propagator U_k of the stepwise
     # engine is in SU(2), U_k = [[a, -b*], [b, a*]] with (a, b) = U_k|0>.

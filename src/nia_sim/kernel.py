@@ -1,8 +1,8 @@
 """Exact memory-kernel formulation of the adiabatic condition.
 
-For the effective two-level reduction of each schedule (the single-qubit
-sweep directly, the two-qubit sweep through its {|01>, |10>} block) the
-leakage out of the tracked level obeys a one-component Volterra
+For the effective two-level reduction of the one-sector schedules (the
+single-qubit sweep directly, the two-qubit sweep through its {|01>, |10>}
+block) the leakage out of the tracked level obeys a one-component Volterra
 integro-differential equation
 
     d/dt psi0 = -<E0|dE0/dt> psi0 - int_0^t g(t, s) psi0(s) ds,
@@ -26,6 +26,10 @@ and composes its trapezoid steps as a log-depth prefix product of 2x2
 matrices.  The pointwise g, with an adaptive quadrature of the noisy
 phase, and the sequential form of the recurrence are test-side
 references (`tests/kernel_reference.py`).
+
+The spectator model is two sectors with offsets, which this equation does
+not cover: `solve_memory_equation` refuses it, and `config.validate` refuses
+a `kernel` run with system = spectator before any output.
 
 The adiabatic condition is the vanishing of |int_0^t g(t,s) psi0(s) ds|;
 the solver computes that magnitude once at every grid point
@@ -145,6 +149,8 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
     log2(n_points) vector passes.  The formulation follows Jing et al.,
     Phys. Rev. A (2014).
     """
+    if len(schedule.sectors) != 1:
+        raise ValueError("the memory equation covers one-sector schedules only")
     if n_points < 500:
         raise ResolutionError("memory grid needs at least 500 points")
     times = np.linspace(0.0, schedule.total_time, n_points)

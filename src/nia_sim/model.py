@@ -3,7 +3,8 @@
 Three driven models are provided: a single-qubit sweep J0[a(t) sx + b(t) sz]
 with a(t)=t/T, b(t)=1-t/T; a two-qubit exchange sweep whose dynamics live on
 the {|01>, |10>} block; and the single-qubit sweep embedded next to an
-undriven, z-z-coupled spectator qubit.
+undriven, z-z-coupled spectator qubit.  The single-qubit schedule states the
+drive once; the other two subclass it and state only their sectors.
 
 Each model is an exact sum of 2x2 sectors (`Sector`): on every sector the
 Hamiltonian is the drive (J0 + c)[a sx + b sz] plus a constant offset.  The
@@ -80,23 +81,24 @@ class Sector:
 
 @dataclass(frozen=True)
 class SingleQubitSchedule:
-    """Linear sweep from J0*sz to J0*sx over total time T."""
+    """Linear sweep (J0 + c)[a sx + b sz] over total time T, a = t/T, b = b0 (1 - t/T).
+
+    This is the drive of every model: the single qubit is its one sector
+    with b0 = 1, a sweep from J0 sz to J0 sx.  The other schedules subclass
+    it and state only their dimension, b0 and sectors.
+    """
 
     j0: float
     total_time: float
     convention: FrequencyConvention = DEFAULT_CONVENTION
 
+    dim = 2
+    b0 = 1.0
+    sectors = (Sector((0, 1)),)
+
     def __post_init__(self):
         if not (self.total_time > 0.0 and self.j0 > 0.0):
             raise ValueError("T and J0 must be positive")
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    @property
-    def sectors(self) -> tuple[Sector, ...]:
-        return (Sector((0, 1)),)
 
     @property
     def j0_rad(self) -> float:
@@ -105,11 +107,11 @@ class SingleQubitSchedule:
     def ab(self, t):
         """Control coefficients (a, b) of the sx and sz terms."""
         x = np.asarray(t) / self.total_time
-        return x, 1.0 - x
+        return x, self.b0 * (1.0 - x)
 
 
 @dataclass(frozen=True)
-class TwoQubitSchedule:
+class TwoQubitSchedule(SingleQubitSchedule):
     """Exchange sweep on two qubits; dynamics confined to span{|01>, |10>}.
 
     The Hamiltonian is J0[a (s1+ s2- + h.c.) + omega (s1z - s2z)/4] with
@@ -119,34 +121,13 @@ class TwoQubitSchedule:
     a = t/T, omega = 1 - t/T.
     """
 
-    j0: float
-    total_time: float
-    convention: FrequencyConvention = DEFAULT_CONVENTION
-
-    def __post_init__(self):
-        if not (self.total_time > 0.0 and self.j0 > 0.0):
-            raise ValueError("T and J0 must be positive")
-
-    @property
-    def dim(self) -> int:
-        return 4
-
-    @property
-    def sectors(self) -> tuple[Sector, ...]:
-        return (Sector((1, 2)),)
-
-    @property
-    def j0_rad(self) -> float:
-        return self.convention.factor * self.j0
-
-    def ab(self, t):
-        """Effective two-level (a, b) coefficients on the block."""
-        x = np.asarray(t) / self.total_time
-        return x, 0.5 * (1.0 - x)
+    dim = 4
+    b0 = 0.5
+    sectors = (Sector((1, 2)),)
 
 
 @dataclass(frozen=True)
-class SpectatorSchedule:
+class SpectatorSchedule(SingleQubitSchedule):
     """Single-qubit sweep with an undriven z-z-coupled spectator qubit.
 
     j12 is the scalar coupling and omega_spec an optional spectator offset,
@@ -158,38 +139,21 @@ class SpectatorSchedule:
     state is driven (x) spectator).
     """
 
-    base: SingleQubitSchedule
     j12: float = 215.0
     omega_spec: float = 0.0
 
+    dim = 4
+
     def __post_init__(self):
+        super().__post_init__()
         if self.j12 < 0.0:
             raise ValueError("j12 must be non-negative")
-
-    @property
-    def dim(self) -> int:
-        return 4
 
     @property
     def sectors(self) -> tuple[Sector, ...]:
         f = self.convention.factor
         z, shift = f * self.j12 / 4.0, f * self.omega_spec
         return (Sector((0, 2), z, shift), Sector((1, 3), -z, -shift))
-
-    @property
-    def j0_rad(self) -> float:
-        return self.base.j0_rad
-
-    @property
-    def total_time(self) -> float:
-        return self.base.total_time
-
-    @property
-    def convention(self) -> FrequencyConvention:
-        return self.base.convention
-
-    def ab(self, t):
-        return self.base.ab(t)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ def h_spectator(s, t, c=0.0):
     """Driven sweep (x) I plus (J12/4) sz(x)sz and omega_spec I(x)sz."""
     x = t / s.total_time
     f = s.convention.factor
-    drive = (s.base.j0_rad + c) * (x * SX + (1.0 - x) * SZ)
+    drive = (s.j0_rad + c) * (x * SX + (1.0 - x) * SZ)
     return np.kron(drive, I2) + (f * s.j12 / 4.0) * ZZ + (f * s.omega_spec) * IZ
 
 

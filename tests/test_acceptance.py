@@ -167,7 +167,7 @@ def test_criterion_07_spectator_reproduction(capsys):
     base = evolve.evolve_stepwise(base_s, noise, ecfg, ZERO)
     errs = {}
     for j12 in (215.0, 0.0):
-        spec_s = model.SpectatorSchedule(base=base_s, j12=j12)
+        spec_s = model.SpectatorSchedule(base_s.j0, base_s.total_time, base_s.convention, j12=j12)
         embedded = evolve.evolve_stepwise(spec_s, noise, ecfg, np.kron(ZERO, ZERO))
         errs[j12] = metrics.spectator_error(base, embedded)
     ok = errs[215.0] < 0.01 and errs[0.0] < 1e-9

@@ -52,6 +52,12 @@ UNRUNNABLE = [
     # The oracle's Runge-Kutta substep dt/10 turning the state by 10 rad,
     # beyond RK4's stability limit of 2 sqrt(2) rad.
     ("oracle-check", "fig3b", {"J0": "1e8"}, "at which Runge-Kutta turns unstable"),
+    # The memory equation covers the one-sector reductions only.
+    ("kernel", "fig3b", {"system": "spectator", "J12": "2000"},
+     "requires system = single or pair"),
+    # J12 couples only the spectator: on another system every value is the same run.
+    ("sweep", "fig3b", {"sweep.parameter": "J12", "sweep.values": "0,1000,5000"},
+     "sweeping J12 requires system = spectator"),
 ]
 
 

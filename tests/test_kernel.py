@@ -7,7 +7,8 @@ from nia_sim import evolve, kernel, smallmat
 from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
 from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
-                           SingleQubitSchedule, TwoQubitSchedule, h_single, realize_noise)
+                           SingleQubitSchedule, SpectatorSchedule, TwoQubitSchedule,
+                           h_single, realize_noise)
 
 ANG = FrequencyConvention.ANGULAR_DIRECT
 ZERO = np.array([1.0, 0.0], dtype=complex)
@@ -200,6 +201,11 @@ class TestSolveMemoryEquation:
     def test_resolution_floor(self):
         with pytest.raises(kernel.ResolutionError):
             kernel.solve_memory_equation(single(), None, 300)
+
+    def test_refuses_the_spectator(self):
+        # Two sectors with offsets: the one-component equation does not describe them.
+        with pytest.raises(ValueError, match="one-sector"):
+            kernel.solve_memory_equation(SpectatorSchedule(4000.0, 5e-4, ANG), None, 1000)
 
     def test_initial_condition_and_bound(self):
         mem = kernel.solve_memory_equation(single(), None, 800)

@@ -82,7 +82,7 @@ class TestReducedQubit:
         # Partial trace of |psi><psi| over the spectator, driven (x) spectator.
         m = state.reshape(2, 2)
         expected = m @ m.conj().T
-        spec = SpectatorSchedule(base=single(), j12=215.0)
+        spec = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
         sectors = model.sector_states(spec, state)
         np.testing.assert_allclose(metrics.reduced_density(sectors), expected, atol=1e-15)
         pop0, pop1, im = metrics.reduced_qubit_metrics(sectors)
@@ -160,7 +160,7 @@ class TestAggregate:
 class TestSpectatorError:
     def run_pair(self, j12, noise=None):
         base_s = single()
-        spec_s = SpectatorSchedule(base=base_s, j12=j12)
+        spec_s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=j12)
         cfg = EvolutionConfig(dt=1e-6)
         base = evolve.evolve_stepwise(base_s, noise, cfg, ZERO)
         init4 = np.kron(ZERO, ZERO)
@@ -186,7 +186,7 @@ class TestSpectatorError:
     def test_purity_of_reduced_state(self):
         _, embedded = self.run_pair(215.0, noise=fig3_noise())
         # Reconstruct a final reduced state from a fresh run for the bound.
-        spec_s = SpectatorSchedule(base=single(), j12=215.0)
+        spec_s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
         state = evolve.final_state_stepwise(spec_s, fig3_noise(),
                                             EvolutionConfig(dt=1e-6),
                                             np.kron(ZERO, ZERO))

@@ -110,23 +110,22 @@ class TestHSpectator:
     """The dense 4x4 spectator Hamiltonian and its two sectors."""
 
     def test_decoupled_limit(self):
-        base = single()
-        s = SpectatorSchedule(base=base, j12=0.0)
+        s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=0.0)
         t = 2e-4
         np.testing.assert_allclose(h_spectator(s, t, 5.0),
-                                   np.kron(h_single(base, t, 5.0), np.eye(2)),
+                                   np.kron(h_single(single(), t, 5.0), np.eye(2)),
                                    atol=1e-12)
 
     def test_t0_decoupled(self):
-        s = SpectatorSchedule(base=single(), j12=0.0)
+        s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=0.0)
         np.testing.assert_allclose(h_spectator(s, 0.0),
-                                   s.base.j0_rad * np.kron(smallmat.SIGMA_Z, np.eye(2)),
+                                   s.j0_rad * np.kron(smallmat.SIGMA_Z, np.eye(2)),
                                    atol=1e-12)
 
     def test_coupling_traceless_on_spectator(self):
-        s = SpectatorSchedule(base=single(), j12=215.0)
+        s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
         h = h_spectator(s, 1e-4, 3.0)
-        coupling = h - np.kron(h_single(s.base, 1e-4, 3.0), np.eye(2))
+        coupling = h - np.kron(h_single(single(), 1e-4, 3.0), np.eye(2))
         # Partial trace over the spectator of the z-z term vanishes.
         reduced = coupling[0::2, 0::2] + coupling[1::2, 1::2]
         np.testing.assert_allclose(reduced, 0.0, atol=1e-12)
@@ -134,8 +133,7 @@ class TestHSpectator:
     @pytest.mark.parametrize("convention", list(FrequencyConvention))
     def test_sectors_are_the_dense_blocks(self, convention):
         # The spectator's sz levels |0>, |1> pick indices (0, 2) and (1, 3).
-        base = SingleQubitSchedule(j0=4000.0, total_time=5e-4, convention=convention)
-        s = SpectatorSchedule(base=base, j12=215.0, omega_spec=37.0)
+        s = SpectatorSchedule(4000.0, 5e-4, convention, j12=215.0, omega_spec=37.0)
         for t in np.linspace(0.0, s.total_time, 7):
             h = h_spectator(s, t, 3.0)
             blocks = [h[np.ix_(idx, idx)] for idx in ([0, 2], [1, 3])]
@@ -145,7 +143,16 @@ class TestHSpectator:
 
     def test_negative_j12_rejected(self):
         with pytest.raises(ValueError):
-            SpectatorSchedule(base=single(), j12=-1.0)
+            SpectatorSchedule(4000.0, 5e-4, ANG, j12=-1.0)
+
+
+def test_models_with_equal_parameters_differ():
+    # The pair and spectator schedules subclass the single sweep; dataclass
+    # equality still compares the classes.
+    schedules = [cls(4000.0, 5e-4, ANG)
+                 for cls in (SingleQubitSchedule, TwoQubitSchedule, SpectatorSchedule)]
+    for s in schedules:
+        assert [s == t for t in schedules] == [s is t for t in schedules]
 
 
 class TestNoise:
