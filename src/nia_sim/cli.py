@@ -66,26 +66,23 @@ def _preamble(cfg: RunConfig, mode: str, extra: dict | None = None) -> list[str]
     return lines + [f"# {key} = {value}" for key, value in items]
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
+def _write_rows(path: str, preamble: list[str], header: list[str], table,
+                sep: str = ",") -> None:
+    """Write a (rows, columns) float table, comma-separated unless `sep` says otherwise.
 
-
-def _write_rows(path: str, preamble: list[str], header: list[str], table) -> None:
-    """Write a CSV file of a (rows, columns) float table.
-
-    Every value is written as `_fmt` writes it; a non-finite value is
-    refused before the file is opened.
+    Every value is written with 12 significant digits (%.12g); a
+    non-finite value is refused before the file is opened.
     """
     table = np.asarray(table, dtype=float)
     if not np.isfinite(table).all():
         row, col = np.argwhere(~np.isfinite(table))[0]
         raise FloatingPointError(f"non-finite {header[col]} in row {row} of"
                                  f" {os.path.basename(path)}")
-    row_format = ",".join(["%.12g"] * len(header)) + "\n"
+    row_format = sep.join(["%.12g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in preamble:
             fh.write(line + "\n")
-        fh.write(",".join(header) + "\n")
+        fh.write(sep.join(header) + "\n")
         # One format operation per chunk of rows, never one tuple of the whole table.
         for start in range(0, len(table), _CSV_CHUNK_ROWS):
             chunk = table[start:start + _CSV_CHUNK_ROWS]
@@ -170,21 +167,15 @@ def _mode_kernel(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _mode_pulse_export(cfg: RunConfig, out_dir: str) -> int:
-    schedule = cfg.schedule()
-    steps = evolve.decompose_pulse(schedule, _noise_realization(cfg, 0),
+    pulse = evolve.decompose_pulse(cfg.schedule(), _noise_realization(cfg, 0),
                                    _evolution_config(cfg))
+    t_start = np.concatenate([[0.0], np.cumsum(pulse["duration"])[:-1]])
+    names = ["duration", "xy_amplitude", "xy_phase", "z_angle"]
     path = os.path.join(out_dir, "pulses.txt")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in _preamble(cfg, "pulse-export"):
-            fh.write(line + "\n")
-        fh.write("# t_start\tduration\txy_amplitude\txy_phase\tz_angle\n")
-        t_start = 0.0
-        for step in steps:
-            fields = (t_start, step.duration, step.xy_amplitude,
-                      step.xy_phase, step.z_angle)
-            fh.write("\t".join(_fmt(x) for x in fields) + "\n")
-            t_start += step.duration
-    print(f"pulse-export: {len(steps)} steps written to {path}")
+    # The column names are a comment line, so that the body is numbers only.
+    _write_rows(path, _preamble(cfg, "pulse-export"), ["# t_start", *names],
+                np.column_stack([t_start, *(pulse[name] for name in names)]), sep="\t")
+    print(f"pulse-export: {len(t_start)} steps written to {path}")
     return EXIT_OK
 
 

@@ -24,7 +24,10 @@ from .model import (DEFAULT_CONVENTION, FrequencyConvention, NoiseNormalization,
 
 MODES = ("simulate", "ensemble", "sweep", "kernel", "pulse-export",
          "oracle-check", "spectator-check")
-SYSTEMS = ("single", "pair", "spectator")
+# The schedule class of each system, which states its dimension.
+_SCHEDULES = {"single": SingleQubitSchedule, "pair": TwoQubitSchedule,
+              "spectator": SpectatorSchedule}
+SYSTEMS = tuple(_SCHEDULES)
 SWEEPABLE = ("T", "J0", "noise.amplitude", "noise.omega_cut", "J12")
 
 PRESET_NAMES = ("fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b")
@@ -48,8 +51,9 @@ MAX_KERNEL_POINTS = 10**6
 #: fig4b's worst case, all 25 000 noise components in phase, is 250 rad.
 MAX_STEP_ROTATION = 2.0**13
 #: Largest worst-case rotation of one substep of the oracle-check's
-#: Runge-Kutta integration (dt/10, see `evolve._rk4_step`), in rad: RK4 is
-#: stable on the imaginary axis up to |h lambda| = 2 sqrt(2).
+#: Runge-Kutta integration (dt/10, the substeps whose transfer matrices
+#: `evolve._rk4_step` composes), in rad: RK4 is stable on the imaginary
+#: axis up to |h lambda| = 2 sqrt(2).
 MAX_RK4_SUBSTEP_ROTATION = 2.0 * math.sqrt(2.0)
 # Keys that say where and how a run is written, not what it computes.
 _UNHASHED_KEYS = ("out", "timestamps")
@@ -109,9 +113,7 @@ class RunConfig:
                  "convention": self.frequency_convention()}
         if self.system == "spectator":
             return SpectatorSchedule(**drive, j12=self.j12, omega_spec=self.omega_spec)
-        if self.system == "pair":
-            return TwoQubitSchedule(**drive)
-        return SingleQubitSchedule(**drive)
+        return _SCHEDULES[self.system](**drive)
 
     @property
     def members(self) -> int:
@@ -144,7 +146,7 @@ class RunConfig:
                 raise ConfigError("initial_state amplitudes must be finite")
         if self.system == "spectator" and amps.shape == (2,):
             amps = np.kron(amps, [1.0, 0.0])
-        dim = 2 if self.system == "single" else 4
+        dim = _SCHEDULES[self.system].dim
         if amps.shape != (dim,):
             raise ConfigError(f"explicit initial state needs {dim} amplitudes")
         # Scaled by the largest real or imaginary part first, so that the

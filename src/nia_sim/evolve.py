@@ -6,9 +6,9 @@ the output of `final_state_*`.  An ensemble is batched over its members:
 every engine takes one noise realization or a sequence of them, and the
 one step loop (`_propagate`) advances the sector states of all M members,
 shape (M, n_sectors, 2), together, in blocks of consecutive steps that
-hold at most `_BLOCK_MATRICES` step x member x sector matrices.  The loop
-checks and records once per block, and restores every recorded state's
-norm, which removes rounding drift only.
+hold at most `_BLOCK_MATRICES` 2x2 matrices.  The loop checks and records
+once per block, and restores every recorded state's norm, which removes
+rounding drift only.
 
 A run takes n = ceil(T/dt) equal steps of tau = T/n, so dt is the largest
 step.  Everything it samples lies on one grid, the half steps k tau/2 for
@@ -28,14 +28,18 @@ spoils every later prefix of its block, so the loop's check still names
 it.  `evolve_oracle` is a classic fourth-order Runge-Kutta integration at
 a tenth of the step size, used to cross-check the stepwise engine; it
 holds the noise at the same step midpoints the stepwise engine uses, so a
-comparison isolates the propagator discretization.
+comparison isolates the propagator discretization.  Its substeps are linear,
+psi -> R psi with R = I + (K1 + 2 K2 + 2 K3 + K4) / 6, so a block's transfer
+matrices are built at once and composed by `smallmat.prefix_products`, the
+scan the memory equation uses; `tests/oracle_reference.py` keeps the
+substep-by-substep loop they reproduce.
 
 `decompose_pulse` factors a two-level run of the stepwise engine into
-spectrometer-style pulse steps: per step an equatorial rotation whose phase
-lives in the accumulated z-rotated frame, plus one z rotation applied at the
-end.  The per-step decomposition is exact (an Euler-style z * equatorial
-split of each step unitary), so the reconstruction reproduces the direct
-propagator to rounding accuracy.
+spectrometer-style pulse steps, returned as the columns of a table: per
+step an equatorial rotation whose phase lives in the accumulated z-rotated
+frame, plus one z rotation applied at the end.  The per-step decomposition
+is exact (an Euler-style z * equatorial split of each step unitary), so
+the reconstruction reproduces the direct propagator to rounding accuracy.
 """
 from __future__ import annotations
 
@@ -47,9 +51,10 @@ from . import metrics, model, smallmat
 from .model import NoiseRealization, noise_values
 
 
-# Step x member x sector matrices per block of `_propagate`: a block's step
-# pairs take 32 B per matrix, its states 32 B, and the exponential's and the
-# scan's temporaries a few times that.
+# 2x2 matrices per block of `_propagate`, one per step, member and sector of
+# the stepwise engine: a block's step pairs take 32 B per matrix, its states
+# 32 B, and the exponential's and the scan's temporaries a few times that.
+# The oracle counts more per step (see `_rk4_step`).
 _BLOCK_MATRICES = 2 ** 10
 
 
@@ -71,16 +76,6 @@ class EvolutionConfig:
             raise ValueError("dt must be positive")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
-
-
-@dataclass(frozen=True)
-class PulseStep:
-    """One exported pulse interval: z increment plus equatorial rotation."""
-
-    duration: float
-    z_angle: float
-    xy_amplitude: float
-    xy_phase: float
 
 
 def _plan_steps(total_time: float, dt: float) -> tuple[int, float]:
@@ -117,8 +112,9 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     shape (M, n_records), and the sector states at t = 0 and after each
     record step, shape (M, n_records, n_sectors, 2).
 
-    The run advances in blocks of at most `_BLOCK_MATRICES` step x member x
-    sector matrices (at least one step each).  Per block the loop checks
+    The run advances in blocks of at most `_BLOCK_MATRICES` matrices (at
+    least one step each): one per step, member and sector, or as many as
+    the engine states in `advance.matrices`.  Per block the loop checks
     that every state is finite, naming the first step that is not, and
     takes the block's record steps.  Each recorded state has its norm
     restored to the value at t = 0: every sector evolves unitarily, so this
@@ -160,7 +156,8 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     norm0 = np.linalg.norm(psi[0])
     states = np.empty((len(noises), len(rows)) + psi.shape[1:], dtype=complex)
     states[:, 0] = psi
-    block = max(1, _BLOCK_MATRICES // (psi.shape[0] * psi.shape[1]))
+    block = max(1, _BLOCK_MATRICES // (psi.shape[0] * psi.shape[1]
+                                       * getattr(advance, "matrices", 1)))
     for start in range(0, n, block):
         stop = min(n, start + block)
         out = advance(start, stop, psi)
@@ -219,11 +216,6 @@ def _trajectory(schedule, times, c, states, batched) -> metrics.Trajectory:
     return metrics.Trajectory(times=times, **columns)
 
 
-def _apply(op, psi) -> np.ndarray:
-    """Each member's sector operators applied to its sector states."""
-    return np.matmul(op, psi[..., None])[..., 0]
-
-
 def _midpoint_step(schedule, mids, tau, c_mid):
     # On sector s the step Hamiltonian is g a sx + (g b + z_s) sz + shift_s I,
     # g = J0 + c: an SU(2) step times the sector's constant phase.
@@ -254,28 +246,55 @@ def _midpoint_step(schedule, mids, tau, c_mid):
 
 
 def _rk4_step(schedule, mids, tau, c_mid):
+    # RK4 at n_sub substeps of h = tau / n_sub, the noise held at the step
+    # midpoint.  The stages of R are K1 = -i h H0, K2 = -i h Hm (I + K1 / 2),
+    # K3 = -i h Hm (I + K2 / 2) and K4 = -i h H1 (I + K3), from H at the
+    # substep's start, midpoint and end.  On a sector h H is the real matrix
+    # [[h shift + z, x], [x, h shift - z]], x = g a, z = g b + h z_offset, g = h (J0 + c).
     n_sub = 10
     h = tau / n_sub
-    # Node times per main step: substep edges, then substep midpoints.
-    offsets = np.concatenate([np.arange(n_sub + 1), np.arange(n_sub) + 0.5]) / n_sub
+    z_offsets = np.array([sec.z_offset for sec in schedule.sectors])[:, None]
+    shifts = np.array([sec.shift for sec in schedule.sectors])[:, None]
+    # Each substep's start, midpoint and end, as offsets from its step's midpoint.
+    nodes = (np.arange(n_sub)[:, None] + [0.0, 0.5, 1.0]) / n_sub - 0.5
 
     def advance(start, stop, psi):
-        out = np.empty((stop - start,) + psi.shape, dtype=complex)
-        for k in range(start, stop):
-            # Hamiltonians at the step's nodes, shape (n_nodes, M, n_sectors, 2, 2),
-            # built per step so that memory does not grow with the step count.
-            # The noise is held at the step midpoint.
-            nodes = mids[k] + tau * (offsets - 0.5)
-            h_nodes = model.h_sectors(schedule, nodes[:, None], c_mid[:, k])
-            edges, halves = h_nodes[: n_sub + 1], h_nodes[n_sub + 1:]
-            for i in range(n_sub):
-                k1 = -1.0j * _apply(edges[i], psi)
-                k2 = -1.0j * _apply(halves[i], psi + 0.5 * h * k1)
-                k3 = -1.0j * _apply(halves[i], psi + 0.5 * h * k2)
-                k4 = -1.0j * _apply(edges[i + 1], psi + h * k3)
-                psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[k - start] = psi
-        return out
+        a, b = schedule.ab((mids[start:stop, None, None] + tau * nodes).reshape(-1, 3).T)
+        # Axes: substeps, members, sectors, and last the two columns of R.
+        g = h * np.repeat(schedule.j0_rad + c_mid[:, start:stop].T, n_sub, axis=0)[..., None, None]
+
+        def slope(node, u, v):
+            """-i h H (u, v) at one node of every substep."""
+            x = -1j * g * a[node, :, None, None, None]
+            z = g * b[node, :, None, None, None] + h * z_offsets
+            k_u = -1j * (h * shifts + z) * u
+            k_u += x * v
+            k_v = -1j * (h * shifts - z) * v
+            k_v += x * u
+            return k_u, k_v
+
+        # The stages act on the identity's columns, so (u, v) end as R's rows.
+        eye_u, eye_v = np.eye(2, dtype=complex)
+        k_u, k_v = slope(0, eye_u, eye_v)
+        u, v = eye_u + k_u / 6.0, eye_v + k_v / 6.0
+        for node, part, weight in ((1, 0.5, 2.0), (1, 0.5, 2.0), (2, 1.0, 1.0)):
+            # One at a time, so that the last stage is freed before the next.
+            k_u = eye_u + part * k_u
+            k_v = eye_v + part * k_v
+            k_u, k_v = slope(node, k_u, k_v)
+            u += weight / 6.0 * k_u
+            v += weight / 6.0 * k_v
+        del k_u, k_v
+        smallmat.prefix_products(u[..., 0], u[..., 1], v[..., 0], v[..., 1])
+        # The prefix after each step's last substep.
+        u, v = u[n_sub - 1::n_sub], v[n_sub - 1::n_sub]
+        return np.stack([u[..., 0] * psi[..., 0] + u[..., 1] * psi[..., 1],
+                         v[..., 0] * psi[..., 0] + v[..., 1] * psi[..., 1]], axis=-1)
+
+    # Traced, a block holds about 300 B per substep matrix, the stepwise engine
+    # 160 B per step pair: counted as four matrices, a substep block holds
+    # less than half a stepwise block.
+    advance.matrices = 4 * n_sub
     return advance
 
 
@@ -335,13 +354,14 @@ def final_state_stepwise(schedule, noise, cfg, initial) -> np.ndarray:
 
 
 def decompose_pulse(schedule, noise: NoiseRealization | None,
-                    cfg: EvolutionConfig) -> list[PulseStep]:
+                    cfg: EvolutionConfig) -> dict[str, np.ndarray]:
     """Factor a two-level run into z-frame-accumulated equatorial pulses.
 
-    Each emitted step carries the z increment of that interval and an
-    equatorial rotation whose phase is already expressed in the accumulated
-    frame, so the whole run reconstructs as one trailing z rotation (of the
-    summed z angles) applied after the equatorial product.
+    Returns the columns of the pulse table, one entry per step: its
+    `duration`, its z increment `z_angle`, and an equatorial rotation of
+    rate `xy_amplitude` whose phase `xy_phase` is already expressed in the
+    accumulated frame, so the whole run reconstructs as one trailing z
+    rotation (of the summed z angles) applied after the equatorial product.
     """
     if schedule.dim != 2:
         raise UnsupportedScheduleError("pulse decomposition requires a two-level schedule")
@@ -360,26 +380,5 @@ def decompose_pulse(schedule, noise: NoiseRealization | None,
                    -np.angle(1.0j * np.exp(1.0j * delta) * u01))
     theta_before = np.concatenate([[0.0], np.cumsum(delta)[:-1]])
     _, tau = _plan_steps(schedule.total_time, cfg.dt)
-    return [PulseStep(duration=tau, z_angle=float(d), xy_amplitude=float(g / tau),
-                      xy_phase=float(p - 2.0 * theta))
-            for d, g, p, theta in zip(delta, gamma, phi, theta_before)]
-
-
-def reconstruct_propagator(steps) -> np.ndarray:
-    """Total unitary implied by a pulse-step list."""
-    return prefix_propagators(steps)[-1]
-
-
-def prefix_propagators(steps):
-    """Partial reconstructions after each step (for stepwise faithfulness checks)."""
-    acc = np.eye(2, dtype=complex)
-    theta = 0.0
-    out = []
-    for step in steps:
-        gamma, phi = step.xy_amplitude * step.duration, step.xy_phase
-        c, s = np.cos(gamma), -1.0j * np.sin(gamma)
-        acc = np.array([[c, s * np.exp(-1.0j * phi)], [s * np.exp(1.0j * phi), c]]) @ acc
-        theta += step.z_angle
-        out.append(np.diag([np.exp(-1.0j * theta), np.exp(1.0j * theta)]) @ acc)
-    return out
-
+    return {"duration": np.full(len(delta), tau), "z_angle": delta,
+            "xy_amplitude": gamma / tau, "xy_phase": phi - 2.0 * theta_before}

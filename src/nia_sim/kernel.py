@@ -23,7 +23,8 @@ noise.
 g(t_i, t_j) = p_i conj(p_j), with the couplings from one vectorized
 `coupling_elements` call and the gap phase integrated once on the grid,
 and composes its trapezoid steps as a log-depth prefix product of 2x2
-matrices.  The pointwise g, with an adaptive quadrature of the noisy
+matrices (`smallmat.prefix_products`, the scan the Runge-Kutta oracle
+shares).  The pointwise g, with an adaptive quadrature of the noisy
 phase, and the sequential form of the recurrence are test-side
 references (`tests/kernel_reference.py`).
 
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import smallmat
 from .model import NoiseRealization, _check_time, noise_values
 
 
@@ -145,9 +147,9 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
     Implicit trapezoid, solved in closed form, with trapezoid history
     quadrature; the rank-one phase split keeps the history integral O(1)
     per step.  Each step is a linear map of (psi0, history), so the whole
-    run is a prefix product of 2x2 step matrices, composed by doubling in
-    log2(n_points) vector passes.  The formulation follows Jing et al.,
-    Phys. Rev. A (2014).
+    run is a prefix product of 2x2 step matrices, composed by
+    `smallmat.prefix_products` in log2(n_points) vector passes.  The
+    formulation follows Jing et al., Phys. Rev. A (2014).
     """
     if len(schedule.sectors) != 1:
         raise ValueError("the memory equation covers one-sector schedules only")
@@ -173,15 +175,7 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
     b = -gain * hh * (p[:-1] + p[1:])
     c = hh * q[:-1] + hh * q[1:] * a
     d = 1.0 + hh * q[1:] * b
-    # Prefix products by doubling: after the pass of span s, entry j holds
-    # entries max(0, j - 2s + 1) .. j composed, later steps on the left.
-    span = 1
-    while span < len(a):
-        a2, b2, c2, d2 = a[span:], b[span:], c[span:], d[span:]
-        a1, b1, c1, d1 = a[:-span], b[:-span], c[:-span], d[:-span]
-        a[span:], b[span:], c[span:], d[span:] = (a2 * a1 + b2 * c1, a2 * b1 + b2 * d1,
-                                                  c2 * a1 + d2 * c1, c2 * b1 + d2 * d1)
-        span *= 2
+    smallmat.prefix_products(a, b, c, d)
     # From (psi, hist) = (1, 0) at t = 0 the products' first column is the run.
     psi = np.concatenate(([1.0 + 0.0j], a))
     hist = np.concatenate(([0.0j], c))

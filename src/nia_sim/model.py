@@ -42,9 +42,6 @@ import numpy as np
 
 from .smallmat import SIGMA_X, SIGMA_Z
 
-_IDENTITY = np.eye(2, dtype=complex)
-
-
 class FrequencyConvention(enum.Enum):
     """How quoted frequency parameters map to angular frequencies."""
 
@@ -388,13 +385,6 @@ def h_single(s, t, c=0.0) -> np.ndarray:
     a, b = s.ab(t)
     direction = np.multiply.outer(a, SIGMA_X) + np.multiply.outer(b, SIGMA_Z)
     return (s.j0_rad + np.asarray(c))[..., None, None] * direction
-
-
-def h_sectors(schedule, t, c=0.0) -> np.ndarray:
-    """Hamiltonian on each sector of `schedule`, broadcast shape of t and c + (n_sectors, 2, 2)."""
-    offsets = np.array([sec.z_offset * SIGMA_Z for sec in schedule.sectors])
-    shifts = np.array([sec.shift * _IDENTITY for sec in schedule.sectors])
-    return h_single(schedule, t, c)[..., None, :, :] + offsets + shifts
 
 
 def sector_states(schedule, state) -> np.ndarray:

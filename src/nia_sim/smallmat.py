@@ -6,7 +6,8 @@ of a complex Hermitian operator with a deterministic gauge, and the
 exponential of a real traceless generator x sx + z sz over whole stacks
 of coefficients (leading axes: steps, members, sectors).  That exponential
 lies in SU(2) and is returned as its first column (alpha, beta), the pair
-the engine composes and applies without forming matrices.
+the engine composes and applies without forming matrices.  General 2x2
+matrices, held as four entry arrays, are composed by `prefix_products`.
 """
 from __future__ import annotations
 
@@ -113,3 +114,20 @@ def expm_unitary(x, z, dt) -> tuple[np.ndarray, np.ndarray]:
     s = np.sin(theta) / (r + (r == 0.0))
     alpha = np.cos(theta) - 1.0j * (z * s)
     return alpha, -1.0j * (x * s)
+
+
+def prefix_products(a, b, c, d) -> None:
+    """Prefix products of the matrices [[a, b], [c, d]] along the leading axis, in place.
+
+    Trailing axes (members, sectors) pass through.  Entry j ends as
+    M_j ... M_1 M_0, composed by doubling: after the pass of span s it holds
+    entries max(0, j - 2s + 1) .. j.  A non-finite matrix spoils its own and
+    every later prefix, and no earlier one.
+    """
+    span = 1
+    while span < len(a):
+        a2, b2, c2, d2 = a[span:], b[span:], c[span:], d[span:]
+        a1, b1, c1, d1 = a[:-span], b[:-span], c[:-span], d[:-span]
+        a[span:], b[span:], c[span:], d[span:] = (a2 * a1 + b2 * c1, a2 * b1 + b2 * d1,
+                                                  c2 * a1 + d2 * c1, c2 * b1 + d2 * d1)
+        span *= 2

@@ -14,6 +14,7 @@ from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
 from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
                            SingleQubitSchedule, realize_noise)
+from pulse_reference import reconstruct_propagator
 
 ANG = FrequencyConvention.ANGULAR_DIRECT
 ZERO = np.array([1.0, 0.0], dtype=complex)
@@ -224,8 +225,7 @@ def test_criterion_09_pulse_faithfulness(capsys):
     schedule = cfg.schedule()
     noise = realize_noise(cfg.noise_spec(), 0)
     ecfg = _evolution_config(cfg)
-    steps = evolve.decompose_pulse(schedule, noise, ecfg)
-    u = evolve.reconstruct_propagator(steps)
+    u = reconstruct_propagator(evolve.decompose_pulse(schedule, noise, ecfg))
     n, tau = evolve._plan_steps(schedule.total_time, ecfg.dt)
     mids = (np.arange(n) + 0.5) * tau
     c_mid = model.noise_values(noise, 0.5 * tau, tau, n)

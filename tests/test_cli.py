@@ -350,6 +350,30 @@ class TestCliRuns:
         assert float(fields[0]) == 0.0
         assert float(fields[1]) == pytest.approx(1e-6)
 
+    # Ten steps of fig3b (T = 1e-5) as the per-step pulse export wrote them;
+    # the file separates its columns by tabs.
+    PULSES_FIG3B_10 = """\
+0 1e-06 199.999518667 -0.00380000005067 0.00380000005067
+1e-06 1e-06 599.998844001 -0.0110000005093 0.003400000408
+2e-06 1e-06 999.9985 -0.0174000019173 0.003000001
+3e-06 1e-06 1399.99842267 -0.023000004616 0.00260000169867
+4e-06 1e-06 1799.998548 -0.0278000086907 0.002200002376
+5e-06 1e-06 2199.998812 -0.0318000139707 0.001800002904
+6e-06 1e-06 2599.99915066 -0.0350000200293 0.00140000315467
+7e-06 1e-06 2999.9995 -0.037400026184 0.00100000300001
+8e-06 1e-06 3399.999796 -0.039000031496 0.000600002312011
+9e-06 1e-06 3799.99997467 -0.0398000347707 0.000200000962672
+"""
+
+    def test_pulse_export_text_is_pinned(self, tmp_path):
+        code = cli.main(["pulse-export", "--config", "fig3b", "--set", "T=1e-5",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        text = (tmp_path / "pulses.txt").read_text("utf-8")
+        rows = "".join("\t".join(row.split()) + "\n" for row in self.PULSES_FIG3B_10.splitlines())
+        assert text[text.index("# t_start"):] == (
+            "# t_start\tduration\txy_amplitude\txy_phase\tz_angle\n" + rows)
+
     def test_oracle_check_passes(self, tmp_path):
         code = cli.main(["oracle-check", "--config", "fig3b", "--out", str(tmp_path)])
         assert code == 0

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
-from nia_sim import evolve, model
+import oracle_reference as oref
+from nia_sim import evolve, metrics, model
 from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
 from nia_sim.model import (FrequencyConvention, NoiseSpec, SingleQubitSchedule,
                            SpectatorSchedule, TwoQubitSchedule, realize_noise)
 from noise_reference import exact_noise
+from pulse_reference import prefix_propagators, reconstruct_propagator
 
 ANG = FrequencyConvention.ANGULAR_DIRECT
 
@@ -197,10 +199,10 @@ class TestEqualSteps:
         assert traj.times[-1] == self.T
 
     def test_pulse_durations(self):
-        steps = evolve.decompose_pulse(single(total_time=self.T), fig3_noise(),
+        pulse = evolve.decompose_pulse(single(total_time=self.T), fig3_noise(),
                                        EvolutionConfig(dt=self.DT))
-        assert len(steps) == self.N
-        assert all(step.duration == self.T / self.N for step in steps)
+        assert len(pulse["duration"]) == self.N
+        assert all(duration == self.T / self.N for duration in pulse["duration"])
 
     def test_pair_final_matches_dense(self):
         s = TwoQubitSchedule(j0=4000.0, total_time=self.T, convention=ANG)
@@ -233,11 +235,13 @@ class TestBlocks:
 
     A block of 17 matrices holds 5 steps of 3 pair members and 2 of 3
     spectator members: neither divides the 241 steps or aligns with
-    store_every = 7.  The default block splits the spectator run too.  The
+    store_every = 7.  The oracle counts 40 matrices per step, so it takes
+    one step per block of 17, and 8 pair or 4 spectator steps per default
+    block.  The default block splits the stepwise spectator run too.  The
     one-member pair run of 2300 steps fills two default blocks of 1024
     steps, each composed by a doubling scan of depth 10, before a partial
-    one; it runs the stepwise engine only, the oracle being slow at that
-    length.
+    one; it runs the stepwise engine only, the oracle taking its steps one
+    block each at the smaller sizes.
     """
 
     T, DT, STORE_EVERY = 2.41e-3, 1e-5, 7
@@ -302,14 +306,18 @@ class TestBlocks:
             evolve._propagate(single(), [None] * 3, EvolutionConfig(dt=1e-6), ZERO,
                               make_step, 1)
 
-    def test_non_finite_step_spoils_only_later_prefixes(self, monkeypatch):
-        # The stepwise engine itself, with member 1's noise NaN at step 257:
-        # the doubling scan carries the NaN into every later prefix of the
-        # block, and no earlier one, so the check names step 257.
+    @pytest.mark.parametrize("engine", ["stepwise", "oracle"])
+    def test_non_finite_step_spoils_only_later_prefixes(self, monkeypatch, engine):
+        # The engine itself, with member 1's noise NaN at step 257: the
+        # doubling scan carries the NaN into every later prefix of the block
+        # (the oracle's from the step's first substep on), and no earlier
+        # one, so the check names step 257.
+        engine_step = self.ENGINES[engine][0]
+
         def make_step(schedule, mids, tau, c_mid):
             c_mid = c_mid.copy()
             c_mid[1, 257] = np.nan
-            return evolve._midpoint_step(schedule, mids, tau, c_mid)
+            return engine_step(schedule, mids, tau, c_mid)
 
         for size in (100, evolve._BLOCK_MATRICES):
             monkeypatch.setattr(evolve, "_BLOCK_MATRICES", size)
@@ -359,9 +367,10 @@ class TestEvolveOracle:
         assert abs(1.0 - abs(np.vdot(a, b)) ** 2) < 1e-4
 
     def test_memory_does_not_grow_with_steps(self):
-        # Traced peak of a 300-step spectator run: the oracle's was 0.19 times
-        # the stepwise engine's once it built each step's node Hamiltonians in
-        # that step; tabulating all of them up front made it 12 times.
+        # Traced peak of a 300-step spectator run: the oracle's is 0.92 times
+        # the stepwise engine's (94.8 against 103.4 KB) with its blocks counted
+        # at four matrices per substep, and 3.2 times at one; tabulating every
+        # step's node Hamiltonians up front once made it 12 times.
         s = SpectatorSchedule(4000.0, 3e-4, ANG)
         cfg = EvolutionConfig(dt=1e-6)
         initial = np.kron(ZERO, ZERO)
@@ -374,6 +383,43 @@ class TestEvolveOracle:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0], peaks
+
+
+class TestOracleReference:
+    """The oracle's composed transfer matrices against its substep loop.
+
+    `oracle_reference.sequential_rk4_step` takes the same Runge-Kutta
+    stages one substep at a time on the states; the oracle composes them as
+    matrices, so the two agree to rounding.  Noisy runs take two members.
+    """
+
+    @pytest.mark.parametrize("case", ["fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b",
+                                      "spectator"])
+    def test_matches_the_sequential_loop(self, case):
+        if case == "spectator":
+            s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0, omega_spec=37.0)
+            noises = [fig3_noise(seed=5, index=i) for i in range(2)]
+            initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
+            initial /= np.linalg.norm(initial)
+            cfg = EvolutionConfig(dt=1e-6, store_every=7)
+        else:
+            run = load_config(case)
+            s = run.schedule()
+            noises = ([realize_noise(run.noise_spec(), i) for i in range(2)] if run.has_noise
+                      else [None])
+            initial = run.initial_vector()
+            cfg = EvolutionConfig(dt=run.dt, store_every=run.store_every)
+        times, c, states = evolve._propagate(s, noises, cfg, initial, oref.sequential_rk4_step,
+                                             cfg.store_every)
+        loop = evolve._trajectory(s, times, c, states, True)
+        traj = evolve.evolve_oracle(s, noises, cfg, initial)
+        np.testing.assert_array_equal(traj.times, loop.times)
+        for name in metrics.METRIC_NAMES:
+            np.testing.assert_allclose(traj.metric(name), loop.metric(name), rtol=0.0,
+                                       atol=1e-12, err_msg=name)
+        final = evolve.final_state_oracle(s, noises, cfg, initial)
+        indices = np.array([sec.indices for sec in s.sectors])
+        np.testing.assert_allclose(final[:, indices], states[:, -1], rtol=0.0, atol=1e-12)
 
 
 class TestConvergence:
@@ -405,31 +451,31 @@ class TestPulseDecomposition:
                 return x, np.zeros_like(x)
 
         s = PureX(j0=1000.0, total_time=1e-4, convention=ANG)
-        steps = evolve.decompose_pulse(s, None, EvolutionConfig(dt=1e-5))
-        for k, step in enumerate(steps):
-            assert step.z_angle == pytest.approx(0.0, abs=1e-12)
-            assert step.xy_phase == pytest.approx(0.0, abs=1e-9)
+        pulse = evolve.decompose_pulse(s, None, EvolutionConfig(dt=1e-5))
+        for k in range(len(pulse["duration"])):
+            assert pulse["z_angle"][k] == pytest.approx(0.0, abs=1e-12)
+            assert pulse["xy_phase"][k] == pytest.approx(0.0, abs=1e-9)
             mid = (k + 0.5) * 1e-5
-            assert step.xy_amplitude == pytest.approx(s.j0_rad * mid / s.total_time,
-                                                      rel=1e-9)
+            assert pulse["xy_amplitude"][k] == pytest.approx(s.j0_rad * mid / s.total_time,
+                                                             rel=1e-9)
 
     def test_pure_z_drive(self):
         s = _FrozenSchedule(j0=1000.0, total_time=1e-4, convention=ANG)
-        steps = evolve.decompose_pulse(s, None, EvolutionConfig(dt=1e-5))
-        total_z = sum(step.z_angle for step in steps)
-        for step in steps:
-            assert step.xy_amplitude == pytest.approx(0.0, abs=1e-9)
+        pulse = evolve.decompose_pulse(s, None, EvolutionConfig(dt=1e-5))
+        total_z = sum(pulse["z_angle"])
+        for amplitude in pulse["xy_amplitude"]:
+            assert amplitude == pytest.approx(0.0, abs=1e-9)
         assert total_z == pytest.approx(s.j0_rad * s.total_time, rel=1e-9)
 
     def test_per_step_faithfulness(self):
         s = single()
         noise = fig3_noise()
         cfg = EvolutionConfig(dt=1e-6)
-        steps = evolve.decompose_pulse(s, noise, cfg)
+        pulse = evolve.decompose_pulse(s, noise, cfg)
         n, tau = evolve._plan_steps(s.total_time, cfg.dt)
         mids = (np.arange(n) + 0.5) * tau
         c_mid = model.noise_values(noise, 0.5 * tau, tau, n)
-        prefixes = evolve.prefix_propagators(steps)
+        prefixes = prefix_propagators(pulse)
         direct = np.eye(2, dtype=complex)
         for k in (0, 1, 9, 99, 499):
             direct = np.eye(2, dtype=complex)
@@ -444,8 +490,7 @@ class TestPulseDecomposition:
         s = single()
         noise = fig3_noise()
         cfg = EvolutionConfig(dt=1e-6)
-        steps = evolve.decompose_pulse(s, noise, cfg)
-        u = evolve.reconstruct_propagator(steps)
+        u = reconstruct_propagator(evolve.decompose_pulse(s, noise, cfg))
         final_direct = evolve.final_state_stepwise(s, noise, cfg, ZERO)
         final_pulse = u @ ZERO
         assert abs(1.0 - abs(np.vdot(final_pulse, final_direct)) ** 2) < 1e-6

@@ -1,4 +1,4 @@
-"""Eigensolver, unitary exponential, and gauge tests against numpy oracles."""
+"""Eigensolver, unitary exponential, prefix scan and gauge tests against numpy oracles."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,3 +200,28 @@ class TestExpmUnitary:
         u1 = pair_matrices(*smallmat.expm_unitary(vx, vz, dt))
         u2 = pair_matrices(*smallmat.expm_unitary(vx, vz, 0.5 * dt))
         np.testing.assert_allclose(u2 @ u2, u1, atol=1e-10)
+
+
+class TestPrefixProducts:
+    """The shared 2x2 scan against sequential left-multiplication."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 1000])
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_sequential_products(self, length, seed):
+        # Random complex Gaussian (so non-unitary) matrices, with trailing
+        # (members, sectors) axes of (2, 3).
+        rng = np.random.default_rng(seed)
+        shape = (length, 2, 3, 2, 2)
+        m = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        expected = np.empty_like(m)
+        product = np.broadcast_to(np.eye(2, dtype=complex), shape[1:])
+        for j in range(length):
+            product = m[j] @ product
+            expected[j] = product
+        a, b, c, d = (m[..., i, k].copy() for i, k in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        smallmat.prefix_products(a, b, c, d)
+        got = np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+        # Relative to each prefix's largest entry: the products grow or decay.
+        scale = np.abs(expected).max(axis=(-2, -1), keepdims=True)
+        assert (np.abs(got - expected) <= 1e-12 * scale).all()
