@@ -6,7 +6,13 @@ the output of `final_state_*`.  An ensemble is batched over its members:
 every engine takes one noise realization or a sequence of them, and the
 one step loop (`_propagate`) advances the sector states of all M members,
 shape (M, n_sectors, 2), together, in blocks of consecutive steps that
-hold at most `_BLOCK_MATRICES` 2x2 matrices.  The loop checks and records
+hold at most `_BLOCK_MATRICES` 2x2 matrices.  An engine only builds each
+step's matrix; the loop composes a block's step matrices into prefix
+products with `smallmat.prefix_products` (recursive doubling, a
+Hillis-Steele scan of log2 depth, see Blelloch, "Prefix sums and their
+applications", CMU-CS-90-190) and applies each prefix to the block's
+starting states.  A non-finite step spoils every later prefix of its
+block, so the loop's check still names it.  The loop checks and records
 once per block, and restores every recorded state's norm, which removes
 rounding drift only.
 
@@ -19,20 +25,16 @@ ones (the step ends).
 Two independent integrators share that loop.  `evolve_stepwise` is the
 production engine: a product of exact step unitaries with the Hamiltonian
 (and noise) sampled at step midpoints.  On every sector a step is an SU(2)
-element, held as its pair (alpha, beta), times a constant phase.  A block
-gets one `smallmat.expm_unitary` call for all its pairs, composes them into
-prefix products by recursive doubling (a Hillis-Steele scan of log2 depth,
-see Blelloch, "Prefix sums and their applications", CMU-CS-90-190) and
-applies each prefix to the block's starting states.  A non-finite step
-spoils every later prefix of its block, so the loop's check still names
-it.  `evolve_oracle` is a classic fourth-order Runge-Kutta integration at
+element, held as its pair (alpha, beta), times a constant phase, and a
+block gets one `smallmat.expm_unitary` call for all its pairs.  The oracle
+(`final_state_oracle`) is a classic fourth-order Runge-Kutta integration at
 a tenth of the step size, used to cross-check the stepwise engine; it
 holds the noise at the same step midpoints the stepwise engine uses, so a
 comparison isolates the propagator discretization.  Its substeps are linear,
 psi -> R psi with R = I + (K1 + 2 K2 + 2 K3 + K4) / 6, so a block's transfer
-matrices are built at once and composed by `smallmat.prefix_products`, the
-scan the memory equation uses; `tests/oracle_reference.py` keeps the
-substep-by-substep loop they reproduce.
+matrices are built at once and each step's ten are multiplied together by
+the same scan; `tests/oracle_reference.py` keeps the substep-by-substep
+loop they reproduce.
 
 `decompose_pulse` factors a two-level run of the stepwise engine into
 spectrometer-style pulse steps, returned as the columns of a table: per
@@ -52,8 +54,9 @@ from .model import NoiseRealization, noise_values
 
 
 # 2x2 matrices per block of `_propagate`, one per step, member and sector of
-# the stepwise engine: a block's step pairs take 32 B per matrix, its states
-# 32 B, and the exponential's and the scan's temporaries a few times that.
+# the stepwise engine: a block's step matrices take 64 B per matrix (four
+# complex entries) and its states 32 B; with the exponential's and the
+# scan's temporaries a block peaks at about 170 B per matrix (traced).
 # The oracle counts more per step (see `_rk4_step`).
 _BLOCK_MATRICES = 2 ** 10
 
@@ -102,10 +105,9 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     """The one step loop of every engine, over all members at once.
 
     `make_step(schedule, mids, tau, c_mid)` returns the engine's
-    advance(start, stop, psi), which takes the sector states psi of all
-    members, shape (M, n_sectors, 2), through steps start .. stop - 1 and
-    returns the states after each of them, shape
-    (stop - start, M, n_sectors, 2).  It is
+    advance(start, stop), which returns the four entry arrays (a, b, c, d)
+    of each step's matrix [[a, b], [c, d]] for steps start .. stop - 1 of
+    every member and sector, shape (stop - start, M, n_sectors).  It is
     built from the step midpoints, the step length and every member's noise
     at the midpoints, shape (M, n_steps); every member starts from
     `initial`.  Returns the record times, every member's noise at them,
@@ -114,14 +116,16 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
 
     The run advances in blocks of at most `_BLOCK_MATRICES` matrices (at
     least one step each): one per step, member and sector, or as many as
-    the engine states in `advance.matrices`.  Per block the loop checks
-    that every state is finite, naming the first step that is not, and
-    takes the block's record steps.  Each recorded state has its norm
-    restored to the value at t = 0: every sector evolves unitarily, so this
-    removes rounding drift only; a recorded norm too small to restore is an
-    error naming its step.  Within a block the steps continue from the
-    unrenormalized states; the next block starts from the renormalized one
-    when the block's last step is recorded.
+    the engine states in `advance.matrices`.  Per block the loop composes
+    the step matrices into prefix products, in place, and applies each to
+    the block's starting states.  It checks that every state is finite,
+    naming the first step that is not, and takes the block's record steps.
+    Each recorded state has its norm restored to the value at t = 0: every
+    sector evolves unitarily, so this removes rounding drift only; a
+    recorded norm too small to restore is an error naming its step.  Within
+    a block the steps continue from the unrenormalized states; the next
+    block starts from the renormalized one when the block's last step is
+    recorded.
     """
     state = np.asarray(initial, dtype=complex)
     if state.shape != (schedule.dim,):
@@ -145,8 +149,8 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     # the first member builds and the rest reuse (0.26 and 0.79 MiB); the
     # (M, 2n + 1) noise takes 16 B per member-step (1.6 MB for 100 fig4b
     # members), and the recorded states 32 B per member, record and
-    # sector.  A block's coefficients, step pairs and states peak at
-    # 0.13 MiB on both, whatever the step count.
+    # sector.  A block's coefficients, step matrices and states peak at
+    # 0.16 MiB on both, whatever the step count.
     c = np.zeros((len(noises), 2 * n + 1))
     for member, r in enumerate(noises):
         if r is not None:
@@ -160,7 +164,11 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
                                        * getattr(advance, "matrices", 1)))
     for start in range(0, n, block):
         stop = min(n, start + block)
-        out = advance(start, stop, psi)
+        u00, u01, u10, u11 = advance(start, stop)
+        smallmat.prefix_products(u00, u01, u10, u11)
+        out = np.empty(u00.shape + (2,), dtype=complex)
+        out[..., 0] = u00 * psi[..., 0] + u01 * psi[..., 1]
+        out[..., 1] = u10 * psi[..., 0] + u11 * psi[..., 1]
         bad = ~np.isfinite(out).all(axis=(1, 2, 3))
         if bad.any():
             raise NumericEvolutionError(f"non-finite state after step {start + bad.argmax()}")
@@ -218,30 +226,18 @@ def _trajectory(schedule, times, c, states, batched) -> metrics.Trajectory:
 
 def _midpoint_step(schedule, mids, tau, c_mid):
     # On sector s the step Hamiltonian is g a sx + (g b + z_s) sz + shift_s I,
-    # g = J0 + c: an SU(2) step times the sector's constant phase.
+    # g = J0 + c: an SU(2) step times the sector's constant phase per step.
     a, b = schedule.ab(mids)
     z_offsets = np.array([sec.z_offset for sec in schedule.sectors])
-    shifts = np.array([sec.shift for sec in schedule.sectors])
+    phase = np.exp(-1.0j * tau * np.array([sec.shift for sec in schedule.sectors]))
 
-    def advance(start, stop, psi):
+    def advance(start, stop):
         # The block's step pairs, shape (stop - start, M, n_sectors), in one
         # call; the module attribute keeps the call traceable.
         g = (schedule.j0_rad + c_mid[:, start:stop].T)[..., None]
         alpha, beta = smallmat.expm_unitary(g * a[start:stop, None, None],
                                             g * b[start:stop, None, None] + z_offsets, tau)
-        # Prefix products by doubling: after the pass of span d, entry j
-        # holds steps max(0, j - 2d + 1) .. j composed, later steps on the left.
-        d = 1
-        while d < len(alpha):
-            a2, b2, a1, b1 = alpha[d:], beta[d:], alpha[:-d], beta[:-d]
-            alpha[d:], beta[d:] = a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
-            d *= 2
-        out = np.empty(alpha.shape + (2,), dtype=complex)
-        out[..., 0] = alpha * psi[..., 0] - beta.conj() * psi[..., 1]
-        out[..., 1] = beta * psi[..., 0] + alpha.conj() * psi[..., 1]
-        out *= np.exp(-1.0j * tau * np.multiply.outer(np.arange(1, len(out) + 1), shifts)
-                      )[:, None, :, None]
-        return out
+        return phase * alpha, -phase * beta.conj(), phase * beta, phase * alpha.conj()
     return advance
 
 
@@ -258,7 +254,7 @@ def _rk4_step(schedule, mids, tau, c_mid):
     # Each substep's start, midpoint and end, as offsets from its step's midpoint.
     nodes = (np.arange(n_sub)[:, None] + [0.0, 0.5, 1.0]) / n_sub - 0.5
 
-    def advance(start, stop, psi):
+    def advance(start, stop):
         a, b = schedule.ab((mids[start:stop, None, None] + tau * nodes).reshape(-1, 3).T)
         # Axes: substeps, members, sectors, and last the two columns of R.
         g = h * np.repeat(schedule.j0_rad + c_mid[:, start:stop].T, n_sub, axis=0)[..., None, None]
@@ -285,14 +281,15 @@ def _rk4_step(schedule, mids, tau, c_mid):
             u += weight / 6.0 * k_u
             v += weight / 6.0 * k_v
         del k_u, k_v
+        # Each step's matrix: the last prefix of its substeps, scanned on a
+        # leading substep axis.
+        u, v = (np.moveaxis(w.reshape((stop - start, n_sub) + w.shape[1:]), 1, 0)
+                for w in (u, v))
         smallmat.prefix_products(u[..., 0], u[..., 1], v[..., 0], v[..., 1])
-        # The prefix after each step's last substep.
-        u, v = u[n_sub - 1::n_sub], v[n_sub - 1::n_sub]
-        return np.stack([u[..., 0] * psi[..., 0] + u[..., 1] * psi[..., 1],
-                         v[..., 0] * psi[..., 0] + v[..., 1] * psi[..., 1]], axis=-1)
+        return u[-1, ..., 0], u[-1, ..., 1], v[-1, ..., 0], v[-1, ..., 1]
 
     # Traced, a block holds about 300 B per substep matrix, the stepwise engine
-    # 160 B per step pair: counted as four matrices, a substep block holds
+    # 170 B per step matrix: counted as four matrices, a substep block holds
     # less than half a stepwise block.
     advance.matrices = 4 * n_sub
     return advance
@@ -325,16 +322,6 @@ def evolve_stepwise(schedule, noise, cfg: EvolutionConfig, initial) -> metrics.T
     gains a leading member axis; `times` stays one-dimensional.
     """
     return _evolve(schedule, noise, cfg, initial, _midpoint_step)
-
-
-def evolve_oracle(schedule, noise, cfg: EvolutionConfig, initial) -> metrics.Trajectory:
-    """Fourth-order Runge-Kutta reference integration at substep dt/10.
-
-    The noise c(t) is held at the step midpoints the stepwise engine uses,
-    which isolates the propagator discretization in comparisons.  `noise`
-    is taken as in `evolve_stepwise`.
-    """
-    return _evolve(schedule, noise, cfg, initial, _rk4_step)
 
 
 def final_state_oracle(schedule, noise, cfg, initial) -> np.ndarray:

@@ -23,10 +23,11 @@ noise.
 g(t_i, t_j) = p_i conj(p_j), with the couplings from one vectorized
 `coupling_elements` call and the gap phase integrated once on the grid,
 and composes its trapezoid steps as a log-depth prefix product of 2x2
-matrices (`smallmat.prefix_products`, the scan the Runge-Kutta oracle
-shares).  The pointwise g, with an adaptive quadrature of the noisy
-phase, and the sequential form of the recurrence are test-side
-references (`tests/kernel_reference.py`).
+matrices (`smallmat.prefix_products`, the scan all three solvers share:
+this one, the stepwise engine and the Runge-Kutta oracle).  The
+pointwise g, with an adaptive quadrature of the noisy phase, and the
+sequential form of the recurrence are test-side references
+(`tests/kernel_reference.py`).
 
 The spectator model is two sectors with offsets, which this equation does
 not cover: `solve_memory_equation` refuses it, and `config.validate` refuses

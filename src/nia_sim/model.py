@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .smallmat import SIGMA_X, SIGMA_Z
 
 class FrequencyConvention(enum.Enum):
     """How quoted frequency parameters map to angular frequencies."""
@@ -372,19 +371,6 @@ def _check_time(schedule, t) -> None:
     inside = (0.0 <= t) & (t <= schedule.total_time * (1.0 + 1e-12))
     if not np.all(inside):
         raise ValueError(f"t={t[~inside].flat[0]} outside [0, {schedule.total_time}]")
-
-
-def h_single(s, t, c=0.0) -> np.ndarray:
-    """(J0 + c) [a(t) sx + b(t) sz], with c already in rad/s.
-
-    This is the single-qubit Hamiltonian and the drive on every sector of
-    the other schedules.  Times t and noise values c broadcast against each
-    other; the result has their broadcast shape + (2, 2).
-    """
-    _check_time(s, t)
-    a, b = s.ab(t)
-    direction = np.multiply.outer(a, SIGMA_X) + np.multiply.outer(b, SIGMA_Z)
-    return (s.j0_rad + np.asarray(c))[..., None, None] * direction
 
 
 def sector_states(schedule, state) -> np.ndarray:

@@ -6,8 +6,9 @@ of a complex Hermitian operator with a deterministic gauge, and the
 exponential of a real traceless generator x sx + z sz over whole stacks
 of coefficients (leading axes: steps, members, sectors).  That exponential
 lies in SU(2) and is returned as its first column (alpha, beta), the pair
-the engine composes and applies without forming matrices.  General 2x2
-matrices, held as four entry arrays, are composed by `prefix_products`.
+from which the stepwise engine builds each step's matrix.  General 2x2
+matrices, held as four entry arrays, are composed by `prefix_products`,
+the one scan of every solver.
 """
 from __future__ import annotations
 

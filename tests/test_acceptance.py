@@ -8,6 +8,7 @@ import pytest
 
 import dense_reference as dense
 import kernel_reference
+import oracle_reference as oref
 from nia_sim import config, evolve, kernel, metrics, model, smallmat
 from nia_sim.cli import _evolution_config, _run_ensemble, _simulate
 from nia_sim.config import load_config
@@ -117,7 +118,7 @@ def test_criterion_05_memory_equation_exactness(capsys):
     for preset in NOISE_FREE_PRESETS:
         cfg = load_config(preset)
         schedule = cfg.schedule()
-        traj = evolve.evolve_oracle(schedule, None, _evolution_config(cfg),
+        traj = oref.evolve_oracle(schedule, None, _evolution_config(cfg),
                                     cfg.initial_vector())
         mem = kernel.solve_memory_equation(schedule, None, 2001)
         fid = np.interp(mem.times, traj.times, traj.fidelity_e0)
@@ -232,7 +233,7 @@ def test_criterion_09_pulse_faithfulness(capsys):
     direct = np.eye(2, dtype=complex)
     for k in range(n):
         direct = dense.expm_hermitian(
-            model.h_single(schedule, mids[k], c_mid[k]), tau) @ direct
+            oref.h_single(schedule, mids[k], c_mid[k]), tau) @ direct
     inf = abs(1.0 - abs(np.trace(u.conj().T @ direct) / 2.0) ** 2)
     ok = inf < 1e-6
     announce(capsys, 9, "pulse decomposition faithfulness", ok,

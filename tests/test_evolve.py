@@ -6,7 +6,7 @@ import pytest
 
 import dense_reference as dense
 import oracle_reference as oref
-from nia_sim import evolve, metrics, model
+from nia_sim import evolve, metrics, model, smallmat
 from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
 from nia_sim.model import (FrequencyConvention, NoiseSpec, SingleQubitSchedule,
@@ -85,11 +85,14 @@ class TestEvolveStepwise:
                                    np.array([1.0, 1.0]))
 
     def test_norm_preserved_without_renormalization(self):
-        # 10^4 steps of the stepwise engine's own advance, none renormalized.
+        # 10^4 of the stepwise engine's own step matrices composed, none
+        # renormalized; the last prefix's first column is the final state.
         s = single(total_time=1e-2)
         n, tau = evolve._plan_steps(s.total_time, 1e-6)
         advance = evolve._midpoint_step(s, (np.arange(n) + 0.5) * tau, tau, np.zeros((1, n)))
-        final = advance(0, n, ZERO[None, None])[-1]
+        a, b, c, d = advance(0, n)
+        smallmat.prefix_products(a, b, c, d)
+        final = np.array([a[-1], c[-1]])
         assert n == 10000
         assert abs(np.linalg.norm(final) ** 2 - 1.0) < 1e-10
 
@@ -295,10 +298,11 @@ class TestBlocks:
         bad_step = 257
 
         def make_step(schedule, mids, tau, c_mid):
-            def advance(start, stop, psi):
-                out = np.repeat(psi[None], stop - start, axis=0)
-                out[np.arange(start, stop) >= bad_step, 1, 0, 1] = np.nan
-                return out
+            def advance(start, stop):
+                a, b, c, d = (np.full((stop - start, 3, 1), x, dtype=complex)
+                              for x in (1.0, 0.0, 0.0, 1.0))
+                d[np.arange(start, stop) >= bad_step, 1, 0] = np.nan
+                return a, b, c, d
             return advance
 
         monkeypatch.setattr(evolve, "_BLOCK_MATRICES", 100)
@@ -347,7 +351,7 @@ class TestEvolveOracle:
     def test_larmor_closed_form(self):
         # Constant sz, initial |+>: Im(alpha beta*) = -sin(2 J0 t)/2.
         s = _FrozenSchedule(j0=500.0, total_time=2e-3, convention=ANG)
-        traj = evolve.evolve_oracle(s, None, EvolutionConfig(dt=1e-6), PLUS)
+        traj = oref.evolve_oracle(s, None, EvolutionConfig(dt=1e-6), PLUS)
         expected = -0.5 * np.sin(2.0 * s.j0_rad * traj.times)
         np.testing.assert_allclose(traj.im_coherence, expected, atol=1e-8)
 
@@ -367,9 +371,9 @@ class TestEvolveOracle:
         assert abs(1.0 - abs(np.vdot(a, b)) ** 2) < 1e-4
 
     def test_memory_does_not_grow_with_steps(self):
-        # Traced peak of a 300-step spectator run: the oracle's is 0.92 times
-        # the stepwise engine's (94.8 against 103.4 KB) with its blocks counted
-        # at four matrices per substep, and 3.2 times at one; tabulating every
+        # Traced peak of a 300-step spectator run: the oracle's is 0.96 times
+        # the stepwise engine's (116.5 against 121.2 KB) with its blocks counted
+        # at four matrices per substep, and 3.3 times at one; tabulating every
         # step's node Hamiltonians up front once made it 12 times.
         s = SpectatorSchedule(4000.0, 3e-4, ANG)
         cfg = EvolutionConfig(dt=1e-6)
@@ -412,7 +416,7 @@ class TestOracleReference:
         times, c, states = evolve._propagate(s, noises, cfg, initial, oref.sequential_rk4_step,
                                              cfg.store_every)
         loop = evolve._trajectory(s, times, c, states, True)
-        traj = evolve.evolve_oracle(s, noises, cfg, initial)
+        traj = oref.evolve_oracle(s, noises, cfg, initial)
         np.testing.assert_array_equal(traj.times, loop.times)
         for name in metrics.METRIC_NAMES:
             np.testing.assert_allclose(traj.metric(name), loop.metric(name), rtol=0.0,
@@ -481,7 +485,7 @@ class TestPulseDecomposition:
             direct = np.eye(2, dtype=complex)
             for j in range(k + 1):
                 direct = dense.expm_hermitian(
-                    model.h_single(s, mids[j], c_mid[j]), tau) @ direct
+                    oref.h_single(s, mids[j], c_mid[j]), tau) @ direct
             diff = prefixes[k] - direct
             inf = 1.0 - abs(np.trace(prefixes[k].conj().T @ direct) / 2.0) ** 2
             assert inf < 1e-10

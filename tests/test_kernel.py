@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 
 import kernel_reference as kref
-from nia_sim import evolve, kernel, smallmat
+from nia_sim import kernel, smallmat
 from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
 from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
                            SingleQubitSchedule, SpectatorSchedule, TwoQubitSchedule,
-                           h_single, realize_noise)
+                           realize_noise)
+from oracle_reference import evolve_oracle
 
 ANG = FrequencyConvention.ANGULAR_DIRECT
 ZERO = np.array([1.0, 0.0], dtype=complex)
@@ -214,7 +215,7 @@ class TestSolveMemoryEquation:
 
     def test_matches_oracle_fidelity(self):
         s = single()
-        traj = evolve.evolve_oracle(s, None, EvolutionConfig(dt=1e-6), ZERO)
+        traj = evolve_oracle(s, None, EvolutionConfig(dt=1e-6), ZERO)
         mem = kernel.solve_memory_equation(s, None, 2001)
         fid = np.interp(mem.times, traj.times, traj.fidelity_e0)
         assert np.abs(np.abs(mem.psi0) ** 2 - fid).max() < 1e-2
@@ -237,7 +238,7 @@ class TestSolveMemoryEquation:
 
     def test_two_qubit_block(self):
         s = pair()
-        traj = evolve.evolve_oracle(s, None, EvolutionConfig(dt=1e-5),
+        traj = evolve_oracle(s, None, EvolutionConfig(dt=1e-5),
                                     np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
         mem = kernel.solve_memory_equation(s, None, 2001)
         fid = np.interp(mem.times, traj.times, traj.fidelity_e0)

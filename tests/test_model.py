@@ -10,10 +10,9 @@ from dense_reference import h_pair, h_spectator
 from nia_sim import model, smallmat
 from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
                            SingleQubitSchedule, SpectatorSchedule,
-                           TwoQubitSchedule, h_single, noise_values,
-                           realize_noise)
+                           TwoQubitSchedule, noise_values, realize_noise)
 from noise_reference import exact_noise, psd_estimate
-from oracle_reference import h_sectors
+from oracle_reference import h_sectors, h_single
 
 ANG = FrequencyConvention.ANGULAR_DIRECT
 

@@ -210,7 +210,10 @@ class TestPrefixProducts:
     @settings(max_examples=10, deadline=None)
     def test_matches_sequential_products(self, length, seed):
         # Random complex Gaussian (so non-unitary) matrices, with trailing
-        # (members, sectors) axes of (2, 3).
+        # (members, sectors) axes of (2, 3), passed once as contiguous copies
+        # and once as strided views laid out as the oracle passes its
+        # substeps: the scanned axis moved to the front of a reshaped array,
+        # whose storage must receive the products.
         rng = np.random.default_rng(seed)
         shape = (length, 2, 3, 2, 2)
         m = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
@@ -219,9 +222,15 @@ class TestPrefixProducts:
         for j in range(length):
             product = m[j] @ product
             expected[j] = product
-        a, b, c, d = (m[..., i, k].copy() for i, k in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        entries = ((0, 0), (0, 1), (1, 0), (1, 1))
+        a, b, c, d = (m[..., i, k].copy() for i, k in entries)
         smallmat.prefix_products(a, b, c, d)
-        got = np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+        copies = np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+        storage = np.moveaxis(m, 0, 1).reshape((2 * length,) + shape[2:])
+        view = np.moveaxis(storage.reshape((2, length) + shape[2:]), 1, 0)
+        smallmat.prefix_products(*(view[..., i, k] for i, k in entries))
+        views = np.moveaxis(storage.reshape((2, length) + shape[2:]), 1, 0)
         # Relative to each prefix's largest entry: the products grow or decay.
         scale = np.abs(expected).max(axis=(-2, -1), keepdims=True)
-        assert (np.abs(got - expected) <= 1e-12 * scale).all()
+        for got in (copies, views):
+            assert (np.abs(got - expected) <= 1e-12 * scale).all()
