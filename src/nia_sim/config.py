@@ -1,19 +1,20 @@
 """Run configuration: flat key-value files, overrides, validation, presets.
 
 Config files are UTF-8 `key = value` lines with `#` comments and dotted
-keys (`noise.amplitude`).  The exact key list is the RunConfig field list;
-unknown keys are rejected rather than ignored so typos cannot silently
-change an experiment.  Values are coerced at build time; physical
-constraints are checked by `validate`, which never throws and returns a
-list of human-readable violations (entries prefixed "warning:" do not
-block a run).
+keys (`noise.amplitude`).  The exact key list is the RunConfig field list:
+a field's key is its name, or the `key` of its metadata (`T` for
+`total_time`).  Unknown keys are rejected rather than ignored so typos
+cannot silently change an experiment.  Values are coerced at build time;
+physical constraints are checked by `validate`, which never throws and
+returns a list of human-readable violations (entries prefixed "warning:"
+do not block a run).
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -65,29 +66,35 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every tunable of a run, one field per config key."""
+    """Every tunable of a run, one field per config key.
+
+    A field's key is its name, or the `key` of its metadata where the two
+    differ.  The key maps and `validate`'s finiteness check derive from
+    these fields, so a new field needs no other edit to be read and checked.
+    """
 
     mode: str = "simulate"
     system: str = "single"
-    total_time: float = 0.0005          # key: T
+    total_time: float = field(default=0.0005, metadata={"key": "T"})
     dt: float = 1e-6
-    j0: float = 4000.0                  # key: J0
+    j0: float = field(default=4000.0, metadata={"key": "J0"})
     convention: str = DEFAULT_CONVENTION.value
     realizations: int = 1
     initial_state: str = ""             # empty: per-system default
     store_every: int = 1
     timestamps: bool = True
     out: str = "."
-    noise_amplitude: float | None = None    # key: noise.amplitude
-    noise_omega0: float = 1.0               # key: noise.omega0
-    noise_omega_cut: float | None = None    # key: noise.omega_cut
-    noise_normalization: str = "literal"    # key: noise.normalization
-    noise_seed: int | None = None           # key: noise.seed
-    j12: float = 215.0                      # key: J12
+    noise_amplitude: float | None = field(default=None, metadata={"key": "noise.amplitude"})
+    noise_omega0: float = field(default=1.0, metadata={"key": "noise.omega0"})
+    noise_omega_cut: float | None = field(default=None, metadata={"key": "noise.omega_cut"})
+    noise_normalization: str = field(default="literal",
+                                     metadata={"key": "noise.normalization"})
+    noise_seed: int | None = field(default=None, metadata={"key": "noise.seed"})
+    j12: float = field(default=215.0, metadata={"key": "J12"})
     omega_spec: float = 0.0
-    sweep_parameter: str = ""               # key: sweep.parameter
-    sweep_values: tuple = ()                # key: sweep.values (comma list)
-    kernel_points: int = 1000               # key: kernel.points
+    sweep_parameter: str = field(default="", metadata={"key": "sweep.parameter"})
+    sweep_values: tuple = field(default=(), metadata={"key": "sweep.values"})  # comma list
+    kernel_points: int = field(default=1000, metadata={"key": "kernel.points"})
 
     @property
     def has_noise(self) -> bool:
@@ -166,30 +173,8 @@ class RunConfig:
 _NAMED_STATES = {"zero": (1, 0), "one": (0, 1), "plus": (1, 1), "pair01": (0, 1, 0, 0)}
 
 
-# key name in files <-> RunConfig field name
-_KEY_TO_FIELD = {
-    "mode": "mode",
-    "system": "system",
-    "T": "total_time",
-    "dt": "dt",
-    "J0": "j0",
-    "convention": "convention",
-    "realizations": "realizations",
-    "initial_state": "initial_state",
-    "store_every": "store_every",
-    "timestamps": "timestamps",
-    "out": "out",
-    "noise.amplitude": "noise_amplitude",
-    "noise.omega0": "noise_omega0",
-    "noise.omega_cut": "noise_omega_cut",
-    "noise.normalization": "noise_normalization",
-    "noise.seed": "noise_seed",
-    "J12": "j12",
-    "omega_spec": "omega_spec",
-    "sweep.parameter": "sweep_parameter",
-    "sweep.values": "sweep_values",
-    "kernel.points": "kernel_points",
-}
+# key name in files <-> RunConfig field name, in field order
+_KEY_TO_FIELD = {f.metadata.get("key", f.name): f.name for f in fields(RunConfig)}
 _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 
 
@@ -309,12 +294,9 @@ def validate(cfg: RunConfig) -> list[str]:
 
 def _violations(cfg: RunConfig) -> list[str]:
     bad = []
-    for key, value in (("T", cfg.total_time), ("dt", cfg.dt), ("J0", cfg.j0),
-                       ("J12", cfg.j12), ("omega_spec", cfg.omega_spec),
-                       ("noise.amplitude", cfg.noise_amplitude),
-                       ("noise.omega0", cfg.noise_omega0),
-                       ("noise.omega_cut", cfg.noise_omega_cut)):
-        if value is not None and not math.isfinite(value):
+    for name, key in _FIELD_TO_KEY.items():
+        value = getattr(cfg, name)
+        if isinstance(value, float) and not math.isfinite(value):
             bad.append(f"{key} must be finite")
     if cfg.mode not in MODES:
         bad.append(f"mode must be one of {', '.join(MODES)}")

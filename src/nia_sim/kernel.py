@@ -73,15 +73,14 @@ class MemorySolution:
 def coupling_elements(schedule, t) -> CouplingElements:
     """Closed-form <E_m|dE_n/dt> elements and gap of the two-level reduction.
 
-    `t` is a time or an array of times.  Every sweep is linear, so the
-    slope (da, db) is taken from the endpoints.
+    `t` is a time or an array of times.  The sweep a = t/T,
+    b = b0 (1 - t/T) has the constant slope (da, db) = (1, -b0) / T.
     """
     _check_time(schedule, t)
     total_time = schedule.total_time
     j0 = schedule.j0_rad
     a, b = schedule.ab(t)
-    (a0, b0), (a1, b1) = schedule.ab(0.0), schedule.ab(total_time)
-    da, db = (a1 - a0) / total_time, (b1 - b0) / total_time
+    da, db = 1.0 / total_time, -schedule.b0 / total_time
     k = np.hypot(a, b)
     n0sq = (b + k) ** 2 + a ** 2
     # <E0|dH/dt|E1> with gauge-fixed real eigenvectors.
@@ -92,17 +91,12 @@ def coupling_elements(schedule, t) -> CouplingElements:
 
 
 def _quadratic_kt(schedule):
-    """k(t/T)^2 = alpha x^2 + beta x + gamma for the reduction's (a, b)."""
-    a0, b0 = schedule.ab(0.0)
-    a1, b1 = schedule.ab(schedule.total_time)
-    ah, bh = schedule.ab(0.5 * schedule.total_time)
-    k0 = a0 * a0 + b0 * b0
-    k1 = a1 * a1 + b1 * b1
-    kh = ah * ah + bh * bh
-    gamma = float(k0)
-    alpha = float(2.0 * k0 + 2.0 * k1 - 4.0 * kh)
-    beta = float(k1 - k0 - alpha)
-    return alpha, beta, gamma
+    """(alpha, beta, gamma) of k^2 = alpha x^2 + beta x + gamma, x = t/T.
+
+    With a = x and b = b0 (1 - x) they are (1 + b0^2, -2 b0^2, b0^2).
+    """
+    b0sq = schedule.b0 * schedule.b0
+    return 1.0 + b0sq, -2.0 * b0sq, b0sq
 
 
 def _int_sqrt_quadratic(alpha, beta, gamma, x):

@@ -19,10 +19,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 DEGENERACY_REL_TOL = 1e-12
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 class NonHermitianError(ValueError):
     """Operator is not Hermitian within tolerance."""

@@ -9,9 +9,9 @@ transfer matrices, and this loop is the form it must reproduce.
 """
 import numpy as np
 
+from dense_reference import SX, SZ
 from nia_sim import evolve
 from nia_sim.model import _check_time
-from nia_sim.smallmat import SIGMA_X, SIGMA_Z
 
 _IDENTITY = np.eye(2, dtype=complex)
 
@@ -25,13 +25,13 @@ def h_single(s, t, c=0.0) -> np.ndarray:
     """
     _check_time(s, t)
     a, b = s.ab(t)
-    direction = np.multiply.outer(a, SIGMA_X) + np.multiply.outer(b, SIGMA_Z)
+    direction = np.multiply.outer(a, SX) + np.multiply.outer(b, SZ)
     return (s.j0_rad + np.asarray(c))[..., None, None] * direction
 
 
 def h_sectors(schedule, t, c=0.0) -> np.ndarray:
     """Hamiltonian on each sector of `schedule`, broadcast shape of t and c + (n_sectors, 2, 2)."""
-    offsets = np.array([sec.z_offset * SIGMA_Z for sec in schedule.sectors])
+    offsets = np.array([sec.z_offset * SZ for sec in schedule.sectors])
     shifts = np.array([sec.shift * _IDENTITY for sec in schedule.sectors])
     return h_single(schedule, t, c)[..., None, :, :] + offsets + shifts
 

@@ -189,7 +189,7 @@ def test_criterion_08_analytic_coupling_checks(capsys):
 
         def direction(u):
             a, b = schedule.ab(u)
-            return float(a) * smallmat.SIGMA_X + float(b) * smallmat.SIGMA_Z
+            return float(a) * dense.SX + float(b) * dense.SZ
 
         es_lo = smallmat.eigh(direction(t - delta))
         es_hi = smallmat.eigh(direction(t + delta))

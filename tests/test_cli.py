@@ -61,6 +61,14 @@ UNRUNNABLE = [
 ]
 
 
+# The public config keys in field order: what files, `--set` and every CSV
+# preamble name.  Renaming one breaks every saved config that uses it.
+PUBLIC_KEYS = ("mode", "system", "T", "dt", "J0", "convention", "realizations",
+               "initial_state", "store_every", "timestamps", "out", "noise.amplitude",
+               "noise.omega0", "noise.omega_cut", "noise.normalization", "noise.seed",
+               "J12", "omega_spec", "sweep.parameter", "sweep.values", "kernel.points")
+
+
 def read_csv(path):
     lines = [l for l in Path(path).read_text("utf-8").splitlines() if not l.startswith("#")]
     header = lines[0].strip().split(",")
@@ -99,6 +107,13 @@ class TestConfigParsing:
     def test_missing_preset(self):
         with pytest.raises(ConfigError):
             load_config("fig9z")
+
+    def test_public_key_list(self):
+        assert tuple(config._KEY_TO_FIELD) == PUBLIC_KEYS
+        # A config that sets every optional key reports every key.
+        cfg = build_config({"noise.amplitude": "10", "noise.omega_cut": "100",
+                            "noise.seed": "1", "sweep.values": "1,2"})
+        assert sorted(key for key, _ in config.effective_items(cfg)) == sorted(PUBLIC_KEYS)
 
 
 class TestValidate:

@@ -1,8 +1,10 @@
 """Memory kernel: couplings, modulus, phase, Volterra solve, defect."""
 import numpy as np
 import pytest
+from scipy import integrate
 
 import kernel_reference as kref
+from dense_reference import SX, SZ
 from nia_sim import kernel, smallmat
 from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
@@ -35,7 +37,7 @@ def fd_coupling(schedule, t, delta=None):
 
     def direction(u):
         a, b = schedule.ab(u)
-        return float(a) * smallmat.SIGMA_X + float(b) * smallmat.SIGMA_Z
+        return float(a) * SX + float(b) * SZ
 
     lo = max(t - delta, 0.0)
     hi = min(t + delta, schedule.total_time)
@@ -88,8 +90,7 @@ class TestCouplingElements:
 
         def tracked(u):
             a, b = s.ab(u)
-            return smallmat.eigh(float(a) * smallmat.SIGMA_X
-                                 + float(b) * smallmat.SIGMA_Z).vectors[:, 1]
+            return smallmat.eigh(float(a) * SX + float(b) * SZ).vectors[:, 1]
 
         worst = 0.0
         for t in np.linspace(0.0, total_time, cfg.kernel_points):
@@ -311,6 +312,22 @@ class TestAdiabaticDefect:
 
 
 class TestPhaseOnGrid:
+    @pytest.mark.parametrize("s", [single(), pair()])
+    def test_noise_free_phase_matches_quadrature(self, s):
+        # The closed form against adaptive quadrature of E = -2 J0 k(t),
+        # sharing only the schedule's ab.  The worst relative error at these
+        # points was 1.8e-16; the bound leaves a factor of about 50.  Nearer
+        # t = 0 the difference anti - anti[0] cancels more digits.
+        def gap(t):
+            a, b = s.ab(t)
+            return -2.0 * s.j0_rad * float(np.hypot(a, b))
+
+        times = np.linspace(0.0, s.total_time, 1001)
+        phi = kernel._phase_on_grid(s, None, times)
+        for i in (100, 250, 500, 750, 1000):
+            ref, _ = integrate.quad(gap, 0.0, float(times[i]), epsabs=0.0, epsrel=1e-13)
+            assert phi[i] == pytest.approx(ref, rel=1e-14, abs=0.0)
+
     def test_noisy_phase_matches_gap_integral(self):
         # The solver's cumulative gap phase, with noise, against the pointwise
         # reference quadrature.

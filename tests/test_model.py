@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import h_pair, h_spectator
+from dense_reference import SX, SZ, h_pair, h_spectator
 from nia_sim import model, smallmat
 from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
                            SingleQubitSchedule, SpectatorSchedule,
@@ -24,14 +24,14 @@ def single(j0=4000.0, total_time=5e-4):
 class TestHSingle:
     def test_endpoints(self):
         s = single()
-        np.testing.assert_allclose(h_single(s, 0.0), s.j0_rad * smallmat.SIGMA_Z, atol=1e-12)
+        np.testing.assert_allclose(h_single(s, 0.0), s.j0_rad * SZ, atol=1e-12)
         np.testing.assert_allclose(h_single(s, s.total_time),
-                                   s.j0_rad * smallmat.SIGMA_X, atol=1e-12)
+                                   s.j0_rad * SX, atol=1e-12)
 
     def test_midpoint_with_noise_equal_j0(self):
         s = single()
         h = h_single(s, 0.5 * s.total_time, c=s.j0_rad)
-        expected = s.j0_rad * (smallmat.SIGMA_X + smallmat.SIGMA_Z)
+        expected = s.j0_rad * (SX + SZ)
         np.testing.assert_allclose(h, expected, atol=1e-9)
 
     def test_hertz_convention_scales_by_two_pi(self):
@@ -101,7 +101,7 @@ class TestHPair:
             h = h_pair(self.s, t, c=17.0)
             block = h[1:3, 1:3]
             a, b = self.s.ab(t)
-            expected = (self.s.j0_rad + 17.0) * (a * smallmat.SIGMA_X + b * smallmat.SIGMA_Z)
+            expected = (self.s.j0_rad + 17.0) * (a * SX + b * SZ)
             np.testing.assert_allclose(block, expected, atol=1e-12)
             np.testing.assert_allclose(h_sectors(self.s, t, 17.0), [block], atol=1e-12)
 
@@ -119,7 +119,7 @@ class TestHSpectator:
     def test_t0_decoupled(self):
         s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=0.0)
         np.testing.assert_allclose(h_spectator(s, 0.0),
-                                   s.j0_rad * np.kron(smallmat.SIGMA_Z, np.eye(2)),
+                                   s.j0_rad * np.kron(SZ, np.eye(2)),
                                    atol=1e-12)
 
     def test_coupling_traceless_on_spectator(self):

@@ -53,13 +53,13 @@ def finite_floats(lo=-1e3, hi=1e3):
 
 class TestEigh:
     def test_sigma_z(self):
-        es = smallmat.eigh(smallmat.SIGMA_Z)
+        es = smallmat.eigh(dense.SZ)
         np.testing.assert_allclose(es.values, [-1.0, 1.0], atol=1e-14)
         np.testing.assert_allclose(es.vectors[:, 1], [1.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(es.vectors[:, 0], [0.0, 1.0], atol=1e-14)
 
     def test_sigma_x(self):
-        es = smallmat.eigh(smallmat.SIGMA_X)
+        es = smallmat.eigh(dense.SX)
         np.testing.assert_allclose(es.values, [-1.0, 1.0], atol=1e-14)
         np.testing.assert_allclose(np.abs(es.vectors[:, 1]),
                                    [1.0 / np.sqrt(2.0)] * 2, atol=1e-14)
@@ -103,8 +103,7 @@ class TestEigh:
            e0=finite_floats())
     @settings(max_examples=200, deadline=None)
     def test_eigh2_property(self, vx, vy, vz, e0):
-        h = (e0 * np.eye(2) + vx * smallmat.SIGMA_X + vy * smallmat.SIGMA_Y
-             + vz * smallmat.SIGMA_Z)
+        h = e0 * np.eye(2) + vx * dense.SX + vy * dense.SY + vz * dense.SZ
         r = np.sqrt(vx * vx + vy * vy + vz * vz)
         scale = max(1.0, abs(e0) + r)
         if 2.0 * r < 1e-11 * scale:
@@ -157,7 +156,7 @@ class TestExpmUnitary:
         for k in range(5):
             h, full = np.zeros((2, dim, dim), dtype=complex)
             for i, idx in enumerate(SECTORS[dim]):
-                h[np.ix_(idx, idx)] = x[k, i] * smallmat.SIGMA_X + z[k, i] * smallmat.SIGMA_Z
+                h[np.ix_(idx, idx)] = x[k, i] * dense.SX + z[k, i] * dense.SZ
                 full[np.ix_(idx, idx)] = u[k, i]
             np.testing.assert_allclose(full @ full.conj().T, np.eye(dim), atol=1e-12)
             np.testing.assert_allclose(full, dense.expm_hermitian(h, dt), atol=1e-12)
@@ -168,8 +167,7 @@ class TestExpmUnitary:
         alpha, beta = smallmat.expm_unitary(np.array([0.0, 3.0]), np.array([0.0, -4.0]), 0.7)
         assert alpha[0] == 1.0 and beta[0] == 0.0
         np.testing.assert_allclose(pair_matrices(alpha[1], beta[1]),
-                                   dense.expm_hermitian(3.0 * smallmat.SIGMA_X
-                                                        - 4.0 * smallmat.SIGMA_Z, 0.7),
+                                   dense.expm_hermitian(3.0 * dense.SX - 4.0 * dense.SZ, 0.7),
                                    atol=1e-14)
 
     def test_near_the_step_rotation_bound(self):
@@ -182,7 +180,7 @@ class TestExpmUnitary:
         x, z = r * np.cos(angle) / dt, r * np.sin(angle) / dt
         u = pair_matrices(*smallmat.expm_unitary(x, z, dt))
         for k in range(20):
-            h = x[k] * smallmat.SIGMA_X + z[k] * smallmat.SIGMA_Z
+            h = x[k] * dense.SX + z[k] * dense.SZ
             np.testing.assert_allclose(u[k], dense.expm_hermitian(h, dt),
                                        atol=8.0 * config.MAX_STEP_ROTATION * 2.0**-53)
 
