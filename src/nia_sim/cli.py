@@ -183,6 +183,16 @@ def _infidelity(a, b) -> float:
     return abs(1.0 - abs(np.vdot(a, b)) ** 2)
 
 
+def _check_result(cfg: RunConfig, out_dir: str, line: str, passed: bool) -> int:
+    """Print a check mode's verdict line, write it to `<mode>.txt`, return its exit code."""
+    line += " PASS" if passed else " FAIL"
+    print(line)
+    path = os.path.join(out_dir, cfg.mode.replace("-", "_") + ".txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([*_preamble(cfg, cfg.mode), line]) + "\n")
+    return EXIT_OK if passed else EXIT_THRESHOLD
+
+
 def _mode_oracle_check(cfg: RunConfig, out_dir: str) -> int:
     schedule = cfg.schedule()
     noise = _noise_realization(cfg, 0)
@@ -192,24 +202,15 @@ def _mode_oracle_check(cfg: RunConfig, out_dir: str) -> int:
     final_orc = evolve.final_state_oracle(schedule, noise, ecfg, initial)
     inf = _infidelity(final_step, final_orc)
     bound = 1e-6 if noise is None else 1e-4
-    verdict = "PASS" if inf < bound else "FAIL"
-    line = f"oracle-check: infidelity = {inf:.3e} (bound {bound:.0e}) {verdict}"
-    print(line)
-    with open(os.path.join(out_dir, "oracle_check.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(_preamble(cfg, "oracle-check")) + "\n" + line + "\n")
-    return EXIT_OK if inf < bound else EXIT_THRESHOLD
+    return _check_result(cfg, out_dir, f"oracle-check: infidelity = {inf:.3e} (bound {bound:.0e})",
+                         inf < bound)
 
 
 def _mode_spectator_check(cfg: RunConfig, out_dir: str) -> int:
     base, embedded = (_simulate(run) for run in runs(cfg))
     err = metrics.spectator_error(base, embedded)
-    verdict = "PASS" if err < 0.01 else "FAIL"
-    line = (f"spectator-check: max relative pop0 error = {err:.4%} "
-            f"(J12 = {cfg.j12:g}, bound 1%) {verdict}")
-    print(line)
-    with open(os.path.join(out_dir, "spectator_check.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(_preamble(cfg, "spectator-check")) + "\n" + line + "\n")
-    return EXIT_OK if err < 0.01 else EXIT_THRESHOLD
+    return _check_result(cfg, out_dir, f"spectator-check: max relative pop0 error = {err:.4%} "
+                         f"(J12 = {cfg.j12:g}, bound 1%)", err < 0.01)
 
 
 _MODE_RUNNERS = {

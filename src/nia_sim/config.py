@@ -374,16 +374,20 @@ def _violations(cfg: RunConfig) -> list[str]:
         # no step resolves the run; below it, the typical field (noise at its
         # RMS) only warns.  Products of huge finite inputs round to inf, as
         # Python floats and so without a warning, and are refused.
+        schedule = cfg.schedule()
+        kernel = cfg.mode == "kernel"
+        if kernel and cfg.initial_vector()[schedule.sectors[0].indices[1]] != 0.0:
+            bad.append("kernel mode solves only the level that starts in |0> (|01> for"
+                       " the pair); initial_state must have no other amplitude")
         f = cfg.frequency_convention().factor
         worst = typical = f * cfg.j0
-        worst += max(abs(sec.z_offset) + abs(sec.shift) for sec in cfg.schedule().sectors)
+        worst += max(abs(sec.z_offset) + abs(sec.shift) for sec in schedule.sectors)
         if cfg.has_noise:
             spec = cfg.noise_spec()
             worst += float(spec.component_scale) * spec.n_components
             typical += spec.component_scale * (spec.n_components / 2.0) ** 0.5
         # The memory solver steps on np.linspace(0, T, kernel.points), exactly
         # T / (kernel.points - 1) apart; the engines step by dt.
-        kernel = cfg.mode == "kernel"
         step = cfg.total_time / (cfg.kernel_points - 1) if kernel else cfg.dt
         if step * worst > MAX_STEP_ROTATION:
             bad.append(f"a step of {step:.3g} s may turn the state by {step * worst:.3g} rad,"

@@ -188,35 +188,32 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
 
 
 def _trajectory(schedule, times, c, states, batched) -> metrics.Trajectory:
-    """Per-record metrics of every member with the continuity-tracked eigenlevel.
+    """Per-record metrics of every member, with one tracked eigenlevel per run.
 
-    Tracking runs on the direction operator a(t) sx + b(t) sz, whose
-    eigenvectors are untouched by the noise prefactor (the noise only
-    rescales eigenvalues, including through zero in strong-noise runs).
-    Its levels are +-k with closed-form real eigenvectors (b + k, a) and
-    (-a, b + k), normalized.  They never cross on [0, T], so continuity
-    tracking keeps the level chosen at t = 0: the one of larger overlap
-    with the initial state, the lower one on a tie.  Columns have shape
+    The levels +-k of the direction operator a(t) sx + b(t) sz keep their
+    eigenvectors under the noise prefactor, which only rescales eigenvalues
+    (through zero in strong-noise runs), and never cross on [0, T].  At
+    t = 0, a = 0 < b, so the upper level is exactly |0>: every member starts
+    from the same state, and the run tracks the upper level (s = +1) if its
+    initial pop0 exceeds pop1, else the lower (s = -1).  The projector onto
+    level s is (I + s n.sigma)/2, n = (a, 0, b)/k, so fidelity_e0 is
+    (tr rho + s (b (rho00 - rho11) + 2 a Re rho01)/k)/2.  Columns have shape
     (M, n_records), or (n_records,) for a single member.
     """
     a, b = schedule.ab(times)
     k = np.hypot(a, b)
-    norm = np.hypot(b + k, a)
-    upper = np.stack([(b + k) / norm, a / norm], axis=-1)
-    lower = np.stack([-a / norm, (b + k) / norm], axis=-1)
     rho = metrics.reduced_density(states)
-
-    def overlap(v, r):
-        # v is real, so <v|rho|v> only sees the real (symmetric) part of rho.
-        return np.einsum("...i,...ij,...j->...", v, r.real, v)
-
-    track_upper = overlap(upper[0], rho[:, 0]) > overlap(lower[0], rho[:, 0])
     # Copies, so that stored columns do not keep the whole density stack alive.
+    pop0, pop1 = rho[..., 0, 0].real.copy(), rho[..., 1, 1].real.copy()
+    s = 1.0 if pop0[0, 0] > pop1[0, 0] else -1.0
+    # Finished in place, so that the sum and the halving allocate no further column.
+    fidelity = (s * b * (pop0 - pop1) + 2.0 * s * a * rho[..., 0, 1].real) / k
+    fidelity += pop0 + pop1
+    fidelity *= 0.5
     columns = {
-        "pop0": rho[..., 0, 0].real.copy(), "pop1": rho[..., 1, 1].real.copy(),
-        "im_coherence": rho[..., 0, 1].imag.copy(),
-        "fidelity_e0": np.where(track_upper[:, None], overlap(upper, rho), overlap(lower, rho)),
-        "gap": np.where(track_upper, -2.0, 2.0)[:, None] * (schedule.j0_rad + c) * k,
+        "pop0": pop0, "pop1": pop1, "im_coherence": rho[..., 0, 1].imag.copy(),
+        "fidelity_e0": fidelity,
+        "gap": -2.0 * s * (schedule.j0_rad + c) * k,
         "noise": c,
     }
     if not batched:

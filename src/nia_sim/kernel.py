@@ -16,8 +16,8 @@ labeling (tracked level first).  The eigenvectors are real in the gauge
 used here, so <E0|dE0/dt> vanishes identically and only the memory term
 is integrated.  Noise rescales the gap pointwise and leaves the coupling
 matrix elements untouched, so it only accelerates the kernel phase; the
-kernel modulus factorizes as 1 / (4 T^2 k^2(t) k^2(s)) independent of the
-noise.
+kernel modulus factorizes as b0^2 / (4 T^2 k^2(t) k^2(s)) independent of
+the noise.
 
 `solve_memory_equation` tabulates g through the rank-one split
 g(t_i, t_j) = p_i conj(p_j), with the couplings from one vectorized
@@ -73,20 +73,16 @@ class MemorySolution:
 def coupling_elements(schedule, t) -> CouplingElements:
     """Closed-form <E_m|dE_n/dt> elements and gap of the two-level reduction.
 
-    `t` is a time or an array of times.  The sweep a = t/T,
-    b = b0 (1 - t/T) has the constant slope (da, db) = (1, -b0) / T.
+    `t` is a time or an array of times.  The real eigenvectors of
+    a sx + b sz turn at half the rate of the mixing angle atan2(a, b), which
+    the sweep a = t/T, b = b0 (1 - t/T) turns at b0 / (T k^2); so
+    c01 = -b0 / (2 T k^2).
     """
     _check_time(schedule, t)
-    total_time = schedule.total_time
-    j0 = schedule.j0_rad
     a, b = schedule.ab(t)
-    da, db = 1.0 / total_time, -schedule.b0 / total_time
     k = np.hypot(a, b)
-    n0sq = (b + k) ** 2 + a ** 2
-    # <E0|dH/dt|E1> with gauge-fixed real eigenvectors.
-    hdot_me = j0 * (da * ((b + k) ** 2 - a ** 2) - 2.0 * db * a * (b + k)) / n0sq
-    gap = -2.0 * j0 * k
-    c01 = hdot_me / gap
+    c01 = -schedule.b0 / (2.0 * schedule.total_time * k * k)
+    gap = -2.0 * schedule.j0_rad * k
     return CouplingElements(c01=c01, c10=-c01, c11=np.zeros_like(c01), gap=gap)
 
 

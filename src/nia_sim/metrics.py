@@ -3,10 +3,11 @@
 Conventions: alpha is the amplitude of the mapped |0> state, beta of |1>,
 and the reported coherence is Im(alpha * conj(beta)), which is invariant
 under a global phase.  The tracked eigenlevel is the one continuously
-connected to the initial state; for the sweeps here that is the *higher*
-eigenvalue at t=0, so tracking goes by overlap continuity, never by energy
-ordering.  The recorded gap column is E1 - E0 in the connected labeling
-(tracked level first), i.e. -2*(J0+c)*k(t) for these models.
+connected to the initial state.  The levels never cross and the upper one
+is exactly |0> at t=0, so a run tracks the upper level if its initial pop0
+exceeds pop1 and the lower one otherwise, never by energy ordering.  The
+recorded gap column is E1 - E0 in the connected labeling (tracked level
+first), i.e. -2*(J0+c)*k(t) for these models.
 """
 from __future__ import annotations
 

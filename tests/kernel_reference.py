@@ -51,7 +51,7 @@ def kernel_value(schedule, noise: NoiseRealization | None, t: float, s: float) -
     c01_t = coupling_elements(schedule, t).c01
     c01_s = coupling_elements(schedule, s).c01
     phase = gap_integral(schedule, noise, s, t)
-    # -c01(t) c10(s) = +c01(t) c01(s): real positive modulus 1/(4 T^2 k^2 k^2)
+    # -c01(t) c10(s) = +c01(t) c01(s): real positive modulus b0^2/(4 T^2 k^2 k^2)
     return complex(c01_t * c01_s * np.exp(1.0j * phase))
 
 

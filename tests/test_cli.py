@@ -58,6 +58,10 @@ UNRUNNABLE = [
     # J12 couples only the spectator: on another system every value is the same run.
     ("sweep", "fig3b", {"sweep.parameter": "J12", "sweep.values": "0,1000,5000"},
      "sweeping J12 requires system = spectator"),
+    # The memory equation solves the level that starts in the sector's |0>.
+    ("kernel", "fig3b", {"initial_state": "one"}, "level that starts in |0>"),
+    ("kernel", "fig3b", {"initial_state": "plus"}, "level that starts in |0>"),
+    ("kernel", "fig4a", {"initial_state": "0,0,1,0"}, "level that starts in |0>"),
 ]
 
 
@@ -353,6 +357,11 @@ class TestCliRuns:
         header, col = read_csv(tmp_path / "kernel.csv")
         assert col["psi0_abs2"][0] == pytest.approx(1.0)
         assert col["defect"][0] == 0.0
+        # |0> spelled as amplitudes is the same run.
+        explicit = tmp_path / "explicit"
+        assert cli.main(["kernel", "--config", "fig3b", "--set", "initial_state=1,0",
+                         "--out", str(explicit)]) == 0
+        assert body_bytes(explicit / "kernel.csv") == body_bytes(tmp_path / "kernel.csv")
 
     def test_pulse_export(self, tmp_path):
         code = cli.main(["pulse-export", "--config", "fig3b", "--out", str(tmp_path)])

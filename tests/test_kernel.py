@@ -123,14 +123,14 @@ class TestKernelValue:
         assert abs(g) == pytest.approx(1.0 / s.total_time ** 2, rel=1e-10)
 
     def test_diagonal_real_positive(self):
-        s = single()
-        for t in np.linspace(0.0, s.total_time, 9):
-            g = kref.kernel_value(s, None, float(t), float(t))
-            assert g.imag == pytest.approx(0.0, abs=1e-12 * abs(g))
-            a, b = s.ab(float(t))
-            k4 = (float(a) ** 2 + float(b) ** 2) ** 2
-            assert g.real == pytest.approx(1.0 / (4.0 * s.total_time ** 2 * k4),
-                                           rel=1e-10)
+        for s in (single(), pair()):
+            for t in np.linspace(0.0, s.total_time, 9):
+                g = kref.kernel_value(s, None, float(t), float(t))
+                assert g.imag == pytest.approx(0.0, abs=1e-12 * abs(g))
+                a, b = s.ab(float(t))
+                k4 = (float(a) ** 2 + float(b) ** 2) ** 2
+                assert g.real == pytest.approx(s.b0 ** 2 / (4.0 * s.total_time ** 2 * k4),
+                                               rel=1e-10)
 
     def test_modulus_factorization_with_noise(self):
         # Noise alters only the phase of g, never the modulus.

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nia_sim import evolve, metrics, model
+from dense_reference import SX, SZ
+from nia_sim import evolve, metrics, model, smallmat
 from nia_sim.evolve import EvolutionConfig
 from nia_sim.model import (FrequencyConvention, NoiseSpec, SingleQubitSchedule,
                            SpectatorSchedule, TwoQubitSchedule, realize_noise)
@@ -104,6 +105,47 @@ class TestEigenstateFidelity:
         alt = 0.5 * (pop0 + pop1) - re
         assert (traj.fidelity_e0[-1] == pytest.approx(fid, abs=1e-9)
                 or traj.fidelity_e0[-1] == pytest.approx(alt, abs=1e-9))
+
+    # (schedule, initial state, noise paths): the upper level from zero and
+    # pair01, the lower from one and from the tie at plus, and a noisy
+    # spectator ensemble whose driven qubit starts at pop0 < pop1 and whose
+    # reduced state is mixed.
+    CASES = {
+        "zero": (single(), ZERO, None),
+        "one": (single(), np.array([0.0, 1.0], dtype=complex), None),
+        "plus": (single(), np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), None),
+        "pair01": (TwoQubitSchedule(j0=100.0, total_time=0.01, convention=ANG),
+                   np.array([0.0, 1.0, 0.0, 0.0], dtype=complex), None),
+        "spectator": (SpectatorSchedule(4000.0, 5e-4, ANG, j12=300.0, omega_spec=1000.0),
+                      np.kron([0.6, 0.8], [1.0, 1.0]) / np.sqrt(2.0),
+                      [fig3_noise(index=i) for i in range(3)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_column_matches_eigenvector_projection(self, case):
+        # <v|rho|v> of every record, v from eigh of the direction operator:
+        # the upper level when the initial pop0 > pop1, the lower otherwise.
+        schedule, initial, noise = self.CASES[case]
+        cfg = EvolutionConfig(dt=schedule.total_time / 500, store_every=5)
+        traj = evolve.evolve_stepwise(schedule, noise, cfg, initial)
+        noises = noise if noise is not None else [None]
+        _, c, states = evolve._propagate(schedule, noises, cfg, initial,
+                                         evolve._midpoint_step, cfg.store_every)
+        rho = metrics.reduced_density(states)
+        fidelity = np.atleast_2d(traj.fidelity_e0)
+        gap = np.atleast_2d(traj.gap)
+        upper = rho[0, 0, 0, 0].real > rho[0, 0, 1, 1].real
+        assert upper == (case in ("zero", "pair01"))
+        a, b = schedule.ab(traj.times)
+        for i in range(len(traj.times)):
+            eig = smallmat.eigh(float(a[i]) * SX + float(b[i]) * SZ)
+            v = eig.vectors[:, 1 if upper else 0]
+            expected = np.einsum("i,mij,j->m", v.conj(), rho[:, i], v).real
+            np.testing.assert_allclose(fidelity[:, i], expected, rtol=0.0, atol=1e-12)
+            # E1 - E0 with the tracked level first, scaled by the noisy prefactor.
+            split = (schedule.j0_rad + c[:, i]) * (eig.values[1] - eig.values[0])
+            np.testing.assert_allclose(gap[:, i], -split if upper else split,
+                                       rtol=1e-12, atol=0.0)
 
 
 class TestAggregate:
