@@ -30,6 +30,8 @@ EXIT_NUMERIC = 2
 EXIT_THRESHOLD = 3
 # Rows formatted per write in `_write_rows`.
 _CSV_CHUNK_ROWS = 1024
+# The metrics whose final mean and standard error `sweep_summary.csv` holds.
+_SWEEP_METRICS = metrics.METRIC_NAMES[:4]
 
 # kernel.ResolutionError and metrics.GridMismatchError are ValueErrors, and
 # FloatingPointError (a non-finite noise sum or result) an ArithmeticError.
@@ -37,8 +39,7 @@ _NUMERIC_ERRORS = (evolve.NumericEvolutionError, ValueError, ArithmeticError)
 
 
 def _noise_realization(cfg: RunConfig, index: int):
-    spec = cfg.noise_spec()
-    return None if spec is None else model.realize_noise(spec, index)
+    return model.realize_noise(cfg.noise_spec(), index) if cfg.draws_noise else None
 
 
 def _evolution_config(cfg: RunConfig) -> evolve.EvolutionConfig:
@@ -52,8 +53,13 @@ def _simulate(cfg: RunConfig) -> metrics.Trajectory:
 
 
 def _run_ensemble(cfg: RunConfig) -> metrics.EnsembleSummary:
-    """Mean and standard error over every member, propagated together in one call."""
-    noises = [_noise_realization(cfg, i) for i in range(cfg.realizations)]
+    """Mean and standard error over every member, propagated together in one call.
+
+    The members are realized one at a time, as the engine synthesizes their
+    noise.  A noise-free ensemble (zero amplitude) is its one trajectory.
+    """
+    members = cfg.realizations if cfg.draws_noise else 1
+    noises = (_noise_realization(cfg, i) for i in range(members))
     return metrics.aggregate(evolve.evolve_stepwise(cfg.schedule(), noises,
                                                     _evolution_config(cfg), cfg.initial_vector()))
 
@@ -103,8 +109,10 @@ def write_summary(path: str, cfg: RunConfig, summary: metrics.EnsembleSummary,
     for name in metrics.METRIC_NAMES:
         header += [f"mean_{name}", f"se_{name}"]
         cols += [summary.mean[name], summary.se[name]]
-    # The realization indices `_run_ensemble` draws.
-    extra = {"realizations": summary.m, "seeds": " ".join(map(str, range(summary.m)))}
+    # The members that ran and, if noisy, the realization indices they were drawn with.
+    extra = {"members": summary.m}
+    if cfg.draws_noise:
+        extra["seeds"] = " ".join(map(str, range(summary.m)))
     _write_rows(path, _preamble(cfg, mode, extra), header, np.column_stack(cols))
 
 
@@ -134,14 +142,16 @@ def _mode_sweep(cfg: RunConfig, out_dir: str) -> int:
         if sub.members > 1:
             summary = _run_ensemble(sub)
             write_summary(member_path, sub, summary, mode="sweep")
-            finals = [summary.mean[name][-1] for name in metrics.METRIC_NAMES[:4]]
+            finals = [summary.mean[name][-1] for name in _SWEEP_METRICS]
+            errors = [summary.se[name][-1] for name in _SWEEP_METRICS]
         else:
             traj = _simulate(sub)
             write_trajectory(member_path, sub, traj, mode="sweep")
-            finals = [traj.metric(name)[-1] for name in metrics.METRIC_NAMES[:4]]
-        summary_rows.append([value, *finals])
-    header = [param.replace(".", "_"), "final_pop0", "final_pop1",
-              "final_im_coherence", "final_fidelity_e0"]
+            finals = [traj.metric(name)[-1] for name in _SWEEP_METRICS]
+            errors = [0.0] * len(_SWEEP_METRICS)
+        summary_rows.append([value, *finals, *errors])
+    header = [param.replace(".", "_"), *(f"final_{name}" for name in _SWEEP_METRICS),
+              *(f"final_se_{name}" for name in _SWEEP_METRICS)]
     extra = {"sweep_base_hash": base_hash}
     _write_rows(os.path.join(out_dir, "sweep_summary.csv"),
                 _preamble(cfg, "sweep", extra), header, summary_rows)

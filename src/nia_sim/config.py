@@ -34,13 +34,16 @@ SWEEPABLE = ("T", "J0", "noise.amplitude", "noise.omega_cut", "J12")
 PRESET_NAMES = ("fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b")
 
 #: Most noise components N = floor(omega_cut / omega0) a run may ask for:
-#: 400 times fig4b's 25 000, and 80 MB of random phases per realization.
+#: 400 times fig4b's 25 000.  A realization's phases take 8 B per component,
+#: 80 MB at the cap, and an ensemble holds one realization at a time.
 MAX_NOISE_COMPONENTS = 10**7
 #: Most member-steps, ceil(T/dt) times the members run together, a run may
-#: ask for.  The engine holds every member's noise, 16 B per member-step, and
-#: when it records every step the states, 32 B per member-step and sector, so
-#: at the cap a two-sector spectator trajectory's states take 64 MB; fig4b's
-#: 100 members x 1000 steps is a tenth of the cap.
+#: ask for.  A run holds every member's noise, 16 B per member-step (up to
+#: 24 B while the members' rows gather), and, per member-record, the states
+#: and the metrics made from them: 85 B at the peak on one sector and 117 B
+#: on two (traced).  Recording every step at the cap, 2000 fig3d members
+#: peak at 104 MB traced, and as spectator runs at 136 MB; fig4b's 100
+#: members x 1000 steps is a tenth of the cap.
 MAX_MEMBER_STEPS = 10**6
 #: Most kernel.points: a memory solve peaks at about 220 B per grid point
 #: with noise and 200 B without (tracemalloc, 200 001 points), 220 MB at
@@ -99,6 +102,15 @@ class RunConfig:
     @property
     def has_noise(self) -> bool:
         return self.noise_amplitude is not None
+
+    @property
+    def draws_noise(self) -> bool:
+        """Whether a run realizes and synthesizes noise: a nonzero amplitude.
+
+        Zero is the noise-free point, although `has_noise` still holds: the
+        noise keys are still checked and the realizations still counted.
+        """
+        return bool(self.noise_amplitude)
 
     def frequency_convention(self) -> FrequencyConvention:
         return FrequencyConvention(self.convention)
@@ -400,7 +412,7 @@ def _violations(cfg: RunConfig) -> list[str]:
                        " unstable; lower dt, J0 or the noise")
         # The memory solver's own limits: k <= 1 on every schedule, so the
         # noise-free kernel phase turns by at most 2 f J0 per unit time.
-        elif kernel and not cfg.has_noise and 2.0 * f * cfg.j0 * step > 0.5:
+        elif kernel and not cfg.draws_noise and 2.0 * f * cfg.j0 * step > 0.5:
             bad.append(f"a memory-grid step of {step:.3g} s may turn the kernel phase by"
                        f" {2.0 * f * cfg.j0 * step:.3g} rad, more than 0.5 rad;"
                        " raise kernel.points or lower J0")

@@ -3,15 +3,15 @@
 Every schedule is evolved as its exact 2x2 sectors (see `model.Sector`):
 the full state is split into sector states on input and rebuilt only at
 the output of `final_state_*`.  An ensemble is batched over its members:
-every engine takes one noise realization or a sequence of them, and the
-one step loop (`_propagate`) advances the sector states of all M members,
-shape (M, n_sectors, 2), together, in blocks of consecutive steps that
-hold at most `_BLOCK_MATRICES` 2x2 matrices.  An engine only builds each
-step's matrix; the loop composes a block's step matrices into prefix
-products with `smallmat.prefix_products` (recursive doubling, a
-Hillis-Steele scan of log2 depth, see Blelloch, "Prefix sums and their
-applications", CMU-CS-90-190) and applies each prefix to the block's
-starting states.  A non-finite step spoils every later prefix of its
+every engine takes one noise realization or an iterable of them, consumed
+once, and the one step loop (`_propagate`) advances the sector states of
+all M members, shape (M, n_sectors, 2), together, in blocks of
+consecutive steps that hold at most `_BLOCK_MATRICES` 2x2 matrices.  An
+engine only builds each step's matrix; the loop composes a block's step
+matrices into prefix products with `smallmat.prefix_products` (recursive
+doubling, a Hillis-Steele scan of log2 depth, see Blelloch, "Prefix sums
+and their applications", CMU-CS-90-190) and applies each prefix to the
+block's starting states.  A non-finite step spoils every later prefix of its
 block, so the loop's check still names it.  The loop checks and records
 once per block, and restores every recorded state's norm, which removes
 rounding drift only.
@@ -90,29 +90,32 @@ def _plan_steps(total_time: float, dt: float) -> tuple[int, float]:
 def _members(noise):
     """The noise paths of a run, and whether its result keeps a member axis.
 
-    One realization (None for a noise-free run) is a single member; a
-    sequence of them is an ensemble, whose members are propagated together.
+    One realization (None for a noise-free run) is a single member; any
+    other iterable of them is an ensemble, whose members are propagated
+    together.  `_propagate` consumes the iterable once, member by member,
+    so a generator that realizes each member on demand keeps at most one
+    member's phases alive.
     """
     if noise is None or isinstance(noise, NoiseRealization):
         return [noise], False
-    noises = list(noise)
-    if not noises:
-        raise ValueError("an ensemble needs at least one member")
-    return noises, True
+    return noise, True
 
 
 def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     """The one step loop of every engine, over all members at once.
 
-    `make_step(schedule, mids, tau, c_mid)` returns the engine's
-    advance(start, stop), which returns the four entry arrays (a, b, c, d)
-    of each step's matrix [[a, b], [c, d]] for steps start .. stop - 1 of
-    every member and sector, shape (stop - start, M, n_sectors).  It is
-    built from the step midpoints, the step length and every member's noise
-    at the midpoints, shape (M, n_steps); every member starts from
-    `initial`.  Returns the record times, every member's noise at them,
-    shape (M, n_records), and the sector states at t = 0 and after each
-    record step, shape (M, n_records, n_sectors, 2).
+    `noises` is an iterable of realizations (None: a noise-free member),
+    consumed once before the first step; each member's noise is synthesized
+    as it arrives.  `make_step(schedule, mids, tau, c_mid)` returns the
+    engine's advance(start, stop), which returns the four entry arrays
+    (a, b, c, d) of each step's matrix [[a, b], [c, d]] for steps
+    start .. stop - 1 of every member and sector, shape
+    (stop - start, M, n_sectors).  It is built from the step midpoints, the
+    step length and every member's noise at the midpoints, shape
+    (M, n_steps); every member starts from `initial`.  Returns the record
+    times, every member's noise at them, shape (M, n_records), and the
+    sector states at t = 0 and after each record step, shape
+    (M, n_records, n_sectors, 2).
 
     The run advances in blocks of at most `_BLOCK_MATRICES` matrices (at
     least one step each): one per step, member and sector, or as many as
@@ -144,21 +147,31 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     # Record every store_every-th step and the last; None records the last only.
     record = steps[((steps + 1) % (store_every or n) == 0) | (steps == n - 1)]
     rows = np.concatenate([[0], 2 * record + 2])
-    # Peak memory of a run (traced): one member's noise synthesis peaks at
-    # 0.27 MiB on fig3d and 0.61 MiB on fig4b, besides the grid plan that
-    # the first member builds and the rest reuse (0.26 and 0.79 MiB); the
-    # (M, 2n + 1) noise takes 16 B per member-step (1.6 MB for 100 fig4b
-    # members), and the recorded states 32 B per member, record and
-    # sector.  A block's coefficients, step matrices and states peak at
+    # Peak memory of a run (traced): the members are realized and synthesized
+    # one at a time, a member's phases taking 8 B per component and its
+    # synthesis peaking at 0.27 MiB on fig3d and 0.61 MiB on fig4b, besides
+    # the grid plan that the first member builds and the rest reuse (0.26 and
+    # 0.79 MiB).  Only a member's row of the (M, 2n + 1) noise outlives it:
+    # 16 B per member-step, up to half as much again while the rows gather.
+    # The recorded states take 32 B per member, record and sector, and with
+    # them `_trajectory` peaks at 85 B per member-record on one sector and
+    # 117 B on two.  A block's coefficients, step matrices and states peak at
     # 0.16 MiB on both, whatever the step count.
-    c = np.zeros((len(noises), 2 * n + 1))
-    for member, r in enumerate(noises):
-        if r is not None:
-            c[member] = noise_values(r, 0.0, 0.5 * tau, 2 * n + 1)
+    silent = np.zeros(2 * n + 1)
+
+    def samples(r):
+        return silent if r is None else noise_values(r, 0.0, 0.5 * tau, 2 * n + 1)
+
+    # `map` drops each realization as soon as its row is synthesized, so the
+    # members of a generator are alive one at a time; `fromiter` writes the
+    # rows into one growing array, never a list of them.
+    c = np.fromiter(map(samples, noises), dtype=(float, (2 * n + 1,)))
+    if not len(c):
+        raise ValueError("an ensemble needs at least one member")
     advance = make_step(schedule, grid[1::2], tau, c[:, 1::2])
-    psi = np.repeat(model.sector_states(schedule, state)[None], len(noises), axis=0)
+    psi = np.repeat(model.sector_states(schedule, state)[None], len(c), axis=0)
     norm0 = np.linalg.norm(psi[0])
-    states = np.empty((len(noises), len(rows)) + psi.shape[1:], dtype=complex)
+    states = np.empty((len(c), len(rows)) + psi.shape[1:], dtype=complex)
     states[:, 0] = psi
     block = max(1, _BLOCK_MATRICES // (psi.shape[0] * psi.shape[1]
                                        * getattr(advance, "matrices", 1)))
@@ -202,16 +215,15 @@ def _trajectory(schedule, times, c, states, batched) -> metrics.Trajectory:
     """
     a, b = schedule.ab(times)
     k = np.hypot(a, b)
-    rho = metrics.reduced_density(states)
-    # Copies, so that stored columns do not keep the whole density stack alive.
-    pop0, pop1 = rho[..., 0, 0].real.copy(), rho[..., 1, 1].real.copy()
+    pop0, pop1, rho01 = metrics.reduced_density(states)
     s = 1.0 if pop0[0, 0] > pop1[0, 0] else -1.0
     # Finished in place, so that the sum and the halving allocate no further column.
-    fidelity = (s * b * (pop0 - pop1) + 2.0 * s * a * rho[..., 0, 1].real) / k
+    fidelity = (s * b * (pop0 - pop1) + 2.0 * s * a * rho01.real) / k
     fidelity += pop0 + pop1
     fidelity *= 0.5
     columns = {
-        "pop0": pop0, "pop1": pop1, "im_coherence": rho[..., 0, 1].imag.copy(),
+        # A copy of the imaginary part, so that the column does not keep rho01 alive.
+        "pop0": pop0, "pop1": pop1, "im_coherence": rho01.imag.copy(),
         "fidelity_e0": fidelity,
         "gap": -2.0 * s * (schedule.j0_rad + c) * k,
         "noise": c,
@@ -306,7 +318,7 @@ def _final_state(schedule, noise, cfg, initial, make_step) -> np.ndarray:
     """
     noises, batched = _members(noise)
     _, _, states = _propagate(schedule, noises, cfg, initial, make_step, None)
-    final = np.repeat(np.array(initial, dtype=complex)[None], len(noises), axis=0)
+    final = np.repeat(np.array(initial, dtype=complex)[None], len(states), axis=0)
     final[:, np.array([sec.indices for sec in schedule.sectors])] = states[:, -1]
     return final if batched else final[0]
 
@@ -314,8 +326,11 @@ def _final_state(schedule, noise, cfg, initial, make_step) -> np.ndarray:
 def evolve_stepwise(schedule, noise, cfg: EvolutionConfig, initial) -> metrics.Trajectory:
     """Midpoint-sampled piecewise-constant propagator product.
 
-    `noise` is one realization (None: noise-free) or a sequence of them.
-    A sequence runs all members together, and every column of the result
+    `noise` is one realization (None: noise-free) or any other iterable of
+    them, such as a list or a generator.  The iterable is consumed once,
+    each member's noise synthesized as it arrives, so a generator that
+    realizes members on demand holds one member's phases at a time.  An
+    iterable runs all members together, and every column of the result
     gains a leading member axis; `times` stays one-dimensional.
     """
     return _evolve(schedule, noise, cfg, initial, _midpoint_step)
@@ -324,7 +339,7 @@ def evolve_stepwise(schedule, noise, cfg: EvolutionConfig, initial) -> metrics.T
 def final_state_oracle(schedule, noise, cfg, initial) -> np.ndarray:
     """Final state of the Runge-Kutta reference without trajectory recording.
 
-    Shape (dim,), or (M, dim) for a sequence of realizations.
+    Shape (dim,), or (M, dim) for an iterable of realizations.
     """
     return _final_state(schedule, noise, cfg, initial, _rk4_step)
 
@@ -332,7 +347,7 @@ def final_state_oracle(schedule, noise, cfg, initial) -> np.ndarray:
 def final_state_stepwise(schedule, noise, cfg, initial) -> np.ndarray:
     """Final state of the stepwise engine without trajectory recording.
 
-    Shape (dim,), or (M, dim) for a sequence of realizations.
+    Shape (dim,), or (M, dim) for an iterable of realizations.
     """
     return _final_state(schedule, noise, cfg, initial, _midpoint_step)
 

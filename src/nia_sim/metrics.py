@@ -66,21 +66,29 @@ def reduced_qubit_metrics(sectors):
 
     `sectors` has shape (..., n_sectors, 2); see `reduced_density`.
     """
-    rho = reduced_density(sectors)
-    # Copies, so that stored columns do not keep the whole density stack alive.
-    return rho[..., 0, 0].real.copy(), rho[..., 1, 1].real.copy(), rho[..., 0, 1].imag.copy()
+    rho00, rho11, rho01 = reduced_density(sectors)
+    # A copy, so that the stored column does not keep rho01 alive.
+    return rho00, rho11, rho01.imag.copy()
 
 
-def reduced_density(sectors) -> np.ndarray:
-    """2x2 reduced density matrix of the driven qubit, sum_s |psi_s><psi_s|.
+def reduced_density(sectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (rho00, rho11, rho01) of the driven qubit's reduced density matrix.
 
-    `sectors` holds the driven qubit's amplitudes on each sector, shape
-    (..., n_sectors, 2).  The sectors of the spectator model are the
-    spectator's sz levels, so the sum is the partial trace over the
-    spectator; a one-sector model gives the pure-state projector.
+    rho = sum_s |psi_s><psi_s| over the sector states `sectors`, the driven
+    qubit's amplitudes (u_s, v_s) on each sector, shape (..., n_sectors, 2).
+    The sectors of the spectator model are the spectator's sz levels, so the
+    sum is the partial trace over the spectator; a one-sector model gives
+    the pure-state projector.  The populations rho00 = sum |u_s|^2 and
+    rho11 = sum |v_s|^2 are real and rho01 = sum u_s conj(v_s) is complex
+    (rho10 is its conjugate), each of shape (...): no (..., 2, 2) stack is
+    built.
     """
     sectors = np.asarray(sectors, dtype=complex)
-    return np.einsum("...si,...sj->...ij", sectors, sectors.conj())
+    u, v = sectors[..., 0], sectors[..., 1]
+    # These round as the entries of the full 2x2 einsum do; a plain
+    # (u * v.conj()).sum(-1) would not.
+    return ((u.real ** 2 + u.imag ** 2).sum(-1), (v.real ** 2 + v.imag ** 2).sum(-1),
+            np.einsum("...s,...s->...", u, v.conj()))
 
 
 def aggregate(traj: Trajectory) -> EnsembleSummary:

@@ -1,11 +1,12 @@
 """Config parsing, validation, presets, CSV reproducibility, exit codes."""
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nia_sim import cli, config
+from nia_sim import cli, config, evolve, metrics, model
 from nia_sim.config import (ConfigError, build_config, load_config, parse_pairs,
                             validate)
 
@@ -62,6 +63,8 @@ UNRUNNABLE = [
     ("kernel", "fig3b", {"initial_state": "one"}, "level that starts in |0>"),
     ("kernel", "fig3b", {"initial_state": "plus"}, "level that starts in |0>"),
     ("kernel", "fig4a", {"initial_state": "0,0,1,0"}, "level that starts in |0>"),
+    # Amplitude 0 is the noise-free point, which the noise-free solver runs.
+    ("kernel", "fig3d", {"noise.amplitude": "0", "J0": "2e6"}, "may turn the kernel phase by"),
 ]
 
 
@@ -78,6 +81,10 @@ def read_csv(path):
     header = lines[0].strip().split(",")
     data = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
     return header, {name: data[:, i] for i, name in enumerate(header)}
+
+
+# Preamble lines that say how many members an ensemble ran.
+RUN_KEYS = ("# realizations", "# members", "# seeds")
 
 
 def body_bytes(path):
@@ -310,9 +317,54 @@ class TestCliRuns:
         header, col = read_csv(tmp_path / "ensemble.csv")
         assert "mean_pop0" in header and "se_pop0" in header
         assert (col["se_pop0"][1:] > 0.0).any()
-        # The realization indices the members are drawn with, 0 .. M - 1.
+        # The requested realizations once, the members that ran, and the
+        # realization indices they were drawn with, 0 .. M - 1.
         lines = (tmp_path / "ensemble.csv").read_text("utf-8").splitlines()
-        assert [l for l in lines if l.startswith("# seeds")] == ["# seeds = 0 1 2"]
+        assert [l for l in lines if l.startswith(RUN_KEYS)] == [
+            "# realizations = 3", "# members = 3", "# seeds = 0 1 2"]
+
+    def test_zero_amplitude_ensemble_is_the_noise_free_run(self, tmp_path, monkeypatch):
+        # No realization is drawn and no noise synthesized: the ensemble is
+        # its one noise-free trajectory, every standard error exactly 0 and
+        # every mean the simulate run's column, bit for bit.
+        def refuse(*args):
+            raise AssertionError("noise drawn at zero amplitude")
+
+        monkeypatch.setattr(cli.model, "realize_noise", refuse)
+        monkeypatch.setattr(evolve, "noise_values", refuse)
+        cfg = load_config("fig3d", {"mode": "ensemble", "noise.amplitude": "0",
+                                    "realizations": "10"})
+        assert cfg.has_noise and validate(cfg) == []
+        summary, traj = cli._run_ensemble(cfg), cli._simulate(cfg)
+        assert summary.m == 1
+        for name in metrics.METRIC_NAMES:
+            np.testing.assert_array_equal(summary.mean[name], traj.metric(name))
+            assert not summary.se[name].any(), name
+        # The preamble lists the one member that ran and no seeds.
+        assert cli.main(["ensemble", "--config", "fig3d", "--set", "noise.amplitude=0",
+                         "--set", "realizations=10", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "ensemble.csv").read_text("utf-8").splitlines()
+        assert [l for l in lines if l.startswith(RUN_KEYS)] == [
+            "# realizations = 10", "# members = 1"]
+
+    def test_ensemble_memory_does_not_grow_with_components(self):
+        # Traced peak growth of a 50-member, 50-step fig3d ensemble from
+        # omega_cut 5000 to 50 000 components: 0.46 MiB, within the plan
+        # budget and one member's synthesis (its 0.4 MB of phases and near
+        # 2 MB of temporaries).  Realizing every member up front added
+        # 8 B per member and component, 17.2 MiB.
+        peaks = []
+        for cut in ("5000", "50000"):
+            cfg = load_config("fig3d", {"mode": "ensemble", "realizations": "50",
+                                        "T": "5e-5", "noise.omega_cut": cut})
+            model._chirp_plan.cache_clear()
+            tracemalloc.start()
+            try:
+                cli._run_ensemble(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < model._PLAN_BUDGET + 2 * 2 ** 20, peaks
 
     def test_seed_flag_changes_output(self, tmp_path):
         outs = []
@@ -332,6 +384,8 @@ class TestCliRuns:
         header, col = read_csv(tmp_path / "sweep_summary.csv")
         assert header[0] == "T"
         assert len(col["T"]) == 2
+        # A noise-free sweep runs one member per value: no standard error.
+        assert not any(col[name].any() for name in header if name.startswith("final_se_"))
         # Non-swept remainder identical: both members carry the same base hash.
         preambles = []
         for i in range(2):
@@ -341,6 +395,20 @@ class TestCliRuns:
             preambles.append({k: v for k, v in lines.items()
                               if k not in ("T", "config_hash", "generated")})
         assert preambles[0] == preambles[1]
+
+    def test_sweep_summary_standard_errors(self, tmp_path):
+        # Amplitude 0 is the noise-free point, whose standard errors are
+        # exactly 0; at 4000 the members differ.
+        code = cli.main(["sweep", "--config", "fig3d", "--set", "sweep.parameter=noise.amplitude",
+                         "--set", "sweep.values=0,4000", "--set", "realizations=4",
+                         "--set", "T=5e-5", "--out", str(tmp_path)])
+        assert code == 0
+        header, col = read_csv(tmp_path / "sweep_summary.csv")
+        names = ["pop0", "pop1", "im_coherence", "fidelity_e0"]
+        assert header == ["noise_amplitude", *(f"final_{name}" for name in names),
+                          *(f"final_se_{name}" for name in names)]
+        se = np.array([col[f"final_se_{name}"] for name in names])
+        assert (se[:, 0] == 0.0).all() and (se[:, 1] > 0.0).all(), se
 
     def test_config_hash_ignores_output_directory(self, tmp_path):
         stamps = []

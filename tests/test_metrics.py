@@ -33,6 +33,12 @@ def unit_states(dim):
     return amp.map(build).filter(lambda v: v is not None)
 
 
+def density_matrix(sectors):
+    """The (..., 2, 2) reduced density matrix from the entries `reduced_density` returns."""
+    rho00, rho11, rho01 = metrics.reduced_density(sectors)
+    return np.stack([np.stack([rho00, rho01], -1), np.stack([rho01.conj(), rho11], -1)], -2)
+
+
 class TestBasisMetrics:
     def test_zero_state(self):
         assert metrics.basis_metrics(ZERO) == (1.0, 0.0, 0.0)
@@ -85,7 +91,8 @@ class TestReducedQubit:
         expected = m @ m.conj().T
         spec = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
         sectors = model.sector_states(spec, state)
-        np.testing.assert_allclose(metrics.reduced_density(sectors), expected, atol=1e-15)
+        np.testing.assert_allclose(metrics.reduced_density(sectors),
+                                   (expected[0, 0], expected[1, 1], expected[0, 1]), atol=1e-15)
         pop0, pop1, im = metrics.reduced_qubit_metrics(sectors)
         np.testing.assert_allclose((pop0, pop1, im),
                                    (expected[0, 0].real, expected[1, 1].real,
@@ -131,7 +138,7 @@ class TestEigenstateFidelity:
         noises = noise if noise is not None else [None]
         _, c, states = evolve._propagate(schedule, noises, cfg, initial,
                                          evolve._midpoint_step, cfg.store_every)
-        rho = metrics.reduced_density(states)
+        rho = density_matrix(states)
         fidelity = np.atleast_2d(traj.fidelity_e0)
         gap = np.atleast_2d(traj.gap)
         upper = rho[0, 0, 0, 0].real > rho[0, 0, 1, 1].real
@@ -232,6 +239,6 @@ class TestSpectatorError:
         state = evolve.final_state_stepwise(spec_s, fig3_noise(),
                                             EvolutionConfig(dt=1e-6),
                                             np.kron(ZERO, ZERO))
-        rho = metrics.reduced_density(model.sector_states(spec_s, state))
+        rho = density_matrix(model.sector_states(spec_s, state))
         purity = float(np.real(np.trace(rho @ rho)))
         assert 0.5 - 1e-12 <= purity <= 1.0 + 1e-12
