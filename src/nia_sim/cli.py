@@ -56,12 +56,13 @@ def _run_ensemble(cfg: RunConfig) -> metrics.EnsembleSummary:
     """Mean and standard error over every member, propagated together in one call.
 
     The members are realized one at a time, as the engine synthesizes their
-    noise.  A noise-free ensemble (zero amplitude) is its one trajectory.
+    noise, and reduced block by block of records as the engine makes them.
+    A noise-free ensemble (zero amplitude) is its one trajectory.
     """
     members = cfg.realizations if cfg.draws_noise else 1
     noises = (_noise_realization(cfg, i) for i in range(members))
-    return metrics.aggregate(evolve.evolve_stepwise(cfg.schedule(), noises,
-                                                    _evolution_config(cfg), cfg.initial_vector()))
+    return evolve.evolve_stepwise(cfg.schedule(), noises, _evolution_config(cfg),
+                                  cfg.initial_vector(), reduce=metrics.aggregate)
 
 
 def _preamble(cfg: RunConfig, mode: str, extra: dict | None = None) -> list[str]:

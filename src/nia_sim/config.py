@@ -39,11 +39,13 @@ PRESET_NAMES = ("fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b")
 MAX_NOISE_COMPONENTS = 10**7
 #: Most member-steps, ceil(T/dt) times the members run together, a run may
 #: ask for.  A run holds every member's noise, 16 B per member-step (up to
-#: 24 B while the members' rows gather), and, per member-record, the states
-#: and the metrics made from them: 85 B at the peak on one sector and 117 B
-#: on two (traced).  Recording every step at the cap, 2000 fig3d members
-#: peak at 104 MB traced, and as spectator runs at 136 MB; fig4b's 100
-#: members x 1000 steps is a tenth of the cap.
+#: 24 B while the members' rows gather).  An ensemble reduces its records
+#: over the members block by block; a trajectory keeps, per member-record,
+#: the states and the metrics made from them: 85 B at the peak on one
+#: sector and 117 B on two (traced).  Recording every step at the cap, 2000
+#: fig3d members peak at 17.8 MiB traced and 73 MiB max RSS, and as
+#: spectator runs at 17.8 MiB traced too; fig4b's 100 members x 1000 steps
+#: is a tenth of the cap.
 MAX_MEMBER_STEPS = 10**6
 #: Most kernel.points: a memory solve peaks at about 220 B per grid point
 #: with noise and 200 B without (tracemalloc, 200 001 points), 220 MB at
@@ -410,16 +412,17 @@ def _violations(cfg: RunConfig) -> list[str]:
                        f" {step / 10.0 * worst:.3g} rad, more than the"
                        f" {MAX_RK4_SUBSTEP_ROTATION:.3g} rad at which Runge-Kutta turns"
                        " unstable; lower dt, J0 or the noise")
-        # The memory solver's own limits: k <= 1 on every schedule, so the
-        # noise-free kernel phase turns by at most 2 f J0 per unit time.
-        elif kernel and not cfg.draws_noise and 2.0 * f * cfg.j0 * step > 0.5:
-            bad.append(f"a memory-grid step of {step:.3g} s may turn the kernel phase by"
-                       f" {2.0 * f * cfg.j0 * step:.3g} rad, more than 0.5 rad;"
-                       " raise kernel.points or lower J0")
+        # The memory solver's own limits: the grid resolves the noise cutoff,
+        # and, as k <= 1 on every schedule, the drive alone turns the kernel
+        # phase by up to 2 f J0 per unit time, with noise or without.
         elif kernel and cfg.has_noise and spec.omega_cut_rad * step > 0.5 * math.pi:
             bad.append(f"a memory-grid step of {step:.3g} s does not resolve noise.omega_cut:"
                        f" omega_cut times the step is {spec.omega_cut_rad * step:.3g} rad,"
                        " more than pi/2; raise kernel.points")
+        elif kernel and 2.0 * f * cfg.j0 * step > 0.5:
+            bad.append(f"a memory-grid step of {step:.3g} s may turn the kernel phase by"
+                       f" {2.0 * f * cfg.j0 * step:.3g} rad, more than 0.5 rad;"
+                       " raise kernel.points or lower J0")
         elif step * typical > 0.5:
             what = "the memory-grid step" if kernel else "dt"
             bad.append(f"warning: {what} times the typical field magnitude exceeds 0.5 rad;"

@@ -14,7 +14,10 @@ and their applications", CMU-CS-90-190) and applies each prefix to the
 block's starting states.  A non-finite step spoils every later prefix of its
 block, so the loop's check still names it.  The loop checks and records
 once per block, and restores every recorded state's norm, which removes
-rounding drift only.
+rounding drift only.  It hands each block's records on as it makes them:
+an ensemble summary (`evolve_stepwise(..., reduce=metrics.aggregate)`)
+reduces them over the members there, so no run holds a per-member stack
+of states or metric columns; a trajectory gathers them.
 
 A run takes n = ceil(T/dt) equal steps of tau = T/n, so dt is the largest
 step.  Everything it samples lies on one grid, the half steps k tau/2 for
@@ -56,7 +59,7 @@ from .model import NoiseRealization, noise_values
 # 2x2 matrices per block of `_propagate`, one per step, member and sector of
 # the stepwise engine: a block's step matrices take 64 B per matrix (four
 # complex entries) and its states 32 B; with the exponential's and the
-# scan's temporaries a block peaks at about 170 B per matrix (traced).
+# scan's buffers a block peaks at about 150 B per matrix (traced).
 # The oracle counts more per step (see `_rk4_step`).
 _BLOCK_MATRICES = 2 ** 10
 
@@ -101,7 +104,7 @@ def _members(noise):
     return noise, True
 
 
-def _propagate(schedule, noises, cfg, initial, make_step, store_every):
+def _propagate(schedule, noises, cfg, initial, make_step, store_every, recorder=None):
     """The one step loop of every engine, over all members at once.
 
     `noises` is an iterable of realizations (None: a noise-free member),
@@ -112,9 +115,14 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     start .. stop - 1 of every member and sector, shape
     (stop - start, M, n_sectors).  It is built from the step midpoints, the
     step length and every member's noise at the midpoints, shape
-    (M, n_steps); every member starts from `initial`.  Returns the record
-    times, every member's noise at them, shape (M, n_records), and the
-    sector states at t = 0 and after each record step, shape
+    (M, n_steps); every member starts from `initial`.
+
+    The records are handed on in order, at the ends of blocks, in runs of
+    about a block's matrices: `recorder(times, c, states)` gets the times of
+    r >= 2 consecutive records, every member's noise at them, shape (M, r),
+    and the sector states there, a C-contiguous (M, r, n_sectors, 2) array.
+    Without a recorder the loop gathers them and returns the record times,
+    the noise at them, shape (M, n_records), and the states, shape
     (M, n_records, n_sectors, 2).
 
     The run advances in blocks of at most `_BLOCK_MATRICES` matrices (at
@@ -153,10 +161,11 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     # the grid plan that the first member builds and the rest reuse (0.26 and
     # 0.79 MiB).  Only a member's row of the (M, 2n + 1) noise outlives it:
     # 16 B per member-step, up to half as much again while the rows gather.
-    # The recorded states take 32 B per member, record and sector, and with
-    # them `_trajectory` peaks at 85 B per member-record on one sector and
-    # 117 B on two.  A block's coefficients, step matrices and states peak at
-    # 0.16 MiB on both, whatever the step count.
+    # A block's coefficients, step matrices and states peak at about 0.15 MiB
+    # on one sector and on two, whatever the step count, and its records are
+    # handed on with it.  Gathered, they take 32 B per member, record and
+    # sector, and `_trajectory` then peaks at 85 B per member-record on one
+    # sector and 117 B on two; reduced as they are handed on, at none.
     silent = np.zeros(2 * n + 1)
 
     def samples(r):
@@ -171,10 +180,22 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     advance = make_step(schedule, grid[1::2], tau, c[:, 1::2])
     psi = np.repeat(model.sector_states(schedule, state)[None], len(c), axis=0)
     norm0 = np.linalg.norm(psi[0])
-    states = np.empty((len(c), len(rows)) + psi.shape[1:], dtype=complex)
-    states[:, 0] = psi
-    block = max(1, _BLOCK_MATRICES // (psi.shape[0] * psi.shape[1]
-                                       * getattr(advance, "matrices", 1)))
+    gathered = recorder is None
+    if gathered:
+        states = np.empty((len(c), len(rows)) + psi.shape[1:], dtype=complex)
+
+        def recorder(times, _c, block_states):
+            states[:, filled:filled + len(times)] = block_states
+
+    # Records are held (those of rows[filled:]) until a block ends with at
+    # least `_BLOCK_MATRICES` sector states and two records held, and not
+    # exactly one record to come.  So a hand-on's fixed cost is spread as a
+    # block's is, and no column has one record: numpy sums the members of
+    # the states' columns in turn and of the noise's (taken across its rows)
+    # pairwise, but those of a one-record column always pairwise.
+    held, filled = [psi[None]], 0
+    per_record = psi.shape[0] * psi.shape[1]
+    block = max(1, _BLOCK_MATRICES // (per_record * getattr(advance, "matrices", 1)))
     for start in range(0, n, block):
         stop = min(n, start + block)
         u00, u01, u10, u11 = advance(start, stop)
@@ -195,28 +216,46 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
             step = record[lo + lost.argmax()]
             raise NumericEvolutionError(f"state norm vanished after step {step}")
         kept *= (norm0 / norm)[..., None, None]
-        states[:, 1 + lo:1 + hi] = kept.swapaxes(0, 1)
+        if hi > lo:
+            held.append(kept)
+        run, left = 1 + hi - filled, len(record) - hi
+        if left == 0 or (left > 1 and run > 1 and run * per_record >= _BLOCK_MATRICES):
+            taken = rows[filled:1 + hi]
+            recorder(grid[taken], c[:, taken],
+                     np.ascontiguousarray(np.concatenate(held).swapaxes(0, 1)))
+            held, filled = [], 1 + hi
         psi = kept[-1] if hi > lo and record[hi - 1] == stop - 1 else out[-1]
-    return grid[rows], c[:, rows], states
+    if gathered:
+        return grid[rows], c[:, rows], states
 
 
-def _trajectory(schedule, times, c, states, batched) -> metrics.Trajectory:
-    """Per-record metrics of every member, with one tracked eigenlevel per run.
+def _tracked_level(states) -> float:
+    """+1 to track the upper eigenlevel, -1 the lower, from member 0's first record.
 
     The levels +-k of the direction operator a(t) sx + b(t) sz keep their
     eigenvectors under the noise prefactor, which only rescales eigenvalues
     (through zero in strong-noise runs), and never cross on [0, T].  At
     t = 0, a = 0 < b, so the upper level is exactly |0>: every member starts
-    from the same state, and the run tracks the upper level (s = +1) if its
-    initial pop0 exceeds pop1, else the lower (s = -1).  The projector onto
-    level s is (I + s n.sigma)/2, n = (a, 0, b)/k, so fidelity_e0 is
-    (tr rho + s (b (rho00 - rho11) + 2 a Re rho01)/k)/2.  Columns have shape
-    (M, n_records), or (n_records,) for a single member.
+    from the same state, and the run tracks the upper level if its initial
+    pop0 exceeds pop1, else the lower.
+    """
+    pop0, pop1, _ = metrics.reduced_density(states[0, 0])
+    return 1.0 if pop0 > pop1 else -1.0
+
+
+def _trajectory(schedule, times, c, states, batched, level=None) -> metrics.Trajectory:
+    """Per-record metrics of every member, with one tracked eigenlevel per run.
+
+    The projector onto level s (`level`, +1 for the upper, -1 for the
+    lower; by default the one `_tracked_level` picks from these records) is
+    (I + s n.sigma)/2, n = (a, 0, b)/k, so fidelity_e0 is
+    (tr rho + s (b (rho00 - rho11) + 2 a Re rho01)/k)/2.  Columns have
+    shape (M, n_records), or (n_records,) for a single member.
     """
     a, b = schedule.ab(times)
     k = np.hypot(a, b)
     pop0, pop1, rho01 = metrics.reduced_density(states)
-    s = 1.0 if pop0[0, 0] > pop1[0, 0] else -1.0
+    s = _tracked_level(states) if level is None else level
     # Finished in place, so that the sum and the halving allocate no further column.
     fidelity = (s * b * (pop0 - pop1) + 2.0 * s * a * rho01.real) / k
     fidelity += pop0 + pop1
@@ -297,17 +336,28 @@ def _rk4_step(schedule, mids, tau, c_mid):
         smallmat.prefix_products(u[..., 0], u[..., 1], v[..., 0], v[..., 1])
         return u[-1, ..., 0], u[-1, ..., 1], v[-1, ..., 0], v[-1, ..., 1]
 
-    # Traced, a block holds about 300 B per substep matrix, the stepwise engine
-    # 170 B per step matrix: counted as four matrices, a substep block holds
+    # Traced, a block holds about 320 B per substep matrix, the stepwise engine
+    # 150 B per step matrix: counted as five matrices, a substep block holds
     # less than half a stepwise block.
-    advance.matrices = 4 * n_sub
+    advance.matrices = 5 * n_sub
     return advance
 
 
-def _evolve(schedule, noise, cfg, initial, make_step) -> metrics.Trajectory:
+def _evolve(schedule, noise, cfg, initial, make_step, reduce=None):
     noises, batched = _members(noise)
-    times, c, states = _propagate(schedule, noises, cfg, initial, make_step, cfg.store_every)
-    return _trajectory(schedule, times, c, states, batched)
+    if reduce is None:
+        times, c, states = _propagate(schedule, noises, cfg, initial, make_step, cfg.store_every)
+        return _trajectory(schedule, times, c, states, batched)
+    summaries, level = [], None
+
+    def recorder(times, c, states):
+        nonlocal level
+        if level is None:  # the first hand-on, from t = 0
+            level = _tracked_level(states)
+        summaries.append(reduce(_trajectory(schedule, times, c, states, True, level)))
+
+    _propagate(schedule, noises, cfg, initial, make_step, cfg.store_every, recorder)
+    return metrics.concatenate(summaries)
 
 
 def _final_state(schedule, noise, cfg, initial, make_step) -> np.ndarray:
@@ -323,7 +373,7 @@ def _final_state(schedule, noise, cfg, initial, make_step) -> np.ndarray:
     return final if batched else final[0]
 
 
-def evolve_stepwise(schedule, noise, cfg: EvolutionConfig, initial) -> metrics.Trajectory:
+def evolve_stepwise(schedule, noise, cfg: EvolutionConfig, initial, reduce=None):
     """Midpoint-sampled piecewise-constant propagator product.
 
     `noise` is one realization (None: noise-free) or any other iterable of
@@ -332,8 +382,13 @@ def evolve_stepwise(schedule, noise, cfg: EvolutionConfig, initial) -> metrics.T
     realizes members on demand holds one member's phases at a time.  An
     iterable runs all members together, and every column of the result
     gains a leading member axis; `times` stays one-dimensional.
+
+    With `reduce` (`metrics.aggregate`) the result is one
+    `metrics.EnsembleSummary` instead: each block's records are reduced
+    over the members as the run makes them, so no member's states or
+    columns outlive their block.
     """
-    return _evolve(schedule, noise, cfg, initial, _midpoint_step)
+    return _evolve(schedule, noise, cfg, initial, _midpoint_step, reduce)
 
 
 def final_state_oracle(schedule, noise, cfg, initial) -> np.ndarray:

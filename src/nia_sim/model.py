@@ -354,15 +354,28 @@ def _chirp_sum(phases: np.ndarray, plan: _ChirpPlan) -> np.ndarray:
     """sum_j sin(phi_j + j omega0 (t0 + k h)) for k < count, by tiled chirp-z.
 
     Per tile: one product with the input factor, one FFT pair and one
-    accumulation of the imaginary part after the output factor.
+    accumulation of the imaginary part after the output factor.  Each
+    tile's chain runs in one buffer allocated per call, as do the
+    components' exp(i phi): a fresh temporary of a tile's size would be
+    mapped, and page-faulted, anew every time.
     """
     out = np.zeros(plan.count)
+    a = np.empty(min(plan.n, _TILE_COMPONENTS), dtype=complex)
+    buf = np.empty(plan.size, dtype=complex)
     for i, (j0, k0) in enumerate(_tile_origins(plan.n, plan.count)):
-        if k0 == 0:
-            a = np.exp(1j * phases[j0 - 1:j0 - 1 + _TILE_COMPONENTS])
         into, outof = plan.factors[i] if i < len(plan.factors) else plan.tile_factors(j0, k0)
-        y = np.fft.ifft(np.fft.fft(a * into, plan.size) * plan.inverse_ft)[:len(outof)]
-        out[k0:k0 + len(outof)] += (y * outof).imag
+        cols = len(into)
+        if k0 == 0:
+            np.multiply(1j, phases[j0 - 1:j0 - 1 + cols], out=a[:cols])
+            np.exp(a[:cols], out=a[:cols])
+        np.multiply(a[:cols], into, out=buf[:cols])
+        buf[cols:] = 0.0
+        np.fft.fft(buf, out=buf)
+        buf *= plan.inverse_ft
+        np.fft.ifft(buf, out=buf)
+        y = buf[:len(outof)]
+        y *= outof
+        out[k0:k0 + len(outof)] += y.imag
     return out
 
 

@@ -119,12 +119,26 @@ def prefix_products(a, b, c, d) -> None:
     Trailing axes (members, sectors) pass through.  Entry j ends as
     M_j ... M_1 M_0, composed by doubling: after the pass of span s it holds
     entries max(0, j - 2s + 1) .. j.  A non-finite matrix spoils its own and
-    every later prefix, and no earlier one.
+    every later prefix, and no earlier one.  Every pass runs in five
+    buffers allocated once per call, so that a long scan maps no fresh
+    temporaries pass after pass.
     """
+    if len(a) < 2:
+        return
+    buffers = [np.empty((len(a) - 1,) + a.shape[1:], dtype=np.result_type(a, b, c, d))
+               for _ in range(5)]
     span = 1
     while span < len(a):
         a2, b2, c2, d2 = a[span:], b[span:], c[span:], d[span:]
         a1, b1, c1, d1 = a[:-span], b[:-span], c[:-span], d[:-span]
-        a[span:], b[span:], c[span:], d[span:] = (a2 * a1 + b2 * c1, a2 * b1 + b2 * d1,
-                                                  c2 * a1 + d2 * c1, c2 * b1 + d2 * d1)
+        na, nb, nc, nd, tmp = (buf[:len(a2)] for buf in buffers)
+        np.multiply(a2, a1, out=na)
+        na += np.multiply(b2, c1, out=tmp)
+        np.multiply(a2, b1, out=nb)
+        nb += np.multiply(b2, d1, out=tmp)
+        np.multiply(c2, a1, out=nc)
+        nc += np.multiply(d2, c1, out=tmp)
+        np.multiply(c2, b1, out=nd)
+        nd += np.multiply(d2, d1, out=tmp)
+        a2[...], b2[...], c2[...], d2[...] = na, nb, nc, nd
         span *= 2

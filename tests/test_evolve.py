@@ -254,8 +254,8 @@ class TestBlocks:
 
     A block of 17 matrices holds 5 steps of 3 pair members and 2 of 3
     spectator members: neither divides the 241 steps or aligns with
-    store_every = 7.  The oracle counts 40 matrices per step, so it takes
-    one step per block of 17, and 8 pair or 4 spectator steps per default
+    store_every = 7.  The oracle counts 50 matrices per step, so it takes
+    one step per block of 17, and 6 pair or 3 spectator steps per default
     block.  The default block splits the stepwise spectator run too.  The
     one-member pair run of 2300 steps fills two default blocks of 1024
     steps, each composed by a doubling scan of depth 10, before a partial
@@ -388,6 +388,101 @@ class TestBlocks:
         assert per_member_record < bound, per_member_record
 
 
+class TestStreamedSummary:
+    """An ensemble summary reduced block by block, as `cli` runs one.
+
+    `evolve_stepwise(..., reduce=metrics.aggregate)` reduces the records
+    over the members as the loop hands them on, and must give the bits of
+    `metrics.aggregate` on the gathered trajectory at the same block size.
+    241 steps recorded every 7th (and the last): at a block of one matrix,
+    and at 17 for 7 or 20 members, each block records one step at most, so
+    records wait to be handed on in runs of two or more; at the default
+    block they wait for about a block's sector states.  numpy sums 20
+    members of a one-record column pairwise, and of a longer one in turn or
+    pairwise as the column is laid out: at 20 members a run of one record
+    would change the bits, at 7 or fewer it would not.
+    """
+
+    T, DT, STORE_EVERY = 2.41e-4, 1e-6, 7
+
+    def system(self, name):
+        if name == "single":
+            return single(total_time=self.T), ZERO
+        if name == "pair":
+            return TwoQubitSchedule(j0=4000.0, total_time=self.T, convention=ANG), PAIR01
+        initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
+        return (SpectatorSchedule(4000.0, self.T, ANG, j12=215.0, omega_spec=37.0),
+                initial / np.linalg.norm(initial))
+
+    @pytest.mark.parametrize("size", [1, 17, evolve._BLOCK_MATRICES])
+    @pytest.mark.parametrize("members", [1, 2, 7, 20])
+    @pytest.mark.parametrize("name", ["single", "pair", "spectator"])
+    def test_matches_the_gathered_aggregate(self, monkeypatch, name, members, size):
+        monkeypatch.setattr(evolve, "_BLOCK_MATRICES", size)
+        s, initial = self.system(name)
+        noises = [fig3_noise(seed=4, index=i) for i in range(members)]
+        cfg = EvolutionConfig(dt=self.DT, store_every=self.STORE_EVERY)
+        streamed = evolve.evolve_stepwise(s, noises, cfg, initial, reduce=metrics.aggregate)
+        gathered = metrics.aggregate(evolve.evolve_stepwise(s, noises, cfg, initial))
+        assert streamed.m == gathered.m == members
+        assert len(streamed.times) == -(-241 // self.STORE_EVERY) + 1
+        np.testing.assert_array_equal(streamed.times, gathered.times)
+        for metric in metrics.METRIC_NAMES:
+            np.testing.assert_array_equal(streamed.mean[metric], gathered.mean[metric])
+            np.testing.assert_array_equal(streamed.se[metric], gathered.se[metric])
+
+    def test_records_are_handed_on_in_order_in_runs_of_two_or_more(self, monkeypatch):
+        # One step per block: the records at steps 6, 13, ..., 237 and 240
+        # arrive one per block, and the last alone in its block.
+        monkeypatch.setattr(evolve, "_BLOCK_MATRICES", 1)
+        s, initial = self.system("spectator")
+        noises = [fig3_noise(seed=4, index=i) for i in range(2)]
+        cfg = EvolutionConfig(dt=self.DT, store_every=self.STORE_EVERY)
+        runs = []
+
+        def recorder(times, c, states):
+            assert states.flags.c_contiguous
+            assert c.shape == states.shape[:2] == (2, len(times))
+            runs.append((times, c, states))
+
+        evolve._propagate(s, noises, cfg, initial, evolve._midpoint_step, self.STORE_EVERY,
+                          recorder)
+        assert min(len(times) for times, _, _ in runs) >= 2
+        times, c, states = evolve._propagate(s, noises, cfg, initial, evolve._midpoint_step,
+                                             self.STORE_EVERY)
+        np.testing.assert_array_equal(np.concatenate([run[0] for run in runs]), times)
+        np.testing.assert_array_equal(np.concatenate([run[1] for run in runs], axis=1), c)
+        np.testing.assert_array_equal(np.concatenate([run[2] for run in runs], axis=1), states)
+
+    @pytest.mark.parametrize("sectors", [1, 2])
+    def test_peak_does_not_grow_per_member_record(self, sectors):
+        # What recording every step adds to the traced peak over recording
+        # the last alone, for 100 noise-free members, from 500 to 2000 steps:
+        # measured -1.6 B per member-record on one sector and -1.2 B on two,
+        # as a summary holds about a block's records at a time.  Gathered
+        # (`test_bytes_per_member_record`), it grows 82.9 and 115.0 B.
+        members = 100
+        added = []
+        for n in (500, 2000):
+            if sectors == 1:
+                s, initial = single(total_time=n * 1e-6), ZERO
+            else:
+                s, initial = SpectatorSchedule(4000.0, n * 1e-6, ANG), np.kron(ZERO, ZERO)
+            peaks = []
+            for every in (n, 1):
+                tracemalloc.start()
+                try:
+                    evolve.evolve_stepwise(s, [None] * members,
+                                           EvolutionConfig(dt=1e-6, store_every=every), initial,
+                                           reduce=metrics.aggregate)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            added.append(peaks[1] - peaks[0])
+        per_member_record = (added[1] - added[0]) / (members * 1500)
+        assert per_member_record < 2.0, per_member_record
+
+
 class TestEvolveOracle:
     def test_larmor_closed_form(self):
         # Constant sz, initial |+>: Im(alpha beta*) = -sin(2 J0 t)/2.
@@ -412,9 +507,9 @@ class TestEvolveOracle:
         assert abs(1.0 - abs(np.vdot(a, b)) ** 2) < 1e-4
 
     def test_memory_does_not_grow_with_steps(self):
-        # Traced peak of a 300-step spectator run: the oracle's is 0.96 times
-        # the stepwise engine's (116.5 against 121.2 KB) with its blocks counted
-        # at four matrices per substep, and 3.3 times at one; tabulating every
+        # Traced peak of a 300-step spectator run: the oracle's is 0.91 times
+        # the stepwise engine's (110.0 against 121.0 KB) with its blocks counted
+        # at five matrices per substep, and 3.4 times at one; tabulating every
         # step's node Hamiltonians up front once made it 12 times.
         s = SpectatorSchedule(4000.0, 3e-4, ANG)
         cfg = EvolutionConfig(dt=1e-6)

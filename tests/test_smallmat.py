@@ -232,3 +232,23 @@ class TestPrefixProducts:
         scale = np.abs(expected).max(axis=(-2, -1), keepdims=True)
         for got in (copies, views):
             assert (np.abs(got - expected) <= 1e-12 * scale).all()
+
+    @pytest.mark.parametrize("length", [2, 5, 1000])
+    def test_passes_round_as_the_doubling_formula(self, length):
+        # Each pass in kept buffers takes the same products and sums, in the
+        # same order, as composing out of place: the bits agree.
+        rng = np.random.default_rng(length)
+        a, b, c, d = (rng.standard_normal((length, 3)) + 1j * rng.standard_normal((length, 3))
+                      for _ in range(4))
+        expected = [x.copy() for x in (a, b, c, d)]
+        ea, eb, ec, ed = expected
+        span = 1
+        while span < length:
+            a2, b2, c2, d2 = ea[span:], eb[span:], ec[span:], ed[span:]
+            a1, b1, c1, d1 = ea[:-span], eb[:-span], ec[:-span], ed[:-span]
+            ea[span:], eb[span:], ec[span:], ed[span:] = (a2 * a1 + b2 * c1, a2 * b1 + b2 * d1,
+                                                          c2 * a1 + d2 * c1, c2 * b1 + d2 * d1)
+            span *= 2
+        smallmat.prefix_products(a, b, c, d)
+        for got, want in zip((a, b, c, d), expected):
+            assert got.tobytes() == want.tobytes()
