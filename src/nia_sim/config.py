@@ -40,12 +40,12 @@ MAX_NOISE_COMPONENTS = 10**7
 #: Most member-steps, ceil(T/dt) times the members run together, a run may
 #: ask for.  A run holds every member's noise, 16 B per member-step (up to
 #: 24 B while the members' rows gather).  An ensemble reduces its records
-#: over the members block by block; a trajectory keeps, per member-record,
-#: the states and the metrics made from them: 85 B at the peak on one
-#: sector and 117 B on two (traced).  Recording every step at the cap, 2000
-#: fig3d members peak at 17.8 MiB traced and 73 MiB max RSS, and as
-#: spectator runs at 17.8 MiB traced too; fig4b's 100 members x 1000 steps
-#: is a tenth of the cap.
+#: over the members run by run; a trajectory keeps, per member-record, the
+#: states and the metrics made from them: 85 B at the peak on one sector
+#: and 117 B on two (traced).  Recording every step at the cap, 2000 fig3d
+#: members peak at 19.9 MiB traced and 67 MiB max RSS, and as spectator
+#: runs at 22.0 MiB traced; fig4b's 100 members x 1000 steps is a tenth of
+#: the cap.
 MAX_MEMBER_STEPS = 10**6
 #: Most kernel.points: a memory solve peaks at about 220 B per grid point
 #: with noise and 200 B without (tracemalloc, 200 001 points), 220 MB at

@@ -14,10 +14,10 @@ and their applications", CMU-CS-90-190) and applies each prefix to the
 block's starting states.  A non-finite step spoils every later prefix of its
 block, so the loop's check still names it.  The loop checks and records
 once per block, and restores every recorded state's norm, which removes
-rounding drift only.  It hands each block's records on as it makes them:
+rounding drift only.  It hands the records on in runs as it makes them:
 an ensemble summary (`evolve_stepwise(..., reduce=metrics.aggregate)`)
-reduces them over the members there, so no run holds a per-member stack
-of states or metric columns; a trajectory gathers them.
+reduces each run over the members, so no run holds a per-member stack of
+states or metric columns; a trajectory gathers them.
 
 A run takes n = ceil(T/dt) equal steps of tau = T/n, so dt is the largest
 step.  Everything it samples lies on one grid, the half steps k tau/2 for
@@ -48,6 +48,7 @@ the reconstruction reproduces the direct propagator to rounding accuracy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,10 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every, recorder=
     (M, n_steps); every member starts from `initial`.
 
     The records are handed on in order, at the ends of blocks, in runs of
-    about a block's matrices: `recorder(times, c, states)` gets the times of
-    r >= 2 consecutive records, every member's noise at them, shape (M, r),
-    and the sector states there, a C-contiguous (M, r, n_sectors, 2) array.
+    at least 16 records and 4 blocks' sector states (or all that are left):
+    `recorder(times, c, states)` gets the times of r >= 2 consecutive
+    records, every member's noise at them, shape (M, r), and the sector
+    states there, a C-contiguous (M, r, n_sectors, 2) array.
     Without a recorder the loop gathers them and returns the record times,
     the noise at them, shape (M, n_records), and the states, shape
     (M, n_records, n_sectors, 2).
@@ -162,10 +164,12 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every, recorder=
     # 0.79 MiB).  Only a member's row of the (M, 2n + 1) noise outlives it:
     # 16 B per member-step, up to half as much again while the rows gather.
     # A block's coefficients, step matrices and states peak at about 0.15 MiB
-    # on one sector and on two, whatever the step count, and its records are
-    # handed on with it.  Gathered, they take 32 B per member, record and
-    # sector, and `_trajectory` then peaks at 85 B per member-record on one
-    # sector and 117 B on two; reduced as they are handed on, at none.
+    # on one sector and on two, whatever the step count.  Its records wait
+    # for a run of 4 blocks' sector states (32 B each, 0.125 MiB) or 16
+    # records, whichever is more.  Gathered, they take 32 B per member,
+    # record and sector, and `_trajectory` then peaks at 85 B per
+    # member-record on one sector and 117 B on two; reduced run by run, a
+    # summary holds one run's states and columns, whatever the record count.
     silent = np.zeros(2 * n + 1)
 
     def samples(r):
@@ -184,13 +188,14 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every, recorder=
     if gathered:
         states = np.empty((len(c), len(rows)) + psi.shape[1:], dtype=complex)
 
-        def recorder(times, _c, block_states):
-            states[:, filled:filled + len(times)] = block_states
+        def recorder(times, _c, run_states):
+            states[:, filled:filled + len(times)] = run_states
 
     # Records are held (those of rows[filled:]) until a block ends with at
-    # least `_BLOCK_MATRICES` sector states and two records held, and not
-    # exactly one record to come.  So a hand-on's fixed cost is spread as a
-    # block's is, and no column has one record: numpy sums the members of
+    # least 16 of them and 4 blocks' sector states held, and not exactly
+    # one record to come.  So a run's fixed costs, its Python calls and the
+    # one pass per member of each column's sum, are spread over many records
+    # and members; and no column has one record: numpy sums the members of
     # the states' columns in turn and of the noise's (taken across its rows)
     # pairwise, but those of a one-record column always pairwise.
     held, filled = [psi[None]], 0
@@ -219,10 +224,11 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every, recorder=
         if hi > lo:
             held.append(kept)
         run, left = 1 + hi - filled, len(record) - hi
-        if left == 0 or (left > 1 and run > 1 and run * per_record >= _BLOCK_MATRICES):
+        if left == 0 or (left > 1 and run >= 16 and run * per_record >= 4 * _BLOCK_MATRICES):
             taken = rows[filled:1 + hi]
-            recorder(grid[taken], c[:, taken],
-                     np.ascontiguousarray(np.concatenate(held).swapaxes(0, 1)))
+            run_states = np.empty((len(c), run) + psi.shape[1:], dtype=complex)
+            np.concatenate(held, out=run_states.swapaxes(0, 1))
+            recorder(grid[taken], c[:, taken], run_states)
             held, filled = [], 1 + hi
         psi = kept[-1] if hi > lo and record[hi - 1] == stop - 1 else out[-1]
     if gathered:
@@ -337,9 +343,9 @@ def _rk4_step(schedule, mids, tau, c_mid):
         return u[-1, ..., 0], u[-1, ..., 1], v[-1, ..., 0], v[-1, ..., 1]
 
     # Traced, a block holds about 320 B per substep matrix, the stepwise engine
-    # 150 B per step matrix: counted as five matrices, a substep block holds
-    # less than half a stepwise block.
-    advance.matrices = 5 * n_sub
+    # 150 B per step matrix: each substep counts as ceil(2 * 320 / 150) = 5
+    # matrices, so that a substep block holds less than half a stepwise block.
+    advance.matrices = math.ceil(2 * 320 / 150) * n_sub
     return advance
 
 
@@ -384,9 +390,9 @@ def evolve_stepwise(schedule, noise, cfg: EvolutionConfig, initial, reduce=None)
     gains a leading member axis; `times` stays one-dimensional.
 
     With `reduce` (`metrics.aggregate`) the result is one
-    `metrics.EnsembleSummary` instead: each block's records are reduced
-    over the members as the run makes them, so no member's states or
-    columns outlive their block.
+    `metrics.EnsembleSummary` instead: the records are reduced over the
+    members run by run as the loop makes them, so no member's states or
+    columns outlive their run of records.
     """
     return _evolve(schedule, noise, cfg, initial, _midpoint_step, reduce)
 

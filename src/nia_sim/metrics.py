@@ -95,32 +95,17 @@ def aggregate(traj: Trajectory) -> EnsembleSummary:
     """Pointwise ensemble mean and standard error over the member axis.
 
     `traj` is one batched trajectory, whose columns have shape (M, r): a
-    whole run's records, or r >= 2 consecutive ones as
-    `evolve.evolve_stepwise` hands them on.  The standard error is the
-    ddof=1 deviation over sqrt(M), and zero for a single member.  The steps
-    are numpy's `mean` and `std` ones, in their order and without their
-    Python overhead, so each record gets the bits of those on the whole run.
+    whole run's records, or consecutive ones as `evolve.evolve_stepwise`
+    hands them on.  The standard error is the ddof=1 deviation over
+    sqrt(M), and zero for a single member.
     """
     if traj.pop0.ndim != 2:
         raise ValueError("aggregate needs a batched trajectory, columns (M, n_records)")
     m = len(traj.pop0)
-    # The member sums go column by column, each in its own layout's order,
-    # into the rows of one table; the elementwise steps go on all six rows.
-    columns = [getattr(traj, name) for name in METRIC_NAMES]
-    mean = np.empty((len(columns), traj.times.size))
-    for column, row in zip(columns, mean):
-        np.add.reduce(column, axis=0, out=row)
-    mean /= m
-    se = np.zeros_like(mean)
-    if m > 1:
-        for column, row, out in zip(columns, mean, se):
-            deviation = np.subtract(column, row)
-            np.add.reduce(np.square(deviation, out=deviation), axis=0, out=out)
-        se /= m - 1
-        np.sqrt(se, out=se)
-        se /= np.sqrt(m)
-    return EnsembleSummary(times=traj.times, m=m, mean=dict(zip(METRIC_NAMES, mean)),
-                           se=dict(zip(METRIC_NAMES, se)))
+    mean = {name: traj.metric(name).mean(axis=0) for name in METRIC_NAMES}
+    se = {name: traj.metric(name).std(axis=0, ddof=1) / np.sqrt(m) if m > 1
+          else np.zeros(traj.times.size) for name in METRIC_NAMES}
+    return EnsembleSummary(times=traj.times, m=m, mean=mean, se=se)
 
 
 def concatenate(summaries) -> EnsembleSummary:

@@ -394,13 +394,13 @@ class TestStreamedSummary:
     `evolve_stepwise(..., reduce=metrics.aggregate)` reduces the records
     over the members as the loop hands them on, and must give the bits of
     `metrics.aggregate` on the gathered trajectory at the same block size.
-    241 steps recorded every 7th (and the last): at a block of one matrix,
-    and at 17 for 7 or 20 members, each block records one step at most, so
-    records wait to be handed on in runs of two or more; at the default
-    block they wait for about a block's sector states.  numpy sums 20
-    members of a one-record column pairwise, and of a longer one in turn or
-    pairwise as the column is laid out: at 20 members a run of one record
-    would change the bits, at 7 or fewer it would not.
+    241 steps recorded every 7th (and the last), 36 records: at a block of
+    one matrix, and at 17 for 7 or 20 members, each block records one step
+    at most, so records wait to be handed on in runs of 16 or more, the
+    last run taking what is left; at the default block the run is one.
+    numpy sums 20 members of a one-record column pairwise, and of a longer
+    one in turn or pairwise as the column is laid out: at 20 members a run
+    of one record would change the bits, at 7 or fewer it would not.
     """
 
     T, DT, STORE_EVERY = 2.41e-4, 1e-6, 7
@@ -458,8 +458,8 @@ class TestStreamedSummary:
     def test_peak_does_not_grow_per_member_record(self, sectors):
         # What recording every step adds to the traced peak over recording
         # the last alone, for 100 noise-free members, from 500 to 2000 steps:
-        # measured -1.6 B per member-record on one sector and -1.2 B on two,
-        # as a summary holds about a block's records at a time.  Gathered
+        # measured -3.2 B per member-record on one sector and -2.8 B on two,
+        # as a summary holds one run of records at a time.  Gathered
         # (`test_bytes_per_member_record`), it grows 82.9 and 115.0 B.
         members = 100
         added = []
@@ -507,10 +507,11 @@ class TestEvolveOracle:
         assert abs(1.0 - abs(np.vdot(a, b)) ** 2) < 1e-4
 
     def test_memory_does_not_grow_with_steps(self):
-        # Traced peak of a 300-step spectator run: the oracle's is 0.91 times
-        # the stepwise engine's (110.0 against 121.0 KB) with its blocks counted
-        # at five matrices per substep, and 3.4 times at one; tabulating every
-        # step's node Hamiltonians up front once made it 12 times.
+        # Traced peak of a 300-step spectator run: the oracle's is 0.96 times
+        # the stepwise engine's (116.2 against 121.0 KB, in a fresh process)
+        # with its blocks counted at five matrices per substep, and 3.4 times
+        # at one; tabulating every step's node Hamiltonians up front once made
+        # it 12 times.
         s = SpectatorSchedule(4000.0, 3e-4, ANG)
         cfg = EvolutionConfig(dt=1e-6)
         initial = np.kron(ZERO, ZERO)
