@@ -55,12 +55,16 @@ def _simulate(cfg: RunConfig) -> metrics.Trajectory:
 def _run_ensemble(cfg: RunConfig) -> metrics.EnsembleSummary:
     """Mean and standard error over every member, propagated together in one call.
 
-    The members are realized one at a time, as the engine synthesizes their
-    noise, and reduced block by block of records as the engine makes them.
-    A noise-free ensemble (zero amplitude) is its one trajectory.
+    The noise spec is built once and the members are realized from it one
+    at a time, as the engine synthesizes their noise; they are reduced block
+    by block of records as the engine makes them.  A noise-free ensemble
+    (zero amplitude) is its one trajectory.
     """
-    members = cfg.realizations if cfg.draws_noise else 1
-    noises = (_noise_realization(cfg, i) for i in range(members))
+    if cfg.draws_noise:
+        spec = cfg.noise_spec()
+        noises = (model.realize_noise(spec, i) for i in range(cfg.realizations))
+    else:
+        noises = [None]
     return evolve.evolve_stepwise(cfg.schedule(), noises, _evolution_config(cfg),
                                   cfg.initial_vector(), reduce=metrics.aggregate)
 

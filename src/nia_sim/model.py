@@ -23,7 +23,9 @@ its half-step grid, the memory solver its fine grid), and on it the sum is
 a chirp-z transform (Bluestein's algorithm), evaluated with FFTs of
 5-smooth length in tiles of 2^13 components x 2^12 samples and with every
 phase reduced exactly in turns.  What depends only on the grid is planned
-once and reused by every member of a run.
+once and reused by every member of a run, so a member costs its own
+exp(i phi) (a table of roots of unity and a short series), one forward
+FFT per tile and one inverse FFT per sample tile.
 
 All reference parameters are quoted in Hz-like numbers; the frequency
 convention flag decides whether a quoted value x means x rad/s
@@ -218,11 +220,13 @@ def realize_noise(spec: NoiseSpec, index: int = 0) -> NoiseRealization:
 
 #: Tile of the chirp-z sum: components x samples per FFT convolution.
 _TILE_COMPONENTS, _TILE_SAMPLES = 2 ** 13, 2 ** 12
-#: Most bytes a memoized grid plan (`_chirp_plan`) keeps; the factors of
-#: tiles beyond it are rebuilt on every call.
+#: Most bytes a memoized grid plan (`_chirp_plan`) keeps in factors; those
+#: of tiles beyond it are rebuilt on every call.
 _PLAN_BUDGET = 4 * 2 ** 20
 #: 2*pi to 40 digits, so that turn rates carry no float rounding of pi.
 _TWO_PI = "6.283185307179586476925286766559005768394"
+#: Entries of `_expi`'s table of roots of unity.
+_ROOTS = 2 ** 10
 
 
 def noise_values(r: NoiseRealization, t0: float, h: float, count: int) -> np.ndarray:
@@ -231,10 +235,12 @@ def noise_values(r: NoiseRealization, t0: float, h: float, count: int) -> np.nda
     The sum is a chirp-z transform in tiles of at most 2^13 components x
     2^12 samples (`_chirp_sum`).  Everything that depends only on the grid
     is planned once and memoized for the latest grid (`_chirp_plan`), so
-    the members of an ensemble pay only their own exp(i phi), one FFT pair
-    per tile and one accumulation.  The plan keeps at most `_PLAN_BUDGET`
-    bytes, and a call's temporaries stay near 2 MB whatever the number of
-    components and samples.  A sum that overflows raises FloatingPointError.
+    the members of an ensemble pay only their own exp(i phi) (`_expi`: a
+    table and a short series), one forward FFT per tile and one inverse
+    FFT per sample tile, in scratch that the plan owns.  The plan keeps at
+    most `_PLAN_BUDGET` bytes of factors besides that scratch, and a call's
+    temporaries stay near 2 MB whatever the number of components and
+    samples.  A sum that overflows raises FloatingPointError.
     """
     if not (t0 >= 0.0 and h >= 0.0):
         raise ValueError("noise is sampled on t0 + k h with t0 >= 0 and h >= 0")
@@ -263,6 +269,63 @@ def _turns(rate, m: np.ndarray) -> np.ndarray:
     return x - np.round(x)
 
 
+@functools.cache
+def _unit_roots():
+    """`_expi`'s table exp(2 pi i m / 2^10), its step 2 pi / 2^10 as hi + lo, and 1 / step.
+
+    Built on first use, so that importing the package computes nothing.  The
+    table comes from long-double sines; hi has 25 significant bits, so m hi
+    is exact for |m| < 2^28.
+    """
+    from fractions import Fraction
+
+    step = Fraction(_TWO_PI) / _ROOTS
+    hi = round(step * 2 ** 32) / 2 ** 32
+    angles = np.arange(_ROOTS) * (np.longdouble(_TWO_PI) / _ROOTS)
+    roots = np.empty(_ROOTS, dtype=complex)
+    roots.real, roots.imag = np.cos(angles), np.sin(angles)
+    return _frozen(roots), hi, float(step - Fraction(hi)), float(1 / step)
+
+
+def _expi(theta: np.ndarray, out: np.ndarray, work) -> np.ndarray:
+    """exp(i theta) into `out`, for |theta| < 10^5; about 3x faster than np.exp.
+
+    theta = m 2pi/2^10 + delta with integer m and |delta| <= pi/2^10; the
+    result is the table's root m times 1 + (cos delta - 1) + i sin delta,
+    the series taken to delta^4 and delta^5 (next terms below 2e-18).  m
+    times the step's high part is exact and so is its difference from
+    theta, so the only rounding in delta is that of m times the low part,
+    below 1e-18 rad.  Within 1.5e-16 of a long-double exp(i theta)
+    (np.exp: 7.9e-17).  `work` is three float, one intp and one complex
+    scratch array, each at least len(theta) long.
+    """
+    roots, hi, lo, inverse_step = _unit_roots()
+    n = len(theta)
+    m, delta, sine, index, root = (a[:n] for a in work)
+    np.multiply(theta, inverse_step, out=m)
+    np.rint(m, out=m)
+    np.copyto(index, m, casting="unsafe")
+    np.bitwise_and(index, _ROOTS - 1, out=index)
+    np.take(roots, index, out=root, mode="clip")  # "raise" would buffer `out`
+    np.multiply(m, hi, out=delta)
+    np.subtract(theta, delta, out=delta)
+    m *= lo
+    delta -= m
+    square = np.multiply(delta, delta, out=m)
+    np.multiply(square, 1 / 120, out=sine)
+    sine -= 1 / 6
+    sine *= square
+    sine += 1.0
+    sine *= delta
+    cosine = np.multiply(square, 1 / 24, out=delta)  # minus 1
+    cosine -= 0.5
+    cosine *= square
+    out.real, out.imag = cosine, sine
+    out *= root
+    out += root
+    return out
+
+
 def _smooth_length(n: int) -> int:
     """The least 2^a 3^b 5^c >= n: a length numpy's FFT handles at full speed."""
     while True:
@@ -277,8 +340,8 @@ def _smooth_length(n: int) -> int:
 
 def _tile_origins(n: int, count: int):
     """(j0, k0) of every tile: first component (from 1) and first sample, in summation order."""
-    for j0 in range(1, n + 1, _TILE_COMPONENTS):
-        for k0 in range(0, count, _TILE_SAMPLES):
+    for k0 in range(0, count, _TILE_SAMPLES):
+        for j0 in range(1, n + 1, _TILE_COMPONENTS):
             yield j0, k0
 
 
@@ -288,23 +351,30 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class _ChirpPlan:
-    """Everything of the chirp-z sum on one grid but the phases.
+    """Everything of the chirp-z sum on one grid but the phases, and the scratch of a call.
 
     With a_j = exp(i(phi_j + j omega0 t0)) and w = exp(i omega0 h) the sum is
-    Im sum_j a_j w^(jk).  A tile of components j = j0 + p and samples
-    k = k0 + q has jk = pq + p k0 + j0 q + j0 k0, and Bluestein's identity
-    pq = (p^2 + q^2 - (q - p)^2) / 2 turns its sum over p into one FFT
-    convolution with the chirp w^(-m^2/2), whose transform (`inverse_ft`,
-    of 5-smooth length `size`) serves every tile.  A tile's input factor
-    is w^(p k0) exp(i omega0 t0 j) w^(p^2/2) and its output factor
-    w^(j0 q + j0 k0) w^(q^2/2).  Every phase is reduced exactly in turns:
-    the rates omega0 h / 2 pi and omega0 t0 / 2 pi are held as fractions
-    and multiply integers only, so the result does not lose accuracy at
-    large omega t.
+    Im sum_j a_j w^(jk).  In a tile of samples k = k0 + q, Bluestein's
+    identity jq = (j^2 + q^2 - (q - j)^2) / 2 on the global component index
+    j = j0 + p, with j^2 and (q - j)^2 expanded around j0 (the j0^2 terms
+    cancel), gives
+        w^(jk) = w^(j k0 + p^2/2 + j0 p) w^(m j0 - m^2/2) w^(q^2/2),  m = q - p.
+    A tile's sum over p is thus one FFT convolution of length `size`
+    (5-smooth) with a lag kernel that depends on j0 alone; the output
+    factor w^(q^2/2) (`outof`) is common to every component tile, so the
+    spectra of a sample tile's component tiles are summed and inverted
+    once.  The input factor's phase, with omega0 t0 j, is added to phi_j
+    before the exponential.  Every phase is reduced exactly in turns: the
+    rates omega0 h / 2 pi and omega0 t0 / 2 pi are held as fractions, and
+    their products with j0 and k0 are reduced before they multiply arrays.
 
-    `factors` holds the (input, output) factors of the leading tiles, as
-    many as keep the plan within `_PLAN_BUDGET` bytes; `tile_factors`
-    builds the others.  Every array is read-only.
+    `kernels` holds the kernel transforms of the leading component tiles
+    and `offsets` the input phases of the leading tiles, as many as keep
+    the plan within `_PLAN_BUDGET` bytes; `kernel` and `offset` build the
+    others.  Every one of these arrays is read-only.  `theta`, `spectrum`,
+    `total` and `work` are the scratch of `_chirp_sum`, which every member
+    on the grid reuses (at most about 0.8 MB), so two threads must not
+    synthesize noise on one grid at once.
     """
 
     def __init__(self, omega0_rad: float, n: int, t0: float, h: float, count: int):
@@ -314,34 +384,56 @@ class _ChirpPlan:
         self.n, self.count = n, count
         self.rate, self.rate0 = w0 * Fraction(h) % 1, w0 * Fraction(t0) % 1
         cols, rows = min(n, _TILE_COMPONENTS), min(count, _TILE_SAMPLES)
+        width = max(cols, rows)
         self.size = _smooth_length(cols + rows - 1)
-        m = np.arange(max(cols, rows))
-        # w^(m^2/2) at the rate mod 1: an integer added to the rate multiplies the
-        # three chirp factors of a term by (-1)^(p^2 + q^2 - (q - p)^2) = 1.
-        self.chirp = _frozen(np.exp(2j * np.pi * _turns(self.rate / 2, m * m)))
-        # w^(-m^2/2) for m = 1 - cols .. rows - 1, wrapped for a circular convolution.
-        inverse = np.zeros(self.size, dtype=complex)
-        inverse[:rows] = self.chirp[:rows].conj()
-        inverse[self.size - cols + 1:] = self.chirp[cols - 1:0:-1].conj()
-        self.inverse_ft = _frozen(np.fft.fft(inverse))
-        spare = _PLAN_BUDGET - self.chirp.nbytes - self.inverse_ft.nbytes
-        factors = []
+        self.theta = np.empty(cols)
+        self.spectrum, self.total = (np.empty(self.size, dtype=complex) for _ in range(2))
+        self.work = (*np.empty((3, width)), np.empty(width, dtype=np.intp),
+                     np.empty(width, dtype=complex))
+        # w^(m^2/2) in turns at the rate mod 1: an integer added to the rate multiplies
+        # the three chirp factors of a term by (-1)^(p^2 + q^2 - (q - p)^2) = 1.
+        m = np.arange(width)
+        self.half = _frozen(_turns(self.rate / 2, m * m))
+        self.outof = _frozen(self._cis(self.half[:rows].copy(), np.empty(rows, dtype=complex)))
+        spare = _PLAN_BUDGET - self.half.nbytes - self.outof.nbytes
+        kernels, offsets = [], []
         for j0, k0 in _tile_origins(n, count):
-            cost = 16 * (min(cols, n + 1 - j0) + min(rows, count - k0))
+            cost = 8 * min(cols, n + 1 - j0) + (16 * self.size if k0 == 0 else 0)
             if cost > spare:
                 break
             spare -= cost
-            factors.append(tuple(map(_frozen, self.tile_factors(j0, k0))))
-        self.factors = tuple(factors)
+            if k0 == 0:
+                kernels.append(_frozen(self.kernel(j0)))
+            offsets.append(_frozen(self.offset(j0, k0)))
+        self.kernels, self.offsets = tuple(kernels), tuple(offsets)
 
-    def tile_factors(self, j0: int, k0: int) -> tuple[np.ndarray, np.ndarray]:
-        """Input and output factors of the tile at component j0 and sample k0."""
+    def _cis(self, turns: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """exp(2 pi i turns) into `out`; `turns` is reduced in place."""
+        turns -= np.round(turns)
+        turns *= 2.0 * np.pi
+        return _expi(turns, out, self.work)
+
+    def kernel(self, j0: int) -> np.ndarray:
+        """Transform of w^(m j0 - m^2/2) for lags m = 1 - cols .. rows - 1, wrapped."""
+        cols, rows = min(self.n, _TILE_COMPONENTS), min(self.count, _TILE_SAMPLES)
+        shift = _turns(self.rate * j0 % 1, np.arange(max(cols, rows)))
+        kernel = np.zeros(self.size, dtype=complex)
+        self._cis(shift[:rows] - self.half[:rows], kernel[:rows])
+        self._cis(-shift[cols - 1:0:-1] - self.half[cols - 1:0:-1],
+                  kernel[self.size - cols + 1:])
+        return np.fft.fft(kernel, out=kernel)
+
+    def offset(self, j0: int, k0: int) -> np.ndarray:
+        """Phase of w^(j k0 + p^2/2 + j0 p) exp(i omega0 t0 j) for components j = j0 + p.
+
+        In radians in (-2 pi, 0], so that phi_j plus it lies within 2 pi of 0.
+        """
         p = np.arange(min(_TILE_COMPONENTS, self.n + 1 - j0))
-        q = np.arange(min(_TILE_SAMPLES, self.count - k0))
-        into = _turns(self.rate0, j0 + p) + _turns(self.rate * k0 % 1, p)
-        outof = _turns(self.rate * j0 % 1, q) + float(self.rate * j0 * k0 % 1)
-        return (np.exp(2j * np.pi * into) * self.chirp[:len(p)],
-                np.exp(2j * np.pi * outof) * self.chirp[:len(q)])
+        turns = _turns((self.rate0 + self.rate * (j0 + k0)) % 1, p) + self.half[:len(p)]
+        turns += float((self.rate0 + self.rate * k0) * j0 % 1)
+        turns -= np.ceil(turns)
+        turns *= 2.0 * np.pi
+        return turns
 
 
 @functools.lru_cache(maxsize=1)
@@ -353,29 +445,33 @@ def _chirp_plan(omega0_rad: float, n: int, t0: float, h: float, count: int) -> _
 def _chirp_sum(phases: np.ndarray, plan: _ChirpPlan) -> np.ndarray:
     """sum_j sin(phi_j + j omega0 (t0 + k h)) for k < count, by tiled chirp-z.
 
-    Per tile: one product with the input factor, one FFT pair and one
-    accumulation of the imaginary part after the output factor.  Each
-    tile's chain runs in one buffer allocated per call, as do the
-    components' exp(i phi): a fresh temporary of a tile's size would be
-    mapped, and page-faulted, anew every time.
+    Per tile: exp(i(phi + offset)) of its components (`_expi`), one forward
+    FFT and the product with the component tile's kernel, summed in the
+    spectrum.  Per sample tile: one inverse FFT of that sum, the output
+    factor and the imaginary part.  Everything runs in the plan's scratch;
+    only the returned array is new.
     """
-    out = np.zeros(plan.count)
-    a = np.empty(min(plan.n, _TILE_COMPONENTS), dtype=complex)
-    buf = np.empty(plan.size, dtype=complex)
+    out = np.empty(plan.count)
+    theta, spectrum, total = plan.theta, plan.spectrum, plan.total
     for i, (j0, k0) in enumerate(_tile_origins(plan.n, plan.count)):
-        into, outof = plan.factors[i] if i < len(plan.factors) else plan.tile_factors(j0, k0)
-        cols = len(into)
-        if k0 == 0:
-            np.multiply(1j, phases[j0 - 1:j0 - 1 + cols], out=a[:cols])
-            np.exp(a[:cols], out=a[:cols])
-        np.multiply(a[:cols], into, out=buf[:cols])
-        buf[cols:] = 0.0
-        np.fft.fft(buf, out=buf)
-        buf *= plan.inverse_ft
-        np.fft.ifft(buf, out=buf)
-        y = buf[:len(outof)]
-        y *= outof
-        out[k0:k0 + len(outof)] += y.imag
+        offset = plan.offsets[i] if i < len(plan.offsets) else plan.offset(j0, k0)
+        c = (j0 - 1) // _TILE_COMPONENTS
+        kernel = plan.kernels[c] if c < len(plan.kernels) else plan.kernel(j0)
+        cols = len(offset)
+        np.add(phases[j0 - 1:j0 - 1 + cols], offset, out=theta[:cols])
+        _expi(theta[:cols], spectrum[:cols], plan.work)
+        spectrum[cols:] = 0.0
+        np.fft.fft(spectrum, out=spectrum)
+        if j0 == 1:
+            np.multiply(spectrum, kernel, out=total)
+        else:
+            spectrum *= kernel
+            total += spectrum
+        if j0 + _TILE_COMPONENTS > plan.n:
+            np.fft.ifft(total, out=total)
+            y = total[:min(_TILE_SAMPLES, plan.count - k0)]
+            y *= plan.outof[:len(y)]
+            out[k0:k0 + len(y)] = y.imag
     return out
 
 

@@ -349,12 +349,25 @@ class TestCliRuns:
         assert [l for l in lines if l.startswith(RUN_KEYS)] == [
             "# realizations = 10", "# members = 1"]
 
+    def test_ensemble_builds_its_noise_spec_once(self, monkeypatch):
+        # One spec serves every member; each member is still realized through
+        # model.realize_noise, with its own index.
+        specs, indices = [], []
+        noise_spec, realize = config.RunConfig.noise_spec, model.realize_noise
+        monkeypatch.setattr(config.RunConfig, "noise_spec",
+                            lambda cfg: specs.append(noise_spec(cfg)) or specs[-1])
+        monkeypatch.setattr(cli.model, "realize_noise",
+                            lambda spec, index: indices.append(index) or realize(spec, index))
+        cfg = load_config("fig3d", {"mode": "ensemble", "realizations": "5", "T": "2e-5"})
+        assert cli._run_ensemble(cfg).m == 5
+        assert (len(specs), indices) == (1, [0, 1, 2, 3, 4])
+
     def test_ensemble_memory_does_not_grow_with_components(self):
         # Traced peak growth of a 50-member, 50-step fig3d ensemble from
-        # omega_cut 5000 to 50 000 components: 0.46 MiB, within the plan
-        # budget and one member's synthesis (its 0.4 MB of phases and near
-        # 2 MB of temporaries).  Realizing every member up front added
-        # 8 B per member and component, 17.2 MiB.
+        # omega_cut 5000 to 50 000 components: 0.74 MiB, within the plan
+        # budget and one member's synthesis (its 0.4 MB of phases and the
+        # plan's scratch, under 1 MB).  Realizing every member up front
+        # added 8 B per member and component, 17.2 MiB.
         peaks = []
         for cut in ("5000", "50000"):
             cfg = load_config("fig3d", {"mode": "ensemble", "realizations": "50",

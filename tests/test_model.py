@@ -1,4 +1,7 @@
 """Schedules, noise synthesis, spectra, and convention mapping."""
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -248,6 +251,8 @@ class TestNoise:
     @example(20000, 9001, 3.0, 2 ** 13, 1, 14, 6)    # tiles join in both directions
     @example(200, 200001, 1.0, 2 ** 6, 1, 8, 6)      # K >> N
     @example(50000, 5, 2.0, 3 * 2 ** 10, 1, 10, 6)   # N >> K
+    @example(2 ** 17, 5, 3.0, 2 ** 13, 1, 14, 6)     # j^2 to 2^34: turned whole, 4.2e-12 off
+    @example(25000, 2001, 1.0, 0, 21, 22, 6)         # fig4b: 4 component tiles, h near 5e-6
     def test_uniform_grid_matches_exact_reference(self, n, count, omega0, t0_units,
                                                   h_units, exponent, seed):
         # Dyadic t0 and h put every t0 + k h exactly on a double.
@@ -262,6 +267,45 @@ class TestNoise:
         got = noise_values(r, t0, h, count)[ks]
         rms = spec.component_scale * np.sqrt(n / 2.0)
         assert np.max(np.abs(got - exact_noise(r, t0, h, ks))) / rms < 1e-12
+
+
+class TestExpi:
+    """`_expi`, the synthesizer's exp(i theta): a table of roots of unity and a short series."""
+
+    # Largest |_expi - exp| against a long-double exp(i theta) on [0, 2 pi):
+    # 1.5e-16 measured over 10^6 random angles and every point below (np.exp:
+    # 7.9e-17); the bound leaves a factor 2.
+    BOUND = 3e-16
+
+    @staticmethod
+    def error(theta):
+        theta = np.asarray(theta, dtype=float)
+        n = len(theta)
+        work = (*np.empty((3, n)), np.empty(n, dtype=np.intp), np.empty(n, dtype=complex))
+        got = model._expi(theta, np.empty(n, dtype=complex), work)
+        return np.abs(got - np.exp(1j * theta.astype(np.longdouble))).max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 2.0 * np.pi, exclude_max=True), min_size=1, max_size=64))
+    @example([0.0])
+    @example([np.nextafter(2.0 * np.pi, 0.0)])
+    def test_matches_long_double_exp(self, theta):
+        assert self.error(theta) <= self.BOUND
+
+    def test_half_steps_around_table_points(self):
+        # The residual is largest, +-pi/2^10, where rounding to a table point flips.
+        half = np.arange(-1, 2 * model._ROOTS + 1) * (np.pi / model._ROOTS)
+        theta = np.concatenate([np.nextafter(half, -np.inf), half, np.nextafter(half, np.inf)])
+        assert self.error(theta[(theta >= 0.0) & (theta < 2.0 * np.pi)]) <= self.BOUND
+
+    def test_table_is_built_on_first_use(self):
+        # Importing the package builds no table: runs without noise never need one.
+        code = ("import nia_sim; from nia_sim import model; "
+                "print(model._unit_roots.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, check=True)
+        assert result.stdout.strip() == "0"
 
 
 class TestChirpPlan:
@@ -288,12 +332,12 @@ class TestChirpPlan:
     def test_plan_is_read_only_and_within_budget(self):
         for count in (1001, 2001, 2 * 10 ** 6):
             plan = model._chirp_plan(1.0, 25000, 0.0, 5e-7, count)
-            arrays = [plan.chirp, plan.inverse_ft, *(x for pair in plan.factors for x in pair)]
+            arrays = [plan.half, plan.outof, *plan.kernels, *plan.offsets]
             assert sum(a.nbytes for a in arrays) <= model._PLAN_BUDGET
             assert not any(a.flags.writeable for a in arrays)
         # fig4b's grid: four tiles, of 3 x 8192 and 424 components, by 2001 samples.
         plan = model._chirp_plan(1.0, 25000, 0.0, 5e-6, 2001)
-        assert (plan.size, len(plan.factors)) == (10240, 4)
+        assert (plan.size, len(plan.kernels), len(plan.offsets)) == (10240, 4, 4)
 
     def test_fft_lengths_are_5_smooth(self):
         assert [model._smooth_length(n) for n in (1, 6, 4595, 5095, 6000, 18384, 20479)] == [
