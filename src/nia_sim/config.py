@@ -427,6 +427,11 @@ def _violations(cfg: RunConfig) -> list[str]:
             what = "the memory-grid step" if kernel else "dt"
             bad.append(f"warning: {what} times the typical field magnitude exceeds 0.5 rad;"
                        " the step evolution may be under-resolved")
+        # The engines sample the noise at the step midpoints, dt apart: past
+        # their Nyquist limit, omega_cut dt = pi, the samples alias the noise.
+        if not kernel and cfg.draws_noise and spec.omega_cut_rad * step > math.pi:
+            bad.append(f"warning: noise.omega_cut times dt is {spec.omega_cut_rad * step:.3g}"
+                       " rad, more than pi; the step midpoints alias the noise")
     return bad
 
 

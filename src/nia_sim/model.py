@@ -21,11 +21,12 @@ rescales eigenvalues without touching eigenvectors.  `noise_values` is the one
 synthesizer.  Every caller samples an arithmetic progression t0 + k h (a run
 its half-step grid, the memory solver its fine grid), and on it the sum is
 a chirp-z transform (Bluestein's algorithm), evaluated with FFTs of
-5-smooth length in tiles of 2^13 components x 2^12 samples and with every
-phase reduced exactly in turns.  What depends only on the grid is planned
-once and reused by every member of a run, so a member costs its own
-exp(i phi) (a table of roots of unity and a short series), one forward
-FFT per tile and one inverse FFT per sample tile.
+5-smooth length in tiles of 2^13 components x 2^12 samples.  Every phase,
+from the draw to the exponential, is in turns (fractions of a cycle), so
+each is reduced exactly and none is scaled by 2*pi.  What depends only on
+the grid is planned once and reused by every member of a run, so a member
+costs its own exp(2 pi i phi) (a table of roots of unity and a short
+series), one forward FFT per tile and one inverse FFT per sample tile.
 
 All reference parameters are quoted in Hz-like numbers; the frequency
 convention flag decides whether a quoted value x means x rad/s
@@ -198,7 +199,7 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class NoiseRealization:
-    """One frozen sample path: a spec plus its N random phases."""
+    """One frozen sample path: a spec plus its N random phases, in turns in [0, 1)."""
 
     spec: NoiseSpec
     index: int
@@ -206,14 +207,16 @@ class NoiseRealization:
 
 
 def realize_noise(spec: NoiseSpec, index: int = 0) -> NoiseRealization:
-    """Draw the phases for realization `index` of `spec`.
+    """Draw the phases, in turns in [0, 1), for realization `index` of `spec`.
 
     Philox is counter-based and keyed on (seed, index), so realizations are
-    reproducible across platforms and independent of draw order.
+    reproducible across platforms and independent of draw order.  2 pi times
+    the phases equals the same generator's uniform(0, 2 pi) bit for bit, so
+    a seed names the same noise path as a draw in radians.
     """
     key = np.array([spec.seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    phases = rng.uniform(0.0, 2.0 * np.pi, spec.n_components)
+    phases = rng.random(spec.n_components)
     phases.setflags(write=False)
     return NoiseRealization(spec=spec, index=index, phases=phases)
 
@@ -235,12 +238,13 @@ def noise_values(r: NoiseRealization, t0: float, h: float, count: int) -> np.nda
     The sum is a chirp-z transform in tiles of at most 2^13 components x
     2^12 samples (`_chirp_sum`).  Everything that depends only on the grid
     is planned once and memoized for the latest grid (`_chirp_plan`), so
-    the members of an ensemble pay only their own exp(i phi) (`_expi`: a
-    table and a short series), one forward FFT per tile and one inverse
-    FFT per sample tile, in scratch that the plan owns.  The plan keeps at
-    most `_PLAN_BUDGET` bytes of factors besides that scratch, and a call's
-    temporaries stay near 2 MB whatever the number of components and
-    samples.  A sum that overflows raises FloatingPointError.
+    the members of an ensemble pay only their own exp(2 pi i phi) (`_expi`
+    of the phases in turns: a table and a short series), one forward FFT
+    per tile and one inverse FFT per sample tile, in scratch that the plan
+    owns.  The plan keeps at most `_PLAN_BUDGET` bytes of factors besides
+    that scratch, and a call's temporaries stay near 2 MB whatever the
+    number of components and samples.  A sum that overflows raises
+    FloatingPointError.
     """
     if not (t0 >= 0.0 and h >= 0.0):
         raise ValueError("noise is sampled on t0 + k h with t0 >= 0 and h >= 0")
@@ -270,47 +274,39 @@ def _turns(rate, m: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _unit_roots():
-    """`_expi`'s table exp(2 pi i m / 2^10), its step 2 pi / 2^10 as hi + lo, and 1 / step.
+def _unit_roots() -> np.ndarray:
+    """`_expi`'s table exp(2 pi i m / 2^10), from long-double sines.
 
-    Built on first use, so that importing the package computes nothing.  The
-    table comes from long-double sines; hi has 25 significant bits, so m hi
-    is exact for |m| < 2^28.
+    Built on first use, so that importing the package computes nothing.
     """
-    from fractions import Fraction
-
-    step = Fraction(_TWO_PI) / _ROOTS
-    hi = round(step * 2 ** 32) / 2 ** 32
     angles = np.arange(_ROOTS) * (np.longdouble(_TWO_PI) / _ROOTS)
     roots = np.empty(_ROOTS, dtype=complex)
     roots.real, roots.imag = np.cos(angles), np.sin(angles)
-    return _frozen(roots), hi, float(step - Fraction(hi)), float(1 / step)
+    return _frozen(roots)
 
 
-def _expi(theta: np.ndarray, out: np.ndarray, work) -> np.ndarray:
-    """exp(i theta) into `out`, for |theta| < 10^5; about 3x faster than np.exp.
+def _expi(turns: np.ndarray, out: np.ndarray, work) -> np.ndarray:
+    """exp(2 pi i turns) into `out`; about 3x faster than np.exp.
 
-    theta = m 2pi/2^10 + delta with integer m and |delta| <= pi/2^10; the
-    result is the table's root m times 1 + (cos delta - 1) + i sin delta,
-    the series taken to delta^4 and delta^5 (next terms below 2e-18).  m
-    times the step's high part is exact and so is its difference from
-    theta, so the only rounding in delta is that of m times the low part,
-    below 1e-18 rad.  Within 1.5e-16 of a long-double exp(i theta)
-    (np.exp: 7.9e-17).  `work` is three float, one intp and one complex
-    scratch array, each at least len(theta) long.
+    2^10 turns = m + r with integer m and |r| <= 1/2; the scaling and the
+    subtraction are exact, so the only rounding before the series is that
+    of delta = r 2pi/2^10, |delta| <= pi/2^10.  The result is the table's
+    root m times 1 + (cos delta - 1) + i sin delta, the series taken to
+    delta^4 and delta^5 (next terms below 2e-18).  Within 1.5e-16 of a
+    long-double exp(2 pi i turns) for any |turns| < 2^53, where m still
+    fits the intp cast (np.exp: 7.9e-17).  `work` is three float, one intp
+    and one complex scratch array, each at least len(turns) long.
     """
-    roots, hi, lo, inverse_step = _unit_roots()
-    n = len(theta)
+    roots = _unit_roots()
+    n = len(turns)
     m, delta, sine, index, root = (a[:n] for a in work)
-    np.multiply(theta, inverse_step, out=m)
-    np.rint(m, out=m)
+    np.multiply(turns, _ROOTS, out=delta)
+    np.rint(delta, out=m)
     np.copyto(index, m, casting="unsafe")
     np.bitwise_and(index, _ROOTS - 1, out=index)
     np.take(roots, index, out=root, mode="clip")  # "raise" would buffer `out`
-    np.multiply(m, hi, out=delta)
-    np.subtract(theta, delta, out=delta)
-    m *= lo
     delta -= m
+    delta *= 2.0 * np.pi / _ROOTS
     square = np.multiply(delta, delta, out=m)
     np.multiply(square, 1 / 120, out=sine)
     sine -= 1 / 6
@@ -353,25 +349,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class _ChirpPlan:
     """Everything of the chirp-z sum on one grid but the phases, and the scratch of a call.
 
-    With a_j = exp(i(phi_j + j omega0 t0)) and w = exp(i omega0 h) the sum is
-    Im sum_j a_j w^(jk).  In a tile of samples k = k0 + q, Bluestein's
-    identity jq = (j^2 + q^2 - (q - j)^2) / 2 on the global component index
-    j = j0 + p, with j^2 and (q - j)^2 expanded around j0 (the j0^2 terms
-    cancel), gives
+    With a_j = exp(i(2 pi phi_j + j omega0 t0)), phi_j the phases in turns,
+    and w = exp(i omega0 h) the sum is Im sum_j a_j w^(jk).  In a tile of
+    samples k = k0 + q, Bluestein's identity jq = (j^2 + q^2 - (q - j)^2) / 2
+    on the global component index j = j0 + p, with j^2 and (q - j)^2
+    expanded around j0 (the j0^2 terms cancel), gives
         w^(jk) = w^(j k0 + p^2/2 + j0 p) w^(m j0 - m^2/2) w^(q^2/2),  m = q - p.
     A tile's sum over p is thus one FFT convolution of length `size`
     (5-smooth) with a lag kernel that depends on j0 alone; the output
     factor w^(q^2/2) (`outof`) is common to every component tile, so the
     spectra of a sample tile's component tiles are summed and inverted
     once.  The input factor's phase, with omega0 t0 j, is added to phi_j
-    before the exponential.  Every phase is reduced exactly in turns: the
-    rates omega0 h / 2 pi and omega0 t0 / 2 pi are held as fractions, and
-    their products with j0 and k0 are reduced before they multiply arrays.
+    before the exponential.  Every phase of the plan is in turns and
+    reduced exactly: the rates omega0 h / 2 pi and omega0 t0 / 2 pi are held
+    as fractions, and their products with j0 and k0 are reduced before they
+    multiply arrays.
 
     `kernels` holds the kernel transforms of the leading component tiles
     and `offsets` the input phases of the leading tiles, as many as keep
     the plan within `_PLAN_BUDGET` bytes; `kernel` and `offset` build the
-    others.  Every one of these arrays is read-only.  `theta`, `spectrum`,
+    others.  Every one of these arrays is read-only.  `phase`, `spectrum`,
     `total` and `work` are the scratch of `_chirp_sum`, which every member
     on the grid reuses (at most about 0.8 MB), so two threads must not
     synthesize noise on one grid at once.
@@ -386,7 +383,7 @@ class _ChirpPlan:
         cols, rows = min(n, _TILE_COMPONENTS), min(count, _TILE_SAMPLES)
         width = max(cols, rows)
         self.size = _smooth_length(cols + rows - 1)
-        self.theta = np.empty(cols)
+        self.phase = np.empty(cols)
         self.spectrum, self.total = (np.empty(self.size, dtype=complex) for _ in range(2))
         self.work = (*np.empty((3, width)), np.empty(width, dtype=np.intp),
                      np.empty(width, dtype=complex))
@@ -394,7 +391,7 @@ class _ChirpPlan:
         # the three chirp factors of a term by (-1)^(p^2 + q^2 - (q - p)^2) = 1.
         m = np.arange(width)
         self.half = _frozen(_turns(self.rate / 2, m * m))
-        self.outof = _frozen(self._cis(self.half[:rows].copy(), np.empty(rows, dtype=complex)))
+        self.outof = _frozen(_expi(self.half[:rows], np.empty(rows, dtype=complex), self.work))
         spare = _PLAN_BUDGET - self.half.nbytes - self.outof.nbytes
         kernels, offsets = [], []
         for j0, k0 in _tile_origins(n, count):
@@ -407,32 +404,24 @@ class _ChirpPlan:
             offsets.append(_frozen(self.offset(j0, k0)))
         self.kernels, self.offsets = tuple(kernels), tuple(offsets)
 
-    def _cis(self, turns: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """exp(2 pi i turns) into `out`; `turns` is reduced in place."""
-        turns -= np.round(turns)
-        turns *= 2.0 * np.pi
-        return _expi(turns, out, self.work)
-
     def kernel(self, j0: int) -> np.ndarray:
         """Transform of w^(m j0 - m^2/2) for lags m = 1 - cols .. rows - 1, wrapped."""
         cols, rows = min(self.n, _TILE_COMPONENTS), min(self.count, _TILE_SAMPLES)
         shift = _turns(self.rate * j0 % 1, np.arange(max(cols, rows)))
         kernel = np.zeros(self.size, dtype=complex)
-        self._cis(shift[:rows] - self.half[:rows], kernel[:rows])
-        self._cis(-shift[cols - 1:0:-1] - self.half[cols - 1:0:-1],
-                  kernel[self.size - cols + 1:])
+        _expi(shift[:rows] - self.half[:rows], kernel[:rows], self.work)
+        _expi(-shift[cols - 1:0:-1] - self.half[cols - 1:0:-1], kernel[self.size - cols + 1:],
+              self.work)
         return np.fft.fft(kernel, out=kernel)
 
     def offset(self, j0: int, k0: int) -> np.ndarray:
         """Phase of w^(j k0 + p^2/2 + j0 p) exp(i omega0 t0 j) for components j = j0 + p.
 
-        In radians in (-2 pi, 0], so that phi_j plus it lies within 2 pi of 0.
+        In turns, within 3/2 of 0: the sum of three phases reduced to [-1/2, 1/2].
         """
         p = np.arange(min(_TILE_COMPONENTS, self.n + 1 - j0))
         turns = _turns((self.rate0 + self.rate * (j0 + k0)) % 1, p) + self.half[:len(p)]
         turns += float((self.rate0 + self.rate * k0) * j0 % 1)
-        turns -= np.ceil(turns)
-        turns *= 2.0 * np.pi
         return turns
 
 
@@ -443,23 +432,23 @@ def _chirp_plan(omega0_rad: float, n: int, t0: float, h: float, count: int) -> _
 
 
 def _chirp_sum(phases: np.ndarray, plan: _ChirpPlan) -> np.ndarray:
-    """sum_j sin(phi_j + j omega0 (t0 + k h)) for k < count, by tiled chirp-z.
+    """sum_j sin(2 pi phi_j + j omega0 (t0 + k h)) for k < count, by tiled chirp-z.
 
-    Per tile: exp(i(phi + offset)) of its components (`_expi`), one forward
+    Per tile: exp(2 pi i(phi + offset)) of its components (`_expi`), one forward
     FFT and the product with the component tile's kernel, summed in the
     spectrum.  Per sample tile: one inverse FFT of that sum, the output
     factor and the imaginary part.  Everything runs in the plan's scratch;
     only the returned array is new.
     """
     out = np.empty(plan.count)
-    theta, spectrum, total = plan.theta, plan.spectrum, plan.total
+    phase, spectrum, total = plan.phase, plan.spectrum, plan.total
     for i, (j0, k0) in enumerate(_tile_origins(plan.n, plan.count)):
         offset = plan.offsets[i] if i < len(plan.offsets) else plan.offset(j0, k0)
         c = (j0 - 1) // _TILE_COMPONENTS
         kernel = plan.kernels[c] if c < len(plan.kernels) else plan.kernel(j0)
         cols = len(offset)
-        np.add(phases[j0 - 1:j0 - 1 + cols], offset, out=theta[:cols])
-        _expi(theta[:cols], spectrum[:cols], plan.work)
+        np.add(phases[j0 - 1:j0 - 1 + cols], offset, out=phase[:cols])
+        _expi(phase[:cols], spectrum[:cols], plan.work)
         spectrum[cols:] = 0.0
         np.fft.fft(spectrum, out=spectrum)
         if j0 == 1:

@@ -2,7 +2,9 @@
 
 `exact_noise` is the noise on a uniform grid with every phase reduced
 exactly in turns: the turn rates come from fractions with a 50-digit 2*pi,
-each term's multiplier j*k is an integer, and the sum runs in long double.
+each term's multiplier j*k is an integer, each term's phase in turns (the
+realization's phase plus both reduced rates) is scaled by 2*pi in long
+double, and the sum runs in long double.
 `psd_estimate` is the periodogram diagnostic of the synthesized noise.
 """
 from fractions import Fraction
@@ -41,8 +43,8 @@ def exact_noise(r, t0: float, h: float, ks) -> np.ndarray:
     rate = w0 * Fraction(h) / TWO_PI % 1
     rate0 = w0 * Fraction(t0) / TWO_PI % 1
     j = np.arange(1, spec.n_components + 1, dtype=np.int64)
-    base = _frac_turns(rate0, j) * _LD_TWO_PI + r.phases.astype(np.longdouble)
-    out = np.array([np.sin(base + _frac_turns(rate, j * k) * _LD_TWO_PI).sum()
+    base = _frac_turns(rate0, j) + r.phases.astype(np.longdouble)  # turns
+    out = np.array([np.sin((base + _frac_turns(rate, j * k)) * _LD_TWO_PI).sum()
                     for k in np.asarray(ks, dtype=np.int64)], dtype=float)
     return spec.component_scale * out
 

@@ -156,6 +156,22 @@ class TestValidate:
         assert not refused("fig3b", mode="kernel", J0="1e10")
         assert refused("fig3b", mode="kernel", J0="1e10", **{"kernel.points": "500"})
 
+    def test_midpoints_that_alias_the_noise_warn(self):
+        # fig3b's dt is 1 us, so omega_cut = 10^7 puts omega_cut dt at 10 rad.
+        aliased = {"noise.amplitude": "1", "noise.omega_cut": "1e7", "noise.seed": "1"}
+        violations = validate(load_config("fig3b", aliased))
+        assert config.blocking(violations) == []
+        assert [v for v in violations if "alias" in v] == [
+            "warning: noise.omega_cut times dt is 10 rad, more than pi;"
+            " the step midpoints alias the noise"]
+        # The noise-free point draws no noise; the memory solver has its own limit.
+        for overrides in ({"noise.amplitude": "0"}, {"mode": "kernel"}):
+            assert not any("alias" in v
+                           for v in validate(load_config("fig3b", aliased | overrides)))
+        # Shipped: omega_cut dt is 0.005 rad on fig3d and 0.25 rad on fig4b.
+        for name in config.PRESET_NAMES:
+            assert not any("alias" in v for v in validate(load_config(name)))
+
     def test_dt_zero(self):
         bad = validate(build_config({"dt": "0"}))
         assert any("dt must be positive" in v for v in bad)

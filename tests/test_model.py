@@ -185,6 +185,18 @@ class TestNoise:
         assert not np.array_equal(realize_noise(spec, 0).phases,
                                   realize_noise(spec, 1).phases)
 
+    def test_phases_in_turns_name_the_radian_draw(self):
+        # 2 pi times the phases is the generator's uniform(0, 2 pi) draw bit
+        # for bit, so a seed names the same noise path in either unit.
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=5000.0, seed=42,
+                         convention=ANG)
+        for i in (0, 7):
+            phases = realize_noise(spec, i).phases
+            assert phases.min() >= 0.0 and phases.max() < 1.0
+            rng = np.random.Generator(np.random.Philox(key=[42, i]))
+            radians = rng.uniform(0.0, 2.0 * np.pi, spec.n_components)
+            np.testing.assert_array_equal(2.0 * np.pi * phases, radians)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_rejected(self):
         # Both the engines and the memory solver sample noise only through here.
@@ -270,33 +282,42 @@ class TestNoise:
 
 
 class TestExpi:
-    """`_expi`, the synthesizer's exp(i theta): a table of roots of unity and a short series."""
+    """`_expi`, the synthesizer's exp(2 pi i turns): a table of roots of unity and a series."""
 
-    # Largest |_expi - exp| against a long-double exp(i theta) on [0, 2 pi):
-    # 1.5e-16 measured over 10^6 random angles and every point below (np.exp:
+    # Largest |_expi - exp| against a long-double exp(2 pi i turns) on [0, 1):
+    # 1.5e-16 measured over 10^6 random turns and every point below (np.exp:
     # 7.9e-17); the bound leaves a factor 2.
     BOUND = 3e-16
 
     @staticmethod
-    def error(theta):
-        theta = np.asarray(theta, dtype=float)
-        n = len(theta)
+    def error(turns):
+        turns = np.asarray(turns, dtype=float)
+        n = len(turns)
         work = (*np.empty((3, n)), np.empty(n, dtype=np.intp), np.empty(n, dtype=complex))
-        got = model._expi(theta, np.empty(n, dtype=complex), work)
-        return np.abs(got - np.exp(1j * theta.astype(np.longdouble))).max()
+        got = model._expi(turns, np.empty(n, dtype=complex), work)
+        # Whole turns drop exactly; 2 pi comes from its 40 digits, since
+        # np.longdouble(np.pi) is itself 2.4e-16 off.
+        angle = (turns - np.round(turns)).astype(np.longdouble) * np.longdouble(model._TWO_PI)
+        return np.abs(got - np.exp(1j * angle)).max()
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(0.0, 2.0 * np.pi, exclude_max=True), min_size=1, max_size=64))
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                              st.floats(-2.0 ** 40, 2.0 ** 40)), min_size=1, max_size=64))
     @example([0.0])
-    @example([np.nextafter(2.0 * np.pi, 0.0)])
-    def test_matches_long_double_exp(self, theta):
-        assert self.error(theta) <= self.BOUND
+    @example([np.nextafter(1.0, 0.0)])
+    @example([-2.0 ** 40, np.nextafter(2.0 ** 40, 0.0), 2.0 ** 40])
+    def test_matches_long_double_exp(self, turns):
+        assert self.error(turns) <= self.BOUND
 
     def test_half_steps_around_table_points(self):
-        # The residual is largest, +-pi/2^10, where rounding to a table point flips.
-        half = np.arange(-1, 2 * model._ROOTS + 1) * (np.pi / model._ROOTS)
-        theta = np.concatenate([np.nextafter(half, -np.inf), half, np.nextafter(half, np.inf)])
-        assert self.error(theta[(theta >= 0.0) & (theta < 2.0 * np.pi)]) <= self.BOUND
+        # The residual is largest, +-pi/2^10 rad, where rounding to a table
+        # point flips: at odd multiples of 2^-11 turn, in the first turn and
+        # 2^30 turns out.
+        for whole in (0.0, 2.0 ** 30, -2.0 ** 30):
+            half = whole + np.arange(-1, 2 * model._ROOTS + 1) * 2.0 ** -11
+            turns = np.concatenate([np.nextafter(half, -np.inf), half,
+                                    np.nextafter(half, np.inf)])
+            assert self.error(turns[(turns >= whole) & (turns < whole + 1.0)]) <= self.BOUND
 
     def test_table_is_built_on_first_use(self):
         # Importing the package builds no table: runs without noise never need one.
