@@ -293,7 +293,8 @@ def validate(cfg: RunConfig) -> list[str]:
 
     Entries starting with "warning:" are advisory (physics sanity) and do
     not block execution.  Each of the `runs` of a sweep or a spectator
-    check is checked too; what blocks only a sweep run names its value.
+    check is checked too; what only a sweep run violates or warns of names
+    its value.
     """
     bad = _violations(cfg)
     if cfg.mode == "spectator-check":
@@ -301,8 +302,9 @@ def validate(cfg: RunConfig) -> list[str]:
             bad += [v for v in blocking(_violations(run)) if v not in bad]
     if cfg.mode == "sweep" and cfg.sweep_parameter in SWEEPABLE:
         for value, run in zip(cfg.sweep_values, runs(cfg)):
-            bad += [f"sweep value {value:g}: {v}" for v in blocking(_violations(run))
-                    if v not in bad]
+            bad += [v.replace("warning: ", f"warning: sweep value {value:g}: ", 1)
+                    if v.startswith("warning:") else f"sweep value {value:g}: {v}"
+                    for v in _violations(run) if v not in bad]
     return bad
 
 

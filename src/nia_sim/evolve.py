@@ -14,15 +14,15 @@ and their applications", CMU-CS-90-190) and applies each prefix to the
 block's starting states.  A non-finite step spoils every later prefix of its
 block, so the loop's check still names it.  The loop checks and records
 once per block, and restores every recorded state's norm, which removes
-rounding drift only.  It hands the records on in runs as it makes them:
-an ensemble summary (`evolve_stepwise(..., reduce=metrics.aggregate)`)
+rounding drift only.  It yields the records in runs as it makes them: an
+ensemble summary (`evolve_stepwise(..., reduce=metrics.aggregate)`)
 reduces each run over the members, so no run holds a per-member stack of
-states or metric columns; a trajectory gathers them.
+states or metric columns; a trajectory joins them (`_gather`).
 
 A run takes n = ceil(T/dt) equal steps of tau = T/n, so dt is the largest
 step.  Everything it samples lies on one grid, the half steps k tau/2 for
 k = 0 .. 2n: `_propagate` synthesizes each member's noise there once, the
-engines get the odd samples (the step midpoints) and the recorder the even
+engines get the odd samples (the step midpoints) and the records the even
 ones (the step ends).
 
 Two independent integrators share that loop.  `evolve_stepwise` is the
@@ -105,7 +105,7 @@ def _members(noise):
     return noise, True
 
 
-def _propagate(schedule, noises, cfg, initial, make_step, store_every, recorder=None):
+def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     """The one step loop of every engine, over all members at once.
 
     `noises` is an iterable of realizations (None: a noise-free member),
@@ -118,14 +118,13 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every, recorder=
     step length and every member's noise at the midpoints, shape
     (M, n_steps); every member starts from `initial`.
 
-    The records are handed on in order, at the ends of blocks, in runs of
-    at least 16 records and 4 blocks' sector states (or all that are left):
-    `recorder(times, c, states)` gets the times of r >= 2 consecutive
-    records, every member's noise at them, shape (M, r), and the sector
-    states there, a C-contiguous (M, r, n_sectors, 2) array.
-    Without a recorder the loop gathers them and returns the record times,
-    the noise at them, shape (M, n_records), and the states, shape
-    (M, n_records, n_sectors, 2).
+    A generator: it yields the records in order, at the ends of blocks, in
+    runs of at least 16 records and 4 blocks' sector states (or all that
+    are left).  Each run is (times, c, states): the times of r >= 2
+    consecutive records, every member's noise at them, shape (M, r), and
+    the sector states there, a C-contiguous (M, r, n_sectors, 2) array.
+    The first run starts at t = 0; `_gather` joins them all.  The input
+    checks run when the first run is asked for.
 
     The run advances in blocks of at most `_BLOCK_MATRICES` matrices (at
     least one step each): one per step, member and sector, or as many as
@@ -184,13 +183,6 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every, recorder=
     advance = make_step(schedule, grid[1::2], tau, c[:, 1::2])
     psi = np.repeat(model.sector_states(schedule, state)[None], len(c), axis=0)
     norm0 = np.linalg.norm(psi[0])
-    gathered = recorder is None
-    if gathered:
-        states = np.empty((len(c), len(rows)) + psi.shape[1:], dtype=complex)
-
-        def recorder(times, _c, run_states):
-            states[:, filled:filled + len(times)] = run_states
-
     # Records are held (those of rows[filled:]) until a block ends with at
     # least 16 of them and 4 blocks' sector states held, and not exactly
     # one record to come.  So a run's fixed costs, its Python calls and the
@@ -228,11 +220,17 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every, recorder=
             taken = rows[filled:1 + hi]
             run_states = np.empty((len(c), run) + psi.shape[1:], dtype=complex)
             np.concatenate(held, out=run_states.swapaxes(0, 1))
-            recorder(grid[taken], c[:, taken], run_states)
+            yield grid[taken], c[:, taken], run_states
             held, filled = [], 1 + hi
         psi = kept[-1] if hi > lo and record[hi - 1] == stop - 1 else out[-1]
-    if gathered:
-        return grid[rows], c[:, rows], states
+
+
+def _gather(runs):
+    """The record times, noise and states of all `_propagate` runs, joined."""
+    times, c, states = zip(*runs)
+    # First, so that the runs' states are freed before the noise is joined.
+    states = np.concatenate(states, axis=1)
+    return np.concatenate(times), np.concatenate(c, axis=1), states
 
 
 def _tracked_level(states) -> float:
@@ -249,19 +247,17 @@ def _tracked_level(states) -> float:
     return 1.0 if pop0 > pop1 else -1.0
 
 
-def _trajectory(schedule, times, c, states, batched, level=None) -> metrics.Trajectory:
+def _trajectory(schedule, times, c, states, batched, s) -> metrics.Trajectory:
     """Per-record metrics of every member, with one tracked eigenlevel per run.
 
-    The projector onto level s (`level`, +1 for the upper, -1 for the
-    lower; by default the one `_tracked_level` picks from these records) is
-    (I + s n.sigma)/2, n = (a, 0, b)/k, so fidelity_e0 is
-    (tr rho + s (b (rho00 - rho11) + 2 a Re rho01)/k)/2.  Columns have
-    shape (M, n_records), or (n_records,) for a single member.
+    The projector onto the tracked level s (+1 for the upper, -1 for the
+    lower, as `_tracked_level` picks it) is (I + s n.sigma)/2, n = (a, 0, b)/k,
+    so fidelity_e0 is (tr rho + s (b (rho00 - rho11) + 2 a Re rho01)/k)/2.
+    Columns have shape (M, n_records), or (n_records,) for a single member.
     """
     a, b = schedule.ab(times)
     k = np.hypot(a, b)
     pop0, pop1, rho01 = metrics.reduced_density(states)
-    s = _tracked_level(states) if level is None else level
     # Finished in place, so that the sum and the halving allocate no further column.
     fidelity = (s * b * (pop0 - pop1) + 2.0 * s * a * rho01.real) / k
     fidelity += pop0 + pop1
@@ -351,19 +347,18 @@ def _rk4_step(schedule, mids, tau, c_mid):
 
 def _evolve(schedule, noise, cfg, initial, make_step, reduce=None):
     noises, batched = _members(noise)
-    if reduce is None:
-        times, c, states = _propagate(schedule, noises, cfg, initial, make_step, cfg.store_every)
-        return _trajectory(schedule, times, c, states, batched)
-    summaries, level = [], None
-
-    def recorder(times, c, states):
-        nonlocal level
-        if level is None:  # the first hand-on, from t = 0
+    runs = _propagate(schedule, noises, cfg, initial, make_step, cfg.store_every)
+    whole = reduce is None
+    if whole:  # one trajectory of all the records
+        runs, reduce = [_gather(runs)], lambda traj: traj
+    parts, level = [], None
+    for times, c, states in runs:
+        if level is None:  # the first run, from t = 0
             level = _tracked_level(states)
-        summaries.append(reduce(_trajectory(schedule, times, c, states, True, level)))
-
-    _propagate(schedule, noises, cfg, initial, make_step, cfg.store_every, recorder)
-    return metrics.concatenate(summaries)
+        # A summary reduces over the member axis, so its runs keep one.  No
+        # run's metric columns outlive it while the loop makes the next.
+        parts.append(reduce(_trajectory(schedule, times, c, states, batched or not whole, level)))
+    return parts[0] if whole else metrics.concatenate(parts)
 
 
 def _final_state(schedule, noise, cfg, initial, make_step) -> np.ndarray:
@@ -373,7 +368,8 @@ def _final_state(schedule, noise, cfg, initial, make_step) -> np.ndarray:
     annihilated by the Hamiltonian and keep their initial values.
     """
     noises, batched = _members(noise)
-    _, _, states = _propagate(schedule, noises, cfg, initial, make_step, None)
+    # Recording t = 0 and the last step only, the loop yields one run.
+    [(_, _, states)] = _propagate(schedule, noises, cfg, initial, make_step, None)
     final = np.repeat(np.array(initial, dtype=complex)[None], len(states), axis=0)
     final[:, np.array([sec.indices for sec in schedule.sectors])] = states[:, -1]
     return final if batched else final[0]
@@ -429,7 +425,7 @@ def decompose_pulse(schedule, noise: NoiseRealization | None,
     # engine is in SU(2), U_k = [[a, -b*], [b, a*]] with (a, b) = U_k|0>.
     # Recording every step from |0> therefore gives the step unitaries
     # u_k = U_k U_{k-1}^dagger.
-    _, _, states = _propagate(schedule, [noise], cfg, [1.0, 0.0], _midpoint_step, 1)
+    _, _, states = _gather(_propagate(schedule, [noise], cfg, [1.0, 0.0], _midpoint_step, 1))
     a, b = states[0, :, 0, 0], states[0, :, 0, 1]
     u00 = a[1:] * a[:-1].conj() + b[1:].conj() * b[:-1]
     u01 = a[1:] * b[:-1].conj() - b[1:].conj() * a[:-1]

@@ -55,9 +55,7 @@ class ResolutionError(ValueError):
 class CouplingElements:
     """Analytic eigenbasis matrix elements; each field has the shape of t."""
 
-    c01: np.ndarray  # <E0|dE1/dt>
-    c10: np.ndarray  # <E1|dE0/dt>
-    c11: np.ndarray  # <E1|dE1/dt>
+    c01: np.ndarray  # <E0|dE1/dt> = -<E1|dE0/dt>; the real eigenvectors' <En|dEn/dt> = 0
     gap: np.ndarray  # E1 - E0 (negative: the tracked level is the upper one)
 
 
@@ -83,7 +81,7 @@ def coupling_elements(schedule, t) -> CouplingElements:
     k = np.hypot(a, b)
     c01 = -schedule.b0 / (2.0 * schedule.total_time * k * k)
     gap = -2.0 * schedule.j0_rad * k
-    return CouplingElements(c01=c01, c10=-c01, c11=np.zeros_like(c01), gap=gap)
+    return CouplingElements(c01=c01, gap=gap)
 
 
 def _quadratic_kt(schedule):

@@ -95,8 +95,8 @@ def aggregate(traj: Trajectory) -> EnsembleSummary:
     """Pointwise ensemble mean and standard error over the member axis.
 
     `traj` is one batched trajectory, whose columns have shape (M, r): a
-    whole run's records, or consecutive ones as `evolve.evolve_stepwise`
-    hands them on.  The standard error is the ddof=1 deviation over
+    whole run's records, or one run of consecutive ones as the step loop
+    of `evolve.evolve_stepwise` yields it.  The standard error is the ddof=1 deviation over
     sqrt(M), and zero for a single member.
     """
     if traj.pop0.ndim != 2:

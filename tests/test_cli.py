@@ -172,6 +172,18 @@ class TestValidate:
         for name in config.PRESET_NAMES:
             assert not any("alias" in v for v in validate(load_config(name)))
 
+    def test_sweep_values_pass_their_warnings_on(self):
+        # The 1e7 value aliases the noise, as the run alone would warn; the
+        # base value 1e3 (omega_cut dt = 0.001 rad) does not.
+        swept = {"mode": "sweep", "sweep.parameter": "noise.omega_cut",
+                 "sweep.values": "1e3,1e7", "noise.amplitude": "1", "noise.omega0": "1000",
+                 "noise.omega_cut": "1e3", "noise.seed": "1"}
+        violations = validate(load_config("fig3b", swept))
+        assert config.blocking(violations) == []
+        assert violations == [
+            "warning: sweep value 1e+07: noise.omega_cut times dt is 10 rad, more than pi;"
+            " the step midpoints alias the noise"]
+
     def test_dt_zero(self):
         bad = validate(build_config({"dt": "0"}))
         assert any("dt must be positive" in v for v in bad)

@@ -84,6 +84,19 @@ class TestEvolveStepwise:
             evolve.evolve_stepwise(single(), None, EvolutionConfig(dt=1e-6),
                                    np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("initial, message", [
+        (np.array([1.0, 0.0, 0.0]), "must have dimension 2"),
+        (np.array([1.0, 1.0]), "must be normalized")])
+    @pytest.mark.parametrize("entry", ["trajectory", "summary", "stepwise", "oracle"])
+    def test_every_entry_point_checks_the_initial_state(self, entry, initial, message):
+        # The loop is a generator: its checks run as each engine takes its runs.
+        run = {"trajectory": evolve.evolve_stepwise,
+               "summary": lambda *args: evolve.evolve_stepwise(*args, reduce=metrics.aggregate),
+               "stepwise": evolve.final_state_stepwise,
+               "oracle": evolve.final_state_oracle}[entry]
+        with pytest.raises(ValueError, match=message):
+            run(single(), [None], EvolutionConfig(dt=1e-6), initial)
+
     def test_norm_preserved_without_renormalization(self):
         # 10^4 of the stepwise engine's own step matrices composed, none
         # renormalized; the last prefix's first column is the final state.
@@ -291,8 +304,8 @@ class TestBlocks:
         runs = []
         for size in (evolve._BLOCK_MATRICES, 1, 17):
             monkeypatch.setattr(evolve, "_BLOCK_MATRICES", size)
-            runs.append((evolve._propagate(s, noises, cfg, initial, make_step,
-                                           self.STORE_EVERY),
+            runs.append((evolve._gather(evolve._propagate(s, noises, cfg, initial, make_step,
+                                                          self.STORE_EVERY)),
                          final_state(s, noises, cfg, initial)))
         (times, c, states), finals = runs[0]
         n, _ = evolve._plan_steps(s.total_time, self.DT)
@@ -323,8 +336,8 @@ class TestBlocks:
 
         monkeypatch.setattr(evolve, "_BLOCK_MATRICES", 100)
         with pytest.raises(evolve.NumericEvolutionError, match=r"after step 257$"):
-            evolve._propagate(single(), [None] * 3, EvolutionConfig(dt=1e-6), ZERO,
-                              make_step, 1)
+            list(evolve._propagate(single(), [None] * 3, EvolutionConfig(dt=1e-6), ZERO,
+                                   make_step, 1))
 
     @pytest.mark.parametrize("engine", ["stepwise", "oracle"])
     def test_non_finite_step_spoils_only_later_prefixes(self, monkeypatch, engine):
@@ -342,8 +355,8 @@ class TestBlocks:
         for size in (100, evolve._BLOCK_MATRICES):
             monkeypatch.setattr(evolve, "_BLOCK_MATRICES", size)
             with pytest.raises(evolve.NumericEvolutionError, match=r"after step 257$"):
-                evolve._propagate(single(), [None] * 3, EvolutionConfig(dt=1e-6), ZERO,
-                                  make_step, 1)
+                list(evolve._propagate(single(), [None] * 3, EvolutionConfig(dt=1e-6), ZERO,
+                                       make_step, 1))
 
     def test_memory_does_not_grow_with_a_step_table(self):
         # Traced peak growth from 500 to 2000 steps of 100 noisy members.  The
@@ -392,11 +405,11 @@ class TestStreamedSummary:
     """An ensemble summary reduced block by block, as `cli` runs one.
 
     `evolve_stepwise(..., reduce=metrics.aggregate)` reduces the records
-    over the members as the loop hands them on, and must give the bits of
+    over the members as the loop yields them, and must give the bits of
     `metrics.aggregate` on the gathered trajectory at the same block size.
     241 steps recorded every 7th (and the last), 36 records: at a block of
     one matrix, and at 17 for 7 or 20 members, each block records one step
-    at most, so records wait to be handed on in runs of 16 or more, the
+    at most, so records wait to be yielded in runs of 16 or more, the
     last run taking what is left; at the default block the run is one.
     numpy sums 20 members of a one-record column pairwise, and of a longer
     one in turn or pairwise as the column is laid out: at 20 members a run
@@ -438,18 +451,16 @@ class TestStreamedSummary:
         s, initial = self.system("spectator")
         noises = [fig3_noise(seed=4, index=i) for i in range(2)]
         cfg = EvolutionConfig(dt=self.DT, store_every=self.STORE_EVERY)
-        runs = []
-
-        def recorder(times, c, states):
-            assert states.flags.c_contiguous
-            assert c.shape == states.shape[:2] == (2, len(times))
-            runs.append((times, c, states))
-
-        evolve._propagate(s, noises, cfg, initial, evolve._midpoint_step, self.STORE_EVERY,
-                          recorder)
+        runs = list(evolve._propagate(s, noises, cfg, initial, evolve._midpoint_step,
+                                      self.STORE_EVERY))
+        for run_times, run_c, run_states in runs:
+            assert run_states.flags.c_contiguous
+            assert run_c.shape == run_states.shape[:2] == (2, len(run_times))
+            assert run_states.shape[2:] == (len(s.sectors), 2)
         assert min(len(times) for times, _, _ in runs) >= 2
-        times, c, states = evolve._propagate(s, noises, cfg, initial, evolve._midpoint_step,
-                                             self.STORE_EVERY)
+        times, c, states = evolve._gather(evolve._propagate(s, noises, cfg, initial,
+                                                            evolve._midpoint_step,
+                                                            self.STORE_EVERY))
         np.testing.assert_array_equal(np.concatenate([run[0] for run in runs]), times)
         np.testing.assert_array_equal(np.concatenate([run[1] for run in runs], axis=1), c)
         np.testing.assert_array_equal(np.concatenate([run[2] for run in runs], axis=1), states)
@@ -550,9 +561,10 @@ class TestOracleReference:
                       else [None])
             initial = run.initial_vector()
             cfg = EvolutionConfig(dt=run.dt, store_every=run.store_every)
-        times, c, states = evolve._propagate(s, noises, cfg, initial, oref.sequential_rk4_step,
-                                             cfg.store_every)
-        loop = evolve._trajectory(s, times, c, states, True)
+        times, c, states = evolve._gather(evolve._propagate(s, noises, cfg, initial,
+                                                            oref.sequential_rk4_step,
+                                                            cfg.store_every))
+        loop = evolve._trajectory(s, times, c, states, True, evolve._tracked_level(states))
         traj = oref.evolve_oracle(s, noises, cfg, initial)
         np.testing.assert_array_equal(traj.times, loop.times)
         for name in metrics.METRIC_NAMES:

@@ -55,13 +55,6 @@ class TestCouplingElements:
         assert ce.c01 == pytest.approx(-1.0 / (2.0 * s.total_time), rel=1e-12)
         assert ce.gap == pytest.approx(-2.0 * s.j0_rad, rel=1e-12)
 
-    def test_c11_zero_and_antisymmetry(self):
-        s = single()
-        for t in np.linspace(0.0, s.total_time, 9):
-            ce = kernel.coupling_elements(s, float(t))
-            assert ce.c11 == 0.0
-            assert ce.c10 == pytest.approx(-ce.c01, rel=1e-12)
-
     @pytest.mark.parametrize("seed", range(4))
     def test_finite_difference_oracle(self, seed):
         rng = np.random.default_rng(seed)
