@@ -33,8 +33,8 @@ _CSV_CHUNK_ROWS = 1024
 # The metrics whose final mean and standard error `sweep_summary.csv` holds.
 _SWEEP_METRICS = metrics.METRIC_NAMES[:4]
 
-# kernel.ResolutionError and metrics.GridMismatchError are ValueErrors, and
-# FloatingPointError (a non-finite noise sum or result) an ArithmeticError.
+# kernel.ResolutionError is a ValueError, and FloatingPointError (a
+# non-finite noise sum or result) an ArithmeticError.
 _NUMERIC_ERRORS = (evolve.NumericEvolutionError, ValueError, ArithmeticError)
 
 

@@ -96,7 +96,6 @@ class RunConfig:
                                      metadata={"key": "noise.normalization"})
     noise_seed: int | None = field(default=None, metadata={"key": "noise.seed"})
     j12: float = field(default=215.0, metadata={"key": "J12"})
-    omega_spec: float = 0.0
     sweep_parameter: str = field(default="", metadata={"key": "sweep.parameter"})
     sweep_values: tuple = field(default=(), metadata={"key": "sweep.values"})  # comma list
     kernel_points: int = field(default=1000, metadata={"key": "kernel.points"})
@@ -133,7 +132,7 @@ class RunConfig:
         drive = {"j0": self.j0, "total_time": self.total_time,
                  "convention": self.frequency_convention()}
         if self.system == "spectator":
-            return SpectatorSchedule(**drive, j12=self.j12, omega_spec=self.omega_spec)
+            return SpectatorSchedule(**drive, j12=self.j12)
         return _SCHEDULES[self.system](**drive)
 
     @property
@@ -386,7 +385,7 @@ def _violations(cfg: RunConfig) -> list[str]:
     if not bad:
         # A step turns a sector state by at most its step times the largest
         # field: the drive J0 with every noise component in phase, plus the
-        # largest sector offset |z_offset| + |shift|.  Beyond MAX_STEP_ROTATION
+        # largest sector offset |z_offset|.  Beyond MAX_STEP_ROTATION
         # no step resolves the run; below it, the typical field (noise at its
         # RMS) only warns.  Products of huge finite inputs round to inf, as
         # Python floats and so without a warning, and are refused.
@@ -397,7 +396,7 @@ def _violations(cfg: RunConfig) -> list[str]:
                        " the pair); initial_state must have no other amplitude")
         f = cfg.frequency_convention().factor
         worst = typical = f * cfg.j0
-        worst += max(abs(sec.z_offset) + abs(sec.shift) for sec in schedule.sectors)
+        worst += max(abs(sec.z_offset) for sec in schedule.sectors)
         if cfg.has_noise:
             spec = cfg.noise_spec()
             worst += float(spec.component_scale) * spec.n_components

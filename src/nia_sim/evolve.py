@@ -28,8 +28,8 @@ ones (the step ends).
 Two independent integrators share that loop.  `evolve_stepwise` is the
 production engine: a product of exact step unitaries with the Hamiltonian
 (and noise) sampled at step midpoints.  On every sector a step is an SU(2)
-element, held as its pair (alpha, beta), times a constant phase, and a
-block gets one `smallmat.expm_unitary` call for all its pairs.  The oracle
+element, held as its pair (alpha, beta), and a block gets one
+`smallmat.expm_unitary` call for all its pairs.  The oracle
 (`final_state_oracle`) is a classic fourth-order Runge-Kutta integration at
 a tenth of the step size, used to cross-check the stepwise engine; it
 holds the noise at the same step midpoints the stepwise engine uses, so a
@@ -275,11 +275,10 @@ def _trajectory(schedule, times, c, states, batched, s) -> metrics.Trajectory:
 
 
 def _midpoint_step(schedule, mids, tau, c_mid):
-    # On sector s the step Hamiltonian is g a sx + (g b + z_s) sz + shift_s I,
-    # g = J0 + c: an SU(2) step times the sector's constant phase per step.
+    # On sector s the step Hamiltonian is g a sx + (g b + z_s) sz, g = J0 + c:
+    # traceless, so every step is an SU(2) element.
     a, b = schedule.ab(mids)
     z_offsets = np.array([sec.z_offset for sec in schedule.sectors])
-    phase = np.exp(-1.0j * tau * np.array([sec.shift for sec in schedule.sectors]))
 
     def advance(start, stop):
         # The block's step pairs, shape (stop - start, M, n_sectors), in one
@@ -287,7 +286,7 @@ def _midpoint_step(schedule, mids, tau, c_mid):
         g = (schedule.j0_rad + c_mid[:, start:stop].T)[..., None]
         alpha, beta = smallmat.expm_unitary(g * a[start:stop, None, None],
                                             g * b[start:stop, None, None] + z_offsets, tau)
-        return phase * alpha, -phase * beta.conj(), phase * beta, phase * alpha.conj()
+        return alpha, -beta.conj(), beta, alpha.conj()
     return advance
 
 
@@ -296,11 +295,10 @@ def _rk4_step(schedule, mids, tau, c_mid):
     # midpoint.  The stages of R are K1 = -i h H0, K2 = -i h Hm (I + K1 / 2),
     # K3 = -i h Hm (I + K2 / 2) and K4 = -i h H1 (I + K3), from H at the
     # substep's start, midpoint and end.  On a sector h H is the real matrix
-    # [[h shift + z, x], [x, h shift - z]], x = g a, z = g b + h z_offset, g = h (J0 + c).
+    # [[z, x], [x, -z]], x = g a, z = g b + h z_offset, g = h (J0 + c).
     n_sub = 10
     h = tau / n_sub
     z_offsets = np.array([sec.z_offset for sec in schedule.sectors])[:, None]
-    shifts = np.array([sec.shift for sec in schedule.sectors])[:, None]
     # Each substep's start, midpoint and end, as offsets from its step's midpoint.
     nodes = (np.arange(n_sub)[:, None] + [0.0, 0.5, 1.0]) / n_sub - 0.5
 
@@ -313,9 +311,9 @@ def _rk4_step(schedule, mids, tau, c_mid):
             """-i h H (u, v) at one node of every substep."""
             x = -1j * g * a[node, :, None, None, None]
             z = g * b[node, :, None, None, None] + h * z_offsets
-            k_u = -1j * (h * shifts + z) * u
+            k_u = -1j * z * u
             k_u += x * v
-            k_v = -1j * (h * shifts - z) * v
+            k_v = 1j * z * v
             k_v += x * u
             return k_u, k_v
 

@@ -7,12 +7,11 @@ undriven, z-z-coupled spectator qubit.  The single-qubit schedule states the
 drive once; the other two subclass it and state only their sectors.
 
 Each model is an exact sum of 2x2 sectors (`Sector`): on every sector the
-Hamiltonian is the drive (J0 + c)[a sx + b sz] plus a constant offset.  The
+Hamiltonian is the drive (J0 + c)[a sx + b sz] plus a constant sz offset.  The
 single qubit is one sector.  The pair sweep is one sector, its
 {|01>, |10>} block; the Hamiltonian annihilates |00> and |11>.  The
 spectator model is diagonal in the spectator's sz, so it splits into two
-sectors, one per spectator level, offset by +-J12/4 on sz and +-omega_spec
-on the identity.
+sectors, one per spectator level, offset by +-J12/4 on sz.
 
 The synthesized noise c(t) is a sum of N equal-amplitude sinusoids at
 harmonics of a base frequency with independent uniform phases.  It enters
@@ -70,12 +69,11 @@ class Sector:
 
     `indices` are the positions of the driven qubit's |0> and |1> in the
     full state; on the block the Hamiltonian is the drive plus
-    z_offset * sz + shift * I, both in rad/s.
+    z_offset * sz, in rad/s.
     """
 
     indices: tuple[int, int]
     z_offset: float = 0.0
-    shift: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -129,17 +127,17 @@ class TwoQubitSchedule(SingleQubitSchedule):
 class SpectatorSchedule(SingleQubitSchedule):
     """Single-qubit sweep with an undriven z-z-coupled spectator qubit.
 
-    j12 is the scalar coupling and omega_spec an optional spectator offset,
-    both quoted in the same unit system as J0 and mapped by the convention.
-    The underlying coupling operator is j12 * sz(x)sz / 4, whose hertz image
-    is the familiar (pi*J12/2) sz(x)sz form, and the offset term is
-    omega_spec * I(x)sz.  Both are diagonal in the spectator's sz, so the
-    model is two driven-qubit sectors (spectator |0>, then |1>; the full
-    state is driven (x) spectator).
+    j12 is the scalar coupling, quoted in the same unit system as J0 and
+    mapped by the convention.  The underlying coupling operator is
+    j12 * sz(x)sz / 4, whose hertz image is the familiar (pi*J12/2) sz(x)sz
+    form.  It is diagonal in the spectator's sz, so the model is two
+    driven-qubit sectors (spectator |0>, then |1>; the full state is
+    driven (x) spectator).  The spectator is taken in its own rotating
+    frame: its offset term I(x)sz commutes with the whole Hamiltonian and
+    leaves the driven qubit's reduced state, every output, unchanged.
     """
 
     j12: float = 215.0
-    omega_spec: float = 0.0
 
     dim = 4
 
@@ -151,8 +149,8 @@ class SpectatorSchedule(SingleQubitSchedule):
     @property
     def sectors(self) -> tuple[Sector, ...]:
         f = self.convention.factor
-        z, shift = f * self.j12 / 4.0, f * self.omega_spec
-        return (Sector((0, 2), z, shift), Sector((1, 3), -z, -shift))
+        z = f * self.j12 / 4.0
+        return (Sector((0, 2), z), Sector((1, 3), -z))
 
 
 @dataclass(frozen=True)

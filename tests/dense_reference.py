@@ -28,12 +28,17 @@ def h_pair(s, t, c=0.0):
     return (s.j0_rad + c) * (x * EXCHANGE + (1.0 - x) * ZDIFF)
 
 
-def h_spectator(s, t, c=0.0):
-    """Driven sweep (x) I plus (J12/4) sz(x)sz and omega_spec I(x)sz."""
+def h_spectator(s, t, c=0.0, omega=0.0):
+    """Driven sweep (x) I plus (J12/4) sz(x)sz and omega I(x)sz.
+
+    omega is the spectator's own offset in rad/s.  nia_sim takes the
+    spectator in its rotating frame, where omega is zero; the term commutes
+    with the rest, so it only turns each spectator level's phase.
+    """
     x = t / s.total_time
     f = s.convention.factor
     drive = (s.j0_rad + c) * (x * SX + (1.0 - x) * SZ)
-    return np.kron(drive, I2) + (f * s.j12 / 4.0) * ZZ + (f * s.omega_spec) * IZ
+    return np.kron(drive, I2) + (f * s.j12 / 4.0) * ZZ + omega * IZ
 
 
 def expm_hermitian(h, dt):

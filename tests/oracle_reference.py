@@ -32,8 +32,7 @@ def h_single(s, t, c=0.0) -> np.ndarray:
 def h_sectors(schedule, t, c=0.0) -> np.ndarray:
     """Hamiltonian on each sector of `schedule`, broadcast shape of t and c + (n_sectors, 2, 2)."""
     offsets = np.array([sec.z_offset * SZ for sec in schedule.sectors])
-    shifts = np.array([sec.shift * _IDENTITY for sec in schedule.sectors])
-    return h_single(schedule, t, c)[..., None, :, :] + offsets + shifts
+    return h_single(schedule, t, c)[..., None, :, :] + offsets
 
 
 def evolve_oracle(schedule, noise, cfg, initial):

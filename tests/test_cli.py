@@ -75,7 +75,7 @@ UNRUNNABLE = [
 PUBLIC_KEYS = ("mode", "system", "T", "dt", "J0", "convention", "realizations",
                "initial_state", "store_every", "timestamps", "out", "noise.amplitude",
                "noise.omega0", "noise.omega_cut", "noise.normalization", "noise.seed",
-               "J12", "omega_spec", "sweep.parameter", "sweep.values", "kernel.points")
+               "J12", "sweep.parameter", "sweep.values", "kernel.points")
 
 
 def read_csv(path):
@@ -120,6 +120,11 @@ class TestConfigParsing:
     def test_missing_preset(self):
         with pytest.raises(ConfigError):
             load_config("fig9z")
+
+    def test_spectator_offset_key_is_gone(self):
+        # The spectator runs in its own rotating frame, so no key sets its offset.
+        with pytest.raises(ConfigError, match="unknown config key 'omega_spec'"):
+            load_config("fig3b", {"system": "spectator", "omega_spec": "0"})
 
     def test_public_key_list(self):
         assert tuple(config._KEY_TO_FIELD) == PUBLIC_KEYS
@@ -211,7 +216,7 @@ class TestValidate:
         ({"dt": "inf"}, "dt must be finite"),
         ({"J0": "nan"}, "J0 must be finite"),
         ({"system": "spectator", "J12": "nan"}, "J12 must be finite"),
-        ({"system": "spectator", "omega_spec": "-inf"}, "omega_spec must be finite"),
+        ({"system": "spectator", "J12": "-inf"}, "J12 must be finite"),
         ({"noise.amplitude": "nan", "noise.omega_cut": "100"},
          "noise.amplitude must be finite"),
         ({"noise.amplitude": "1", "noise.omega0": "inf", "noise.omega_cut": "100"},
@@ -532,6 +537,13 @@ class TestExitCodes:
         code = cli.main(["simulate", "--config", "fig3b",
                          "--set", "bogus=1", "--out", str(tmp_path)])
         assert code == 1
+
+    def test_removed_spectator_offset_is_usage(self, tmp_path, capsys):
+        code = cli.main(["simulate", "--config", "fig3b", "--set", "system=spectator",
+                         "--set", "omega_spec=0", "--out", str(tmp_path)])
+        assert code == 1
+        assert "unknown config key 'omega_spec'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_invalid_value_is_usage(self, tmp_path):
         code = cli.main(["simulate", "--config", "fig3b",

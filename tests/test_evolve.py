@@ -142,15 +142,21 @@ class TestDenseReference:
         final = evolve.final_state_stepwise(s, noise, EvolutionConfig(dt=cfg.dt), initial)
         np.testing.assert_allclose(final, ref, rtol=0.0, atol=1e-12)
 
-    def test_spectator_both_sectors(self):
-        s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0, omega_spec=37.0)
+    def check_spectator(self, omega):
+        # The spectator's own offset omega I(x)sz commutes with the whole
+        # Hamiltonian: with it the dense state is the engine's, which runs in
+        # the spectator's rotating frame, times exp(-+i omega T) on the
+        # spectator's |0> and |1>.
+        s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
         noise = fig3_noise(seed=5, index=2)
         initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
         initial /= np.linalg.norm(initial)
-        ref = dense.midpoint_final(dense.h_spectator, s, noise, 1e-6, initial)
+        ref = dense.midpoint_final(lambda *args: dense.h_spectator(*args, omega=omega),
+                                   s, noise, 1e-6, initial)
         cfg = EvolutionConfig(dt=1e-6, store_every=1000)
         final = evolve.final_state_stepwise(s, noise, cfg, initial)
-        np.testing.assert_allclose(final, ref, rtol=0.0, atol=1e-12)
+        turn = np.exp(-1.0j * omega * s.total_time * np.array([1.0, -1.0, 1.0, -1.0]))
+        np.testing.assert_allclose(ref, final * turn, rtol=0.0, atol=1e-12)
         # The recorded driven-qubit metrics are the partial trace of the same state.
         traj = evolve.evolve_stepwise(s, noise, cfg, initial)
         m = ref.reshape(2, 2)
@@ -158,6 +164,30 @@ class TestDenseReference:
         np.testing.assert_allclose([traj.pop0[-1], traj.pop1[-1], traj.im_coherence[-1]],
                                    [rho[0, 0].real, rho[1, 1].real, rho[0, 1].imag],
                                    rtol=0.0, atol=1e-12)
+
+    def test_spectator_both_sectors(self):
+        self.check_spectator(0.0)
+
+    @pytest.mark.parametrize("omega", [37.0, 1e4])
+    def test_spectator_offset_only_turns_its_levels(self, omega):
+        self.check_spectator(omega)
+
+    def test_every_sector_step_is_su2(self):
+        # Each step matrix of the stepwise engine is [[alpha, -beta*], [beta, alpha*]]
+        # on every member and sector, bit for bit, with unit determinant.
+        s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
+        n, tau = evolve._plan_steps(s.total_time, 1e-6)
+        mids = (np.arange(n) + 0.5) * tau
+        c_mid = np.array([model.noise_values(fig3_noise(seed=5, index=i), 0.5 * tau, tau, n)
+                          for i in range(3)])
+        advance = evolve._midpoint_step(s, mids, tau, c_mid)
+        for start in range(0, n, 128):
+            stop = min(n, start + 128)
+            u00, u01, u10, u11 = advance(start, stop)
+            assert u00.shape == (stop - start, 3, 2)
+            np.testing.assert_array_equal(u11, u00.conj())
+            np.testing.assert_array_equal(u01, -u10.conj())
+            assert np.abs(u00 * u11 - u01 * u10 - 1.0).max() <= 1e-14
 
 
 class TestBatchedMembers:
@@ -191,7 +221,7 @@ class TestBatchedMembers:
         self.check(dense.h_pair, cfg.schedule(), noises, cfg.dt, PAIR01)
 
     def test_spectator_members(self):
-        s = SpectatorSchedule(4000.0, 2e-4, ANG, j12=215.0, omega_spec=37.0)
+        s = SpectatorSchedule(4000.0, 2e-4, ANG, j12=215.0)
         noises = [fig3_noise(seed=5, index=i) for i in range(2)]
         initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
         initial /= np.linalg.norm(initial)
@@ -244,7 +274,7 @@ class TestEqualSteps:
         np.testing.assert_allclose(final, ref, rtol=0.0, atol=1e-12)
 
     def test_spectator_final_matches_dense(self):
-        s = SpectatorSchedule(4000.0, self.T, ANG, j12=215.0, omega_spec=37.0)
+        s = SpectatorSchedule(4000.0, self.T, ANG, j12=215.0)
         noise = fig3_noise(seed=5, index=2)
         initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
         initial /= np.linalg.norm(initial)
@@ -290,7 +320,7 @@ class TestBlocks:
                                                   convention=ANG), PAIR01, 1
         initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
         initial /= np.linalg.norm(initial)
-        s = SpectatorSchedule(4000.0, self.T, ANG, j12=215.0, omega_spec=37.0)
+        s = SpectatorSchedule(4000.0, self.T, ANG, j12=215.0)
         return dense.h_spectator, s, initial, 3
 
     @pytest.mark.parametrize("name, engine", [
@@ -424,7 +454,7 @@ class TestStreamedSummary:
         if name == "pair":
             return TwoQubitSchedule(j0=4000.0, total_time=self.T, convention=ANG), PAIR01
         initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
-        return (SpectatorSchedule(4000.0, self.T, ANG, j12=215.0, omega_spec=37.0),
+        return (SpectatorSchedule(4000.0, self.T, ANG, j12=215.0),
                 initial / np.linalg.norm(initial))
 
     @pytest.mark.parametrize("size", [1, 17, evolve._BLOCK_MATRICES])
@@ -549,7 +579,7 @@ class TestOracleReference:
                                       "spectator"])
     def test_matches_the_sequential_loop(self, case):
         if case == "spectator":
-            s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0, omega_spec=37.0)
+            s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
             noises = [fig3_noise(seed=5, index=i) for i in range(2)]
             initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
             initial /= np.linalg.norm(initial)

@@ -36,7 +36,6 @@ _VALUES = {
     "noise.normalization": ("literal", "unit-rms"),
     "noise.seed": ("1", "7", "-5", str(2**70)),
     "J12": ("215", "0", "1e6"),
-    "omega_spec": ("0", "100", "-100"),
     "sweep.parameter": config.SWEEPABLE + ("dt",),
     "sweep.values": ("0.0003", "0.0003,0.0005", "4e-7", "5000,-1", "1,nan"),
     "kernel.points": ("500", "1000", "499", str(config.MAX_KERNEL_POINTS + 1)),

@@ -123,7 +123,7 @@ class TestEigenstateFidelity:
         "plus": (single(), np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), None),
         "pair01": (TwoQubitSchedule(j0=100.0, total_time=0.01, convention=ANG),
                    np.array([0.0, 1.0, 0.0, 0.0], dtype=complex), None),
-        "spectator": (SpectatorSchedule(4000.0, 5e-4, ANG, j12=300.0, omega_spec=1000.0),
+        "spectator": (SpectatorSchedule(4000.0, 5e-4, ANG, j12=300.0),
                       np.kron([0.6, 0.8], [1.0, 1.0]) / np.sqrt(2.0),
                       [fig3_noise(index=i) for i in range(3)]),
     }

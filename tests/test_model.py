@@ -136,7 +136,7 @@ class TestHSpectator:
     @pytest.mark.parametrize("convention", list(FrequencyConvention))
     def test_sectors_are_the_dense_blocks(self, convention):
         # The spectator's sz levels |0>, |1> pick indices (0, 2) and (1, 3).
-        s = SpectatorSchedule(4000.0, 5e-4, convention, j12=215.0, omega_spec=37.0)
+        s = SpectatorSchedule(4000.0, 5e-4, convention, j12=215.0)
         for t in np.linspace(0.0, s.total_time, 7):
             h = h_spectator(s, t, 3.0)
             blocks = [h[np.ix_(idx, idx)] for idx in ([0, 2], [1, 3])]
