@@ -18,14 +18,20 @@ harmonics of a base frequency with independent uniform phases.  It enters
 the dynamics only as a scalar multiplier on the characteristic energy, so it
 rescales eigenvalues without touching eigenvectors.  `noise_values` is the one
 synthesizer.  Every caller samples an arithmetic progression t0 + k h (a run
-its half-step grid, the memory solver its fine grid), and on it the sum is
-a chirp-z transform (Bluestein's algorithm), evaluated with FFTs of
-5-smooth length in tiles of 2^13 components x 2^12 samples.  Every phase,
-from the draw to the exponential, is in turns (fractions of a cycle), so
-each is reduced exactly and none is scaled by 2*pi.  What depends only on
-the grid is planned once and reused by every member of a run, so a member
-costs its own exp(2 pi i phi) (a table of roots of unity and a short
-series), one forward FFT per tile and one inverse FFT per sample tile.
+its half-step grid, the memory solver its fine grid), and on it the sum has
+two exact representations, chosen by the grid.  On a short window, where
+the fastest component turns at most Z = N omega0 (count - 1) h / 2 <= 2.5
+rad either side of the centre (fig3d's runs and the memory solver's grid,
+Z = 1.25), it is a Taylor series in the time from the centre, summed from
+the phases' moments.  On every other grid it is a chirp-z transform
+(Bluestein's algorithm), evaluated with FFTs of 5-smooth length in tiles of
+2^13 components x 2^12 samples.  Every phase, from the draw to the
+exponential, is in turns (fractions of a cycle), so each is reduced exactly
+and none is scaled by 2*pi.  What depends only on the grid is planned once
+and reused by every member of a run, so a member costs its own
+exp(2 pi i phi) (a table of roots of unity and a short series) and either
+one small matrix product (moments) or one forward FFT per tile and one
+inverse FFT per sample tile (chirp-z).
 
 All reference parameters are quoted in Hz-like numbers; the frequency
 convention flag decides whether a quoted value x means x rad/s
@@ -221,9 +227,15 @@ def realize_noise(spec: NoiseSpec, index: int = 0) -> NoiseRealization:
 
 #: Tile of the chirp-z sum: components x samples per FFT convolution.
 _TILE_COMPONENTS, _TILE_SAMPLES = 2 ** 13, 2 ** 12
-#: Most bytes a memoized grid plan (`_chirp_plan`) keeps in factors; those
-#: of tiles beyond it are rebuilt on every call.
+#: Most bytes a memoized grid plan (`_grid_plan`) keeps in factors; a moment
+#: plan must fit, and a chirp plan's tiles beyond it are rebuilt on every call.
 _PLAN_BUDGET = 4 * 2 ** 20
+#: Widest Taylor reach Z, in rad, that the moment sum takes.  Its rounding
+#: grows like e^Z: against the exact reference at N = 5000, 8.5e-16 of the
+#: RMS at Z = 2.4, 6.5e-15 at 4.8 and 4.7e-13 at 9.5 (chirp-z: 1.4e-15).
+_MOMENT_REACH = 2.5
+#: Components per block of the moment sum's powers.
+_MOMENT_BLOCK = 2 ** 9
 #: 2*pi to 40 digits, so that turn rates carry no float rounding of pi.
 _TWO_PI = "6.283185307179586476925286766559005768394"
 #: Entries of `_expi`'s table of roots of unity.
@@ -233,15 +245,20 @@ _ROOTS = 2 ** 10
 def noise_values(r: NoiseRealization, t0: float, h: float, count: int) -> np.ndarray:
     """c(t0 + k h) in rad/s for k = 0 .. count - 1.
 
-    The sum is a chirp-z transform in tiles of at most 2^13 components x
-    2^12 samples (`_chirp_sum`).  Everything that depends only on the grid
-    is planned once and memoized for the latest grid (`_chirp_plan`), so
-    the members of an ensemble pay only their own exp(2 pi i phi) (`_expi`
-    of the phases in turns: a table and a short series), one forward FFT
-    per tile and one inverse FFT per sample tile, in scratch that the plan
-    owns.  The plan keeps at most `_PLAN_BUDGET` bytes of factors besides
-    that scratch, and a call's temporaries stay near 2 MB whatever the
-    number of components and samples.  A sum that overflows raises
+    The grid picks one of two exact sums.  On a short window, where the
+    fastest component turns at most Z = N omega0 (count - 1) h / 2 <= 2.5 rad
+    either side of the centre, c is a Taylor series in the time from the
+    centre, summed from the phases' moments (`_MomentPlan`): one matrix
+    product and no FFT.  Every other grid is a chirp-z transform in tiles
+    of at most 2^13 components x 2^12 samples (`_ChirpPlan`).  Everything
+    that depends only on the grid is planned once and memoized for the
+    latest grid (`_grid_plan`), so the members of an ensemble pay only
+    their own exp(2 pi i phi) (`_expi` of the phases in turns: a table and
+    a short series) and, on the chirp-z path, one forward FFT per tile and
+    one inverse FFT per sample tile, in scratch that the plan owns.  The
+    plan keeps at most `_PLAN_BUDGET` bytes of factors besides that
+    scratch, and a call's temporaries stay near 2 MB whatever the number
+    of components and samples.  A sum that overflows raises
     FloatingPointError.
     """
     if not (t0 >= 0.0 and h >= 0.0):
@@ -249,7 +266,7 @@ def noise_values(r: NoiseRealization, t0: float, h: float, count: int) -> np.nda
     if count < 1:
         raise ValueError("noise needs at least one sample")
     spec = r.spec
-    values = _chirp_sum(r.phases, _chirp_plan(spec.omega0_rad, spec.n_components, t0, h, count))
+    values = _grid_plan(spec.omega0_rad, spec.n_components, t0, h, count).sum(r.phases)
     values *= spec.component_scale
     if not np.isfinite(values).all():
         raise FloatingPointError(f"non-finite noise value in realization {r.index}")
@@ -365,11 +382,13 @@ class _ChirpPlan:
 
     `kernels` holds the kernel transforms of the leading component tiles
     and `offsets` the input phases of the leading tiles, as many as keep
-    the plan within `_PLAN_BUDGET` bytes; `kernel` and `offset` build the
-    others.  Every one of these arrays is read-only.  `phase`, `spectrum`,
-    `total` and `work` are the scratch of `_chirp_sum`, which every member
-    on the grid reuses (at most about 0.8 MB), so two threads must not
-    synthesize noise on one grid at once.
+    the plan within `_PLAN_BUDGET` bytes, kernels first: `kernel` rebuilds
+    a dropped one with a phase pass, an `_expi` and an FFT on every call
+    and sample tile, `offset` a dropped offset with one `_turns` pass.
+    Every one of these arrays is read-only.  `phase`, `spectrum`, `total`
+    and `work` are the scratch of `sum`, which every member on the grid
+    reuses (at most about 0.8 MB), so two threads must not synthesize
+    noise on one grid at once.
     """
 
     def __init__(self, omega0_rad: float, n: int, t0: float, h: float, count: int):
@@ -391,16 +410,17 @@ class _ChirpPlan:
         self.half = _frozen(_turns(self.rate / 2, m * m))
         self.outof = _frozen(_expi(self.half[:rows], np.empty(rows, dtype=complex), self.work))
         spare = _PLAN_BUDGET - self.half.nbytes - self.outof.nbytes
-        kernels, offsets = [], []
+        firsts = range(1, n + 1, _TILE_COMPONENTS)[:max(spare // (16 * self.size), 0)]
+        self.kernels = tuple(_frozen(self.kernel(j0)) for j0 in firsts)
+        spare -= 16 * self.size * len(firsts)
+        offsets = []
         for j0, k0 in _tile_origins(n, count):
-            cost = 8 * min(cols, n + 1 - j0) + (16 * self.size if k0 == 0 else 0)
+            cost = 8 * min(cols, n + 1 - j0)
             if cost > spare:
                 break
             spare -= cost
-            if k0 == 0:
-                kernels.append(_frozen(self.kernel(j0)))
             offsets.append(_frozen(self.offset(j0, k0)))
-        self.kernels, self.offsets = tuple(kernels), tuple(offsets)
+        self.offsets = tuple(offsets)
 
     def kernel(self, j0: int) -> np.ndarray:
         """Transform of w^(m j0 - m^2/2) for lags m = 1 - cols .. rows - 1, wrapped."""
@@ -423,43 +443,148 @@ class _ChirpPlan:
         return turns
 
 
-@functools.lru_cache(maxsize=1)
-def _chirp_plan(omega0_rad: float, n: int, t0: float, h: float, count: int) -> _ChirpPlan:
-    """The plan of the latest grid: every member of a run reuses it."""
-    return _ChirpPlan(omega0_rad, n, t0, h, count)
+    def sum(self, phases: np.ndarray) -> np.ndarray:
+        """sum_j sin(2 pi phi_j + j omega0 (t0 + k h)) for k < count, by tiled chirp-z.
+
+        Per tile: exp(2 pi i(phi + offset)) of its components (`_expi`), one
+        forward FFT and the product with the component tile's kernel, summed
+        in the spectrum.  Per sample tile: one inverse FFT of that sum, the
+        output factor and the imaginary part.  Everything runs in the plan's
+        scratch; only the returned array is new.
+        """
+        out = np.empty(self.count)
+        phase, spectrum, total = self.phase, self.spectrum, self.total
+        for i, (j0, k0) in enumerate(_tile_origins(self.n, self.count)):
+            offset = self.offsets[i] if i < len(self.offsets) else self.offset(j0, k0)
+            c = (j0 - 1) // _TILE_COMPONENTS
+            kernel = self.kernels[c] if c < len(self.kernels) else self.kernel(j0)
+            cols = len(offset)
+            np.add(phases[j0 - 1:j0 - 1 + cols], offset, out=phase[:cols])
+            _expi(phase[:cols], spectrum[:cols], self.work)
+            spectrum[cols:] = 0.0
+            np.fft.fft(spectrum, out=spectrum)
+            if j0 == 1:
+                np.multiply(spectrum, kernel, out=total)
+            else:
+                spectrum *= kernel
+                total += spectrum
+            if j0 + _TILE_COMPONENTS > self.n:
+                np.fft.ifft(total, out=total)
+                y = total[:min(_TILE_SAMPLES, self.count - k0)]
+                y *= self.outof[:len(y)]
+                out[k0:k0 + len(y)] = y.imag
+        return out
 
 
-def _chirp_sum(phases: np.ndarray, plan: _ChirpPlan) -> np.ndarray:
-    """sum_j sin(2 pi phi_j + j omega0 (t0 + k h)) for k < count, by tiled chirp-z.
+def _moment_degree(n: int, reach: float, count: int) -> int | None:
+    """Degree D of the moment sum for N = n and Taylor reach Z, or None for chirp-z.
 
-    Per tile: exp(2 pi i(phi + offset)) of its components (`_expi`), one forward
-    FFT and the product with the component tile's kernel, summed in the
-    spectrum.  Per sample tile: one inverse FFT of that sum, the output
-    factor and the imaginary part.  Everything runs in the plan's scratch;
-    only the returned array is new.
+    The remainder of exp(ix) after degree D is at most |x|^(D+1) / (D+1)!,
+    and sum_j (j/N)^(D+1) <= N / (D+2) + 1, so the least D whose whole
+    remainder Z^(D+1) / (D+1)! (N / (D+2) + 1) is below 2^-53 of the unit
+    RMS sqrt(N/2) is taken: 20 at N = 5000 and Z = 1.25.  None beyond
+    `_MOMENT_REACH`, or where the plan's arrays (`_MomentPlan`) would not
+    fit `_PLAN_BUDGET`.
     """
-    out = np.empty(plan.count)
-    phase, spectrum, total = plan.phase, plan.spectrum, plan.total
-    for i, (j0, k0) in enumerate(_tile_origins(plan.n, plan.count)):
-        offset = plan.offsets[i] if i < len(plan.offsets) else plan.offset(j0, k0)
-        c = (j0 - 1) // _TILE_COMPONENTS
-        kernel = plan.kernels[c] if c < len(plan.kernels) else plan.kernel(j0)
-        cols = len(offset)
-        np.add(phases[j0 - 1:j0 - 1 + cols], offset, out=phase[:cols])
-        _expi(phase[:cols], spectrum[:cols], plan.work)
-        spectrum[cols:] = 0.0
-        np.fft.fft(spectrum, out=spectrum)
-        if j0 == 1:
-            np.multiply(spectrum, kernel, out=total)
-        else:
-            spectrum *= kernel
-            total += spectrum
-        if j0 + _TILE_COMPONENTS > plan.n:
-            np.fft.ifft(total, out=total)
-            y = total[:min(_TILE_SAMPLES, plan.count - k0)]
-            y *= plan.outof[:len(y)]
-            out[k0:k0 + len(y)] = y.imag
-    return out
+    if not reach <= _MOMENT_REACH:
+        return None
+    degree, term = 0, reach
+    while term * (n / (degree + 2) + 1) > 2.0 ** -53 * np.sqrt(n / 2):
+        degree += 1
+        term *= reach / (degree + 1)
+    width = min(n, _MOMENT_BLOCK)
+    shift = (degree + 1) ** 2 * -(-n // width)
+    if 8 * (n + (degree + 1) * (width + count) + shift) > _PLAN_BUDGET:
+        return None
+    return degree
+
+
+class _MomentPlan:
+    """Everything of the moment sum on one short window but the phases, and the scratch of a call.
+
+    The window t0 + k h, k < count, has centre m = t0 + (count - 1) h / 2.
+    With x_k = N omega0 (t_k - m) = N omega0 h (k - (count - 1) / 2), each
+    term exp(i(2 pi phi_j + j omega0 t_k)) is a_j = exp(2 pi i (phi_j + j omega0 m / 2 pi))
+    times exp(i x_k j / N), and the Taylor series of the latter gives
+        c(t_k) = Im sum_{n <= D} (i x_k)^n / n! mu_n,   mu_n = sum_j a_j (j / N)^n,
+    with D from `_moment_degree`.  The components are taken in blocks of
+    L = min(N, `_MOMENT_BLOCK`), j = b L + r with r = 1 .. L, so that
+    (j / N)^n = (c_b + y_r)^n, c_b = b L / N and y_r = r / N, and
+        mu_n = sum_b sum_k binom(n, k) c_b^(n - k) sum_r a_{bL + r} y_r^k:
+    one product of every block with `powers` (y_r^k, shape (D + 1, L)) and
+    one with `shift` (binom(n, k) c_b^(n - k), shape (D + 1, B (D + 1))
+    for B blocks).  Every term of the binomial sum is positive, so the
+    split adds no cancellation, and the plan holds O(L + B) numbers per
+    degree, not N.  `offset` is the centre's phase j omega0 m / 2 pi in
+    turns, reduced exactly as the chirp plan's are.  Im(i^n mu_n) is
+    +-Im mu_n for even n and +-Re mu_n for odd n, so `basis` holds the real
+    x_k^n / n! with that sign, shape (count, D + 1), and `pick` picks the
+    part of each moment from its (Re, Im) pair.  The matrices are built by
+    running products (and `shift` by (c + y)^n = (c + y)^(n - 1) (c + y)),
+    and every array named so far is read-only.  `phase`, `unit` (zero past
+    N), `partial`, `moments` and `work` are the scratch of `sum`, which every
+    member on the grid reuses, so two threads must not synthesize noise on
+    one grid at once.
+    """
+
+    def __init__(self, omega0_rad: float, n: int, t0: float, h: float, count: int,
+                 degree: int):
+        from fractions import Fraction  # imported here: runs without noise never need it
+
+        centre = Fraction(t0) + Fraction(h) * (count - 1) / 2
+        rate = Fraction(omega0_rad) / Fraction(_TWO_PI) * centre % 1
+        self.offset = _frozen(_turns(rate, np.arange(1, n + 1)))
+        width = min(n, _MOMENT_BLOCK)
+        blocks = -(-n // width)
+        ratio, starts = np.arange(1, width + 1) / n, np.arange(blocks) * width / n
+        powers = np.empty((degree + 1, width))
+        powers[0] = 1.0
+        shift = np.zeros((degree + 1, blocks, degree + 1))
+        shift[0, :, 0] = 1.0
+        basis = np.empty((count, degree + 1))
+        basis[:, 0] = 1.0
+        x = (2 * np.arange(count) - (count - 1)) * (n * omega0_rad * h / 2)
+        for d in range(1, degree + 1):
+            np.multiply(powers[d - 1], ratio, out=powers[d])
+            shift[d, :, 1:] = shift[d - 1, :, :-1]
+            shift[d] += starts[:, None] * shift[d - 1]
+            np.multiply(basis[:, d - 1], x / (-d if d % 2 == 0 else d), out=basis[:, d])
+        self.powers, self.basis = _frozen(powers), _frozen(basis)
+        self.shift = _frozen(shift.reshape(degree + 1, -1))
+        order = np.arange(degree + 1)
+        self.pick = _frozen(2 * order + 1 - order % 2)
+        self.phase = np.empty(n)
+        self.unit = np.zeros(blocks * width, dtype=complex)
+        self.partial, self.moments = np.empty((blocks, degree + 1, 2)), np.empty((degree + 1, 2))
+        self.work = (*np.empty((3, n)), np.empty(n, dtype=np.intp), np.empty(n, dtype=complex))
+
+    def sum(self, phases: np.ndarray) -> np.ndarray:
+        """sum_j sin(2 pi phi_j + j omega0 (t0 + k h)) for k < count, from the moments.
+
+        One `_expi` of the phases plus the centre's offset, one real
+        (D + 1) x L product per block and one (D + 1) x B (D + 1) product
+        for the moments, and one count x (D + 1) product for the samples;
+        only the returned array is new.
+        """
+        np.add(phases, self.offset, out=self.phase)
+        _expi(self.phase, self.unit[:len(phases)], self.work)
+        units = self.unit.view(float).reshape(len(self.partial), -1, 2)
+        np.matmul(self.powers, units, out=self.partial)
+        np.matmul(self.shift, self.partial.reshape(-1, 2), out=self.moments)
+        return self.basis @ self.moments.ravel()[self.pick]
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_plan(omega0_rad: float, n: int, t0: float, h: float, count: int):
+    """The plan of the latest grid: every member of a run reuses it.
+
+    Keyed on the grid and the component set alone, so that noises which
+    differ only in amplitude or seed share one plan.
+    """
+    degree = _moment_degree(n, n * omega0_rad * h * (count - 1) / 2, count)
+    if degree is None:
+        return _ChirpPlan(omega0_rad, n, t0, h, count)
+    return _MomentPlan(omega0_rad, n, t0, h, count, degree)
 
 
 def _check_time(schedule, t) -> None:

@@ -405,7 +405,7 @@ class TestCliRuns:
         for cut in ("5000", "50000"):
             cfg = load_config("fig3d", {"mode": "ensemble", "realizations": "50",
                                         "T": "5e-5", "noise.omega_cut": cut})
-            model._chirp_plan.cache_clear()
+            model._grid_plan.cache_clear()
             tracemalloc.start()
             try:
                 cli._run_ensemble(cfg)

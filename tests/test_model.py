@@ -265,6 +265,14 @@ class TestNoise:
     @example(50000, 5, 2.0, 3 * 2 ** 10, 1, 10, 6)   # N >> K
     @example(2 ** 17, 5, 3.0, 2 ** 13, 1, 14, 6)     # j^2 to 2^34: turned whole, 4.2e-12 off
     @example(25000, 2001, 1.0, 0, 21, 22, 6)         # fig4b: 4 component tiles, h near 5e-6
+    # Moment sums: fig3d's midpoint grid and the memory solver's grid (both
+    # h = 5e-7 from t0 = 0, reach Z = 1.25), the reach 2.38 just under the
+    # moment cap and 2.53 just over it, one sample, and h = 0.
+    @example(5000, 1001, 1.0, 0, 5e-7 * 2 ** 20, 20, 6)
+    @example(5000, 1001, 1.0, 3, 1, 20, 6)
+    @example(5000, 1001, 1.0, 3, 17, 24, 6)
+    @example(5000, 1, 1.0, 2 ** 13, 1, 14, 6)
+    @example(5000, 1001, 1.0, 2 ** 13, 0, 14, 6)
     def test_uniform_grid_matches_exact_reference(self, n, count, omega0, t0_units,
                                                   h_units, exponent, seed):
         # Dyadic t0 and h put every t0 + k h exactly on a double.
@@ -275,6 +283,7 @@ class TestNoise:
         edges = [k for e in range(tile, count, tile) for k in (e - 1, e)]
         ks = np.unique(np.concatenate([[0, 1, count - 1], edges,
                                        np.linspace(0, count - 1, 25)]).astype(int))
+        ks = ks[ks < count]
         r = realize_noise(spec, 2)
         got = noise_values(r, t0, h, count)[ks]
         rms = spec.component_scale * np.sqrt(n / 2.0)
@@ -334,31 +343,73 @@ class TestChirpPlan:
 
     @staticmethod
     def fresh(r, t0, h, count):
-        model._chirp_plan.cache_clear()
+        model._grid_plan.cache_clear()
         return noise_values(r, t0, h, count)
 
     def test_reuse_is_bit_identical(self):
         spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=20000.5, seed=3,
                          convention=ANG)
         a, b = realize_noise(spec, 0), realize_noise(spec, 1)
-        # Grids B, C and D each differ from A in one of t0, h and count.
+        # Grids B, C, D and E each differ from A in one of t0, h and count;
+        # E is short enough for the moment sum.
         grid_a = (0.0, 5e-7, 4099)
-        grids = [grid_a, (2.5e-4, 5e-7, 4099), (0.0, 1e-6, 4099), (0.0, 5e-7, 1001)]
+        grids = [grid_a, (2.5e-4, 5e-7, 4099), (0.0, 1e-6, 4099), (0.0, 5e-7, 1001),
+                 (0.0, 5e-7, 101)]
         want = {(r.index, g): self.fresh(r, *g) for r in (a, b) for g in grids}
-        model._chirp_plan.cache_clear()
+        assert isinstance(model._grid_plan(1.0, 20000, *grids[-1]), model._MomentPlan)
+        model._grid_plan.cache_clear()
         for g in grids[1:]:
             for r, grid in ((a, grid_a), (b, grid_a), (a, g), (b, g), (a, grid_a)):
                 np.testing.assert_array_equal(noise_values(r, *grid), want[r.index, grid])
 
     def test_plan_is_read_only_and_within_budget(self):
         for count in (1001, 2001, 2 * 10 ** 6):
-            plan = model._chirp_plan(1.0, 25000, 0.0, 5e-7, count)
+            plan = model._grid_plan(1.0, 25000, 0.0, 5e-7, count)
+            assert isinstance(plan, model._ChirpPlan)
             arrays = [plan.half, plan.outof, *plan.kernels, *plan.offsets]
             assert sum(a.nbytes for a in arrays) <= model._PLAN_BUDGET
             assert not any(a.flags.writeable for a in arrays)
-        # fig4b's grid: four tiles, of 3 x 8192 and 424 components, by 2001 samples.
-        plan = model._chirp_plan(1.0, 25000, 0.0, 5e-6, 2001)
+        # fig4b's grid: four tiles, of 3 x 8192 and 424 components, by 2001
+        # samples, and reach Z = 125 rad: chirp-z.
+        plan = model._grid_plan(1.0, 25000, 0.0, 5e-6, 2001)
+        assert isinstance(plan, model._ChirpPlan)
         assert (plan.size, len(plan.kernels), len(plan.offsets)) == (10240, 4, 4)
+        # fig3d's midpoint grid (0.5 tau with tau = T / 500) and the memory
+        # solver's (linspace(0, T, 1001)), T = 5e-4: Z = 1.25 rad, degree 20.
+        _, step = np.linspace(0.0, 5e-4, 1001, retstep=True)
+        for h in (0.5 * (5e-4 / 500), step):
+            plan = model._grid_plan(1.0, 5000, 0.0, h, 1001)
+            assert isinstance(plan, model._MomentPlan)
+            arrays = [plan.offset, plan.powers, plan.shift, plan.basis, plan.pick]
+            assert plan.powers.shape == (21, 512) and plan.basis.shape == (1001, 21)
+            assert sum(a.nbytes for a in arrays) <= model._PLAN_BUDGET
+            assert not any(a.flags.writeable for a in arrays)
+
+    def test_specs_differing_in_amplitude_share_one_plan(self):
+        # Criterion 10's noise levels differ only in amplitude; a plan keyed
+        # on the spec would be rebuilt for each of them.
+        model._grid_plan.cache_clear()
+        for amplitude in (4000.0, 20000.0, 80000.0, 4000.0):
+            spec = NoiseSpec(amplitude=amplitude, omega0=1.0, omega_cut=5000.0, seed=7,
+                             normalization=NoiseNormalization.UNIT_RMS, convention=ANG)
+            noise_values(realize_noise(spec, 0), 0.0, 5e-7, 1001)
+        info = model._grid_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_past_budget_grid_keeps_kernels_first(self):
+        # 2^19 components in 64 tiles by 5 samples overflow the budget.  The
+        # plan keeps 29 kernel transforms and one offset; filled in tile
+        # order it kept 20 of each.  Dropped ones are rebuilt bit for bit.
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=2 ** 19 + 0.5, seed=2,
+                         convention=ANG)
+        r = realize_noise(spec, 0)
+        fresh = self.fresh(r, 0.0, 2.0 ** -14, 5)
+        plan = model._grid_plan(1.0, 2 ** 19, 0.0, 2.0 ** -14, 5)
+        assert isinstance(plan, model._ChirpPlan)
+        assert len(plan.kernels) >= 20 and len(plan.kernels) > len(plan.offsets)
+        np.testing.assert_array_equal(noise_values(r, 0.0, 2.0 ** -14, 5), fresh)
+        last = 1 + (len(plan.kernels) - 1) * model._TILE_COMPONENTS
+        np.testing.assert_array_equal(plan.kernels[-1], plan.kernel(last))
 
     def test_fft_lengths_are_5_smooth(self):
         assert [model._smooth_length(n) for n in (1, 6, 4595, 5095, 6000, 18384, 20479)] == [
@@ -370,7 +421,7 @@ class TestChirpPlan:
         # one tile's temporaries (about 2 MB), never a factor per tile.
         spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=5000.5, convention=ANG)
         r = realize_noise(spec, 0)
-        model._chirp_plan.cache_clear()
+        model._grid_plan.cache_clear()
         tracemalloc.start()
         try:
             values = noise_values(r, 0.0, 5e-7, 2 * 10 ** 6)
