@@ -184,13 +184,12 @@ def _mode_kernel(cfg: RunConfig, out_dir: str) -> int:
 def _mode_pulse_export(cfg: RunConfig, out_dir: str) -> int:
     pulse = evolve.decompose_pulse(cfg.schedule(), _noise_realization(cfg, 0),
                                    _evolution_config(cfg))
-    t_start = np.concatenate([[0.0], np.cumsum(pulse["duration"])[:-1]])
-    names = ["duration", "xy_amplitude", "xy_phase", "z_angle"]
+    names = ["t_start", "duration", "xy_amplitude", "xy_phase", "z_angle"]
     path = os.path.join(out_dir, "pulses.txt")
     # The column names are a comment line, so that the body is numbers only.
-    _write_rows(path, _preamble(cfg, "pulse-export"), ["# t_start", *names],
-                np.column_stack([t_start, *(pulse[name] for name in names)]), sep="\t")
-    print(f"pulse-export: {len(t_start)} steps written to {path}")
+    _write_rows(path, _preamble(cfg, "pulse-export"), ["# " + names[0], *names[1:]],
+                np.column_stack([pulse[name] for name in names]), sep="\t")
+    print(f"pulse-export: {len(pulse['t_start'])} steps written to {path}")
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ states or metric columns; a trajectory joins them (`_gather`).
 
 A run takes n = ceil(T/dt) equal steps of tau = T/n, so dt is the largest
 step.  Everything it samples lies on one grid, the half steps k tau/2 for
-k = 0 .. 2n: `_propagate` synthesizes each member's noise there once, the
+k = 0 .. 2n: `_samples` synthesizes each member's noise there once, the
 engines get the odd samples (the step midpoints) and the records the even
 ones (the step ends).
 
@@ -42,9 +42,9 @@ loop they reproduce.
 `decompose_pulse` factors a two-level run of the stepwise engine into
 spectrometer-style pulse steps, returned as the columns of a table: per
 step an equatorial rotation whose phase lives in the accumulated z-rotated
-frame, plus one z rotation applied at the end.  The per-step decomposition
-is exact (an Euler-style z * equatorial split of each step unitary), so
-the reconstruction reproduces the direct propagator to rounding accuracy.
+frame, plus one z rotation applied at the end.  Each step's pair, read off
+`_midpoint_step` on the loop's own grid and noise, is split exactly (z *
+equatorial), so the reconstruction is the engine's to rounding accuracy.
 """
 from __future__ import annotations
 
@@ -105,14 +105,40 @@ def _members(noise):
     return noise, True
 
 
+def _samples(schedule, noises, dt):
+    """A run's n and tau, its half-step grid (2n + 1,) and noise rows (M, 2n + 1).
+
+    The grid's times lie within an ulp of j tau/2, where the noise is
+    synthesized, and the last is exactly T.  The members (None: noise-free)
+    are realized and synthesized one at a time (traced: 8 B per phase
+    component, synthesis peaks of 0.27 MiB on fig3d and 0.61 MiB on fig4b,
+    besides a grid plan of 0.26 and 0.79 MiB that the first member builds);
+    only a member's row, 16 B per member-step, outlives it, up to half as
+    much again while the rows gather.
+    """
+    n, tau = _plan_steps(schedule.total_time, dt)
+    starts = np.arange(n) * tau
+    grid = np.append(0.0, np.stack([starts + 0.5 * tau, starts + tau], axis=1))
+    grid[-1] = schedule.total_time
+    silent = np.zeros(2 * n + 1)
+    # `map` drops each realization as soon as its row is synthesized, so the
+    # members of a generator are alive one at a time; `fromiter` writes the
+    # rows into one growing array, never a list of them.
+    rows = map(lambda r: silent if r is None else noise_values(r, 0.0, 0.5 * tau, 2 * n + 1),
+               noises)
+    c = np.fromiter(rows, dtype=(float, (2 * n + 1,)))
+    if not len(c):
+        raise ValueError("an ensemble needs at least one member")
+    return n, tau, grid, c
+
+
 def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     """The one step loop of every engine, over all members at once.
 
     `noises` is an iterable of realizations (None: a noise-free member),
-    consumed once before the first step; each member's noise is synthesized
-    as it arrives.  `make_step(schedule, mids, tau, c_mid)` returns the
-    engine's advance(start, stop), which returns the four entry arrays
-    (a, b, c, d) of each step's matrix [[a, b], [c, d]] for steps
+    consumed by `_samples`.  `make_step(schedule, mids, tau, c_mid)`
+    returns the engine's advance(start, stop), which returns the four entry
+    arrays (a, b, c, d) of each step's matrix [[a, b], [c, d]] for steps
     start .. stop - 1 of every member and sector, shape
     (stop - start, M, n_sectors).  It is built from the step midpoints, the
     step length and every member's noise at the midpoints, shape
@@ -144,42 +170,19 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
         raise ValueError(f"initial state must have dimension {schedule.dim}")
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
-    n, tau = _plan_steps(schedule.total_time, cfg.dt)
-    # The half-step grid: step k runs from sample 2k through its midpoint
-    # 2k + 1 to 2k + 2.  Its times k tau + tau/2 and k tau + tau lie within
-    # an ulp of the progression j tau/2 the noise is synthesized on, and
-    # the last is exactly T.
-    steps = np.arange(n)
-    starts = steps * tau
-    grid = np.append(0.0, np.stack([starts + 0.5 * tau, starts + tau], axis=1))
-    grid[-1] = schedule.total_time
-    # Record every store_every-th step and the last; None records the last only.
-    record = steps[((steps + 1) % (store_every or n) == 0) | (steps == n - 1)]
-    rows = np.concatenate([[0], 2 * record + 2])
-    # Peak memory of a run (traced): the members are realized and synthesized
-    # one at a time, a member's phases taking 8 B per component and its
-    # synthesis peaking at 0.27 MiB on fig3d and 0.61 MiB on fig4b, besides
-    # the grid plan that the first member builds and the rest reuse (0.26 and
-    # 0.79 MiB).  Only a member's row of the (M, 2n + 1) noise outlives it:
-    # 16 B per member-step, up to half as much again while the rows gather.
-    # A block's coefficients, step matrices and states peak at about 0.15 MiB
+    # Peak memory of a run (traced), besides the noise rows (see `_samples`):
+    # a block's coefficients, step matrices and states peak at about 0.15 MiB
     # on one sector and on two, whatever the step count.  Its records wait
     # for a run of 4 blocks' sector states (32 B each, 0.125 MiB) or 16
     # records, whichever is more.  Gathered, they take 32 B per member,
     # record and sector, and `_trajectory` then peaks at 85 B per
     # member-record on one sector and 117 B on two; reduced run by run, a
     # summary holds one run's states and columns, whatever the record count.
-    silent = np.zeros(2 * n + 1)
-
-    def samples(r):
-        return silent if r is None else noise_values(r, 0.0, 0.5 * tau, 2 * n + 1)
-
-    # `map` drops each realization as soon as its row is synthesized, so the
-    # members of a generator are alive one at a time; `fromiter` writes the
-    # rows into one growing array, never a list of them.
-    c = np.fromiter(map(samples, noises), dtype=(float, (2 * n + 1,)))
-    if not len(c):
-        raise ValueError("an ensemble needs at least one member")
+    n, tau, grid, c = _samples(schedule, noises, cfg.dt)
+    steps = np.arange(n)
+    # Record every store_every-th step (at most the n-th) and the last; None: the last.
+    record = steps[((steps + 1) % min(store_every or n, n) == 0) | (steps == n - 1)]
+    rows = np.concatenate([[0], 2 * record + 2])
     advance = make_step(schedule, grid[1::2], tau, c[:, 1::2])
     psi = np.repeat(model.sector_states(schedule, state)[None], len(c), axis=0)
     norm0 = np.linalg.norm(psi[0])
@@ -411,28 +414,26 @@ def decompose_pulse(schedule, noise: NoiseRealization | None,
                     cfg: EvolutionConfig) -> dict[str, np.ndarray]:
     """Factor a two-level run into z-frame-accumulated equatorial pulses.
 
-    Returns the columns of the pulse table, one entry per step: its
-    `duration`, its z increment `z_angle`, and an equatorial rotation of
-    rate `xy_amplitude` whose phase `xy_phase` is already expressed in the
-    accumulated frame, so the whole run reconstructs as one trailing z
+    Returns the pulse table's columns, one entry per engine step: its start
+    `t_start` on the engine's grid, `duration`, z increment `z_angle`, and an
+    equatorial rotation of rate `xy_amplitude` whose phase `xy_phase` is in
+    the accumulated frame, so the whole run reconstructs as one trailing z
     rotation (of the summed z angles) applied after the equatorial product.
     """
     if schedule.dim != 2:
         raise UnsupportedScheduleError("pulse decomposition requires a two-level schedule")
-    # The sweep is traceless, so each prefix propagator U_k of the stepwise
-    # engine is in SU(2), U_k = [[a, -b*], [b, a*]] with (a, b) = U_k|0>.
-    # Recording every step from |0> therefore gives the step unitaries
-    # u_k = U_k U_{k-1}^dagger.
-    _, _, states = _gather(_propagate(schedule, [noise], cfg, [1.0, 0.0], _midpoint_step, 1))
-    a, b = states[0, :, 0, 0], states[0, :, 0, 1]
-    u00 = a[1:] * a[:-1].conj() + b[1:].conj() * b[:-1]
-    u01 = a[1:] * b[:-1].conj() - b[1:].conj() * a[:-1]
+    # Each step is the engine's own pair, u = [[alpha, -beta*], [beta, alpha*]].
+    n, tau, grid, c = _samples(schedule, [noise], cfg.dt)
+    advance = _midpoint_step(schedule, grid[1::2], tau, c[:, 1::2])
+    u00, u01 = (u[:, 0, 0] for u in advance(0, n)[:2])
+    bad = ~(np.isfinite(u00) & np.isfinite(u01))
+    if bad.any():
+        raise NumericEvolutionError(f"non-finite unitary at step {bad.argmax()}")
     # Exact split u = exp(-i delta sz) * exp(-i gamma (cos phi sx + sin phi sy)).
     gamma = np.arctan2(np.abs(u01), np.abs(u00))
     delta = -np.angle(u00)
     phi = np.where(np.abs(u01) < 1e-300, 0.0,
                    -np.angle(1.0j * np.exp(1.0j * delta) * u01))
     theta_before = np.concatenate([[0.0], np.cumsum(delta)[:-1]])
-    _, tau = _plan_steps(schedule.total_time, cfg.dt)
-    return {"duration": np.full(len(delta), tau), "z_angle": delta,
+    return {"t_start": grid[:-1:2], "duration": np.full(len(delta), tau), "z_angle": delta,
             "xy_amplitude": gamma / tau, "xy_phase": phi - 2.0 * theta_before}

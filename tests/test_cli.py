@@ -514,6 +514,34 @@ class TestCliRuns:
         assert text[text.index("# t_start"):] == (
             "# t_start\tduration\txy_amplitude\txy_phase\tz_angle\n" + rows)
 
+    def test_pulse_start_times_are_the_trajectory_times(self, tmp_path):
+        # 10^5 steps of fig3b: a cumulative sum of the step durations drifts
+        # off the step grid (0.0999990000001 for 0.099999), the grid does not.
+        for mode in ("pulse-export", "simulate"):
+            assert cli.main([mode, "--config", "fig3b", "--set", "T=0.1",
+                             "--out", str(tmp_path)]) == 0
+        t_start = [line.split("\t")[0] for line in
+                   (tmp_path / "pulses.txt").read_text("utf-8").splitlines()
+                   if not line.startswith("#")]
+        t = [line.split(",")[0] for line in
+             (tmp_path / "trajectory.csv").read_text("utf-8").splitlines()
+             if not line.startswith("#")]
+        assert len(t_start) == 10 ** 5
+        assert t_start == t[1:-1]
+
+    @pytest.mark.parametrize("mode, preset, extra, name", [
+        ("simulate", "fig3b", [], "trajectory.csv"),
+        ("ensemble", "fig3d", ["--set", "realizations=2"], "ensemble.csv"),
+    ])
+    def test_store_every_past_int64_records_the_last_step(self, tmp_path, mode, preset, extra,
+                                                          name):
+        # Every stride of n = 500 steps or more records t = 0 and the last step only.
+        for stride in (500, 2 ** 63):
+            code = cli.main([mode, "--config", preset, *extra, "--set", f"store_every={stride}",
+                             "--out", str(tmp_path / str(stride))])
+            assert code == 0
+        assert body_bytes(tmp_path / str(2 ** 63) / name) == body_bytes(tmp_path / "500" / name)
+
     def test_oracle_check_passes(self, tmp_path):
         code = cli.main(["oracle-check", "--config", "fig3b", "--out", str(tmp_path)])
         assert code == 0

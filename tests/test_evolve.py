@@ -627,6 +627,40 @@ class TestPulseDecomposition:
         with pytest.raises(evolve.UnsupportedScheduleError):
             evolve.decompose_pulse(s, None, EvolutionConfig(dt=1e-5))
 
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_rows_are_the_engine_steps(self, noisy):
+        # Each row, rebuilt as exp(-i delta sz) exp(-i gamma (cos phi sx + sin phi sy))
+        # with phi taken back out of the accumulated frame, is that step's pair
+        # from `_midpoint_step` on the loop's own grid and noise.  Recovering
+        # phi adds 2 theta, which costs an ulp of it: the bound is
+        # eps (1 + 2 max |theta|), of which the rows reach 0.17 noise-free
+        # (1.1e-16) and 0.07 noisy (7.4e-16); fig3a-c and 40 fig3d members
+        # reach at most 0.23.
+        s, noise, cfg = single(), fig3_noise() if noisy else None, EvolutionConfig(dt=1e-6)
+        pulse = evolve.decompose_pulse(s, noise, cfg)
+        n, tau, grid, c = evolve._samples(s, [noise], cfg.dt)
+        alpha, _, beta, _ = evolve._midpoint_step(s, grid[1::2], tau, c[:, 1::2])(0, n)
+        delta = pulse["z_angle"]
+        theta = np.concatenate([[0.0], np.cumsum(delta)[:-1]])
+        phi = pulse["xy_phase"] + 2.0 * theta
+        gamma = pulse["xy_amplitude"] * pulse["duration"]
+        # The first column of the product: the z rotation of exp(-i gamma n.s)|0>.
+        rebuilt = np.stack([np.exp(-1.0j * delta) * np.cos(gamma),
+                            -1.0j * np.exp(1.0j * (delta + phi)) * np.sin(gamma)])
+        err = np.abs(rebuilt - np.stack([alpha[:, 0, 0], beta[:, 0, 0]])).max()
+        assert err <= np.finfo(float).eps * (1.0 + 2.0 * np.abs(theta).max())
+
+    def test_names_the_first_non_finite_step(self):
+        class Broken(SingleQubitSchedule):
+            def ab(self, t):
+                a, b = super().ab(t)
+                # From the midpoint of step 257, (257 + 1/2) us, on.
+                return np.where(np.asarray(t) > 257e-6, np.nan, a), b
+
+        s = Broken(j0=4000.0, total_time=5e-4, convention=ANG)
+        with pytest.raises(evolve.NumericEvolutionError, match=r"step 257$"):
+            evolve.decompose_pulse(s, None, EvolutionConfig(dt=1e-6))
+
     def test_pure_x_drive(self):
         class PureX(SingleQubitSchedule):
             def ab(self, t):
