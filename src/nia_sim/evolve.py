@@ -7,12 +7,13 @@ every engine takes one noise realization or an iterable of them, consumed
 once, and the one step loop (`_propagate`) advances the sector states of
 all M members, shape (M, n_sectors, 2), together, in blocks of
 consecutive steps that hold at most `_BLOCK_MATRICES` 2x2 matrices.  An
-engine only builds each step's matrix; the loop composes a block's step
-matrices into prefix products with `smallmat.prefix_products` (recursive
-doubling, a Hillis-Steele scan of log2 depth, see Blelloch, "Prefix sums
-and their applications", CMU-CS-90-190) and applies each prefix to the
-block's starting states.  A non-finite step spoils every later prefix of its
-block, so the loop's check still names it.  The loop checks and records
+engine only builds each step's matrix [[alpha, -conj(beta)], [beta,
+conj(alpha)]], held as its pair; the loop composes a block's pairs into
+prefix products with `smallmat.prefix_products` (recursive doubling, a
+Hillis-Steele scan of log2 depth, see Blelloch, "Prefix sums and their
+applications", CMU-CS-90-190) and applies each prefix to the block's
+starting states.  A non-finite step spoils every later prefix of its block,
+so the loop's check still names it.  The loop checks and records
 once per block, and restores every recorded state's norm, which removes
 rounding drift only.  It yields the records in runs as it makes them: an
 ensemble summary (`evolve_stepwise(..., reduce=metrics.aggregate)`)
@@ -27,17 +28,17 @@ ones (the step ends).
 
 Two independent integrators share that loop.  `evolve_stepwise` is the
 production engine: a product of exact step unitaries with the Hamiltonian
-(and noise) sampled at step midpoints.  On every sector a step is an SU(2)
-element, held as its pair (alpha, beta), and a block gets one
-`smallmat.expm_unitary` call for all its pairs.  The oracle
+(and noise) sampled at step midpoints.  On every sector a step is the
+exponential of a traceless Hermitian generator, an SU(2) element, and a
+block gets one `smallmat.expm_unitary` call for all its pairs.  The oracle
 (`final_state_oracle`) is a classic fourth-order Runge-Kutta integration at
 a tenth of the step size, used to cross-check the stepwise engine; it
 holds the noise at the same step midpoints the stepwise engine uses, so a
 comparison isolates the propagator discretization.  Its substeps are linear,
 psi -> R psi with R = I + (K1 + 2 K2 + 2 K3 + K4) / 6, so a block's transfer
-matrices are built at once and each step's ten are multiplied together by
-the same scan; `tests/oracle_reference.py` keeps the substep-by-substep
-loop they reproduce.
+matrices (pairs too, see `_rk4_step`) are built at once and each step's ten
+are multiplied together by the same scan; `tests/oracle_reference.py`
+keeps the substep-by-substep loop they reproduce.
 
 `decompose_pulse` factors a two-level run of the stepwise engine into
 spectrometer-style pulse steps, returned as the columns of a table: per
@@ -58,9 +59,9 @@ from .model import NoiseRealization, noise_values
 
 
 # 2x2 matrices per block of `_propagate`, one per step, member and sector of
-# the stepwise engine: a block's step matrices take 64 B per matrix (four
-# complex entries) and its states 32 B; with the exponential's and the
-# scan's buffers a block peaks at about 150 B per matrix (traced).
+# the stepwise engine: a block's step matrices take 32 B per matrix (their
+# (alpha, beta) pairs) and its states 32 B; with the exponential's and the
+# scan's buffers a block peaks at 116-130 B per matrix (traced).
 # The oracle counts more per step (see `_rk4_step`).
 _BLOCK_MATRICES = 2 ** 10
 
@@ -137,12 +138,11 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
 
     `noises` is an iterable of realizations (None: a noise-free member),
     consumed by `_samples`.  `make_step(schedule, mids, tau, c_mid)`
-    returns the engine's advance(start, stop), which returns the four entry
-    arrays (a, b, c, d) of each step's matrix [[a, b], [c, d]] for steps
-    start .. stop - 1 of every member and sector, shape
-    (stop - start, M, n_sectors).  It is built from the step midpoints, the
-    step length and every member's noise at the midpoints, shape
-    (M, n_steps); every member starts from `initial`.
+    returns the engine's advance(start, stop), which returns the pairs
+    (alpha, beta) of the steps start .. stop - 1 of every member and sector,
+    shape (stop - start, M, n_sectors).  It is built from the step
+    midpoints, the step length and every member's noise at the midpoints,
+    shape (M, n_steps); every member starts from `initial`.
 
     A generator: it yields the records in order, at the ends of blocks, in
     runs of at least 16 records and 4 blocks' sector states (or all that
@@ -155,8 +155,9 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     The run advances in blocks of at most `_BLOCK_MATRICES` matrices (at
     least one step each): one per step, member and sector, or as many as
     the engine states in `advance.matrices`.  Per block the loop composes
-    the step matrices into prefix products, in place, and applies each to
-    the block's starting states.  It checks that every state is finite,
+    the step pairs into prefix products, in place, and applies each to the
+    block's starting states, psi <- (alpha psi0 - conj(beta) psi1,
+    beta psi0 + conj(alpha) psi1).  It checks that every state is finite,
     naming the first step that is not, and takes the block's record steps.
     Each recorded state has its norm restored to the value at t = 0: every
     sector evolves unitarily, so this removes rounding drift only; a
@@ -171,8 +172,8 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
     # Peak memory of a run (traced), besides the noise rows (see `_samples`):
-    # a block's coefficients, step matrices and states peak at about 0.15 MiB
-    # on one sector and on two, whatever the step count.  Its records wait
+    # a block's coefficients, step pairs and states peak at about 0.11 MiB
+    # on one sector and 0.13 MiB on two, whatever the step count.  Its records wait
     # for a run of 4 blocks' sector states (32 B each, 0.125 MiB) or 16
     # records, whichever is more.  Gathered, they take 32 B per member,
     # record and sector, and `_trajectory` then peaks at 85 B per
@@ -198,11 +199,11 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     block = max(1, _BLOCK_MATRICES // (per_record * getattr(advance, "matrices", 1)))
     for start in range(0, n, block):
         stop = min(n, start + block)
-        u00, u01, u10, u11 = advance(start, stop)
-        smallmat.prefix_products(u00, u01, u10, u11)
-        out = np.empty(u00.shape + (2,), dtype=complex)
-        out[..., 0] = u00 * psi[..., 0] + u01 * psi[..., 1]
-        out[..., 1] = u10 * psi[..., 0] + u11 * psi[..., 1]
+        alpha, beta = advance(start, stop)
+        smallmat.prefix_products(alpha, beta)
+        out = np.empty(alpha.shape + (2,), dtype=complex)
+        out[..., 0] = alpha * psi[..., 0] - beta.conj() * psi[..., 1]
+        out[..., 1] = beta * psi[..., 0] + alpha.conj() * psi[..., 1]
         bad = ~np.isfinite(out).all(axis=(1, 2, 3))
         if bad.any():
             raise NumericEvolutionError(f"non-finite state after step {start + bad.argmax()}")
@@ -287,9 +288,8 @@ def _midpoint_step(schedule, mids, tau, c_mid):
         # The block's step pairs, shape (stop - start, M, n_sectors), in one
         # call; the module attribute keeps the call traceable.
         g = (schedule.j0_rad + c_mid[:, start:stop].T)[..., None]
-        alpha, beta = smallmat.expm_unitary(g * a[start:stop, None, None],
-                                            g * b[start:stop, None, None] + z_offsets, tau)
-        return alpha, -beta.conj(), beta, alpha.conj()
+        return smallmat.expm_unitary(g * a[start:stop, None, None],
+                                     g * b[start:stop, None, None] + z_offsets, tau)
     return advance
 
 
@@ -301,33 +301,33 @@ def _rk4_step(schedule, mids, tau, c_mid):
     # [[z, x], [x, -z]], x = g a, z = g b + h z_offset, g = h (J0 + c).
     n_sub = 10
     h = tau / n_sub
-    z_offsets = np.array([sec.z_offset for sec in schedule.sectors])[:, None]
+    z_offsets = np.array([sec.z_offset for sec in schedule.sectors])
     # Each substep's start, midpoint and end, as offsets from its step's midpoint.
     nodes = (np.arange(n_sub)[:, None] + [0.0, 0.5, 1.0]) / n_sub - 0.5
 
     def advance(start, stop):
         a, b = schedule.ab((mids[start:stop, None, None] + tau * nodes).reshape(-1, 3).T)
-        # Axes: substeps, members, sectors, and last the two columns of R.
-        g = h * np.repeat(schedule.j0_rad + c_mid[:, start:stop].T, n_sub, axis=0)[..., None, None]
+        # Axes: substeps, members, sectors.
+        g = h * np.repeat(schedule.j0_rad + c_mid[:, start:stop].T, n_sub, axis=0)[..., None]
 
         def slope(node, u, v):
             """-i h H (u, v) at one node of every substep."""
-            x = -1j * g * a[node, :, None, None, None]
-            z = g * b[node, :, None, None, None] + h * z_offsets
+            x = -1j * g * a[node, :, None, None]
+            z = g * b[node, :, None, None] + h * z_offsets
             k_u = -1j * z * u
             k_u += x * v
             k_v = 1j * z * v
             k_v += x * u
             return k_u, k_v
 
-        # The stages act on the identity's columns, so (u, v) end as R's rows.
-        eye_u, eye_v = np.eye(2, dtype=complex)
-        k_u, k_v = slope(0, eye_u, eye_v)
-        u, v = eye_u + k_u / 6.0, eye_v + k_v / 6.0
+        # R is a real polynomial in the pure quaternion -i h H, so it is the
+        # pair of its first column: the stages act on |0> alone.
+        k_u, k_v = slope(0, 1.0 + 0.0j, 0.0j)
+        u, v = 1.0 + k_u / 6.0, k_v / 6.0
         for node, part, weight in ((1, 0.5, 2.0), (1, 0.5, 2.0), (2, 1.0, 1.0)):
             # One at a time, so that the last stage is freed before the next.
-            k_u = eye_u + part * k_u
-            k_v = eye_v + part * k_v
+            k_u = 1.0 + part * k_u
+            k_v = part * k_v
             k_u, k_v = slope(node, k_u, k_v)
             u += weight / 6.0 * k_u
             v += weight / 6.0 * k_v
@@ -336,13 +336,13 @@ def _rk4_step(schedule, mids, tau, c_mid):
         # leading substep axis.
         u, v = (np.moveaxis(w.reshape((stop - start, n_sub) + w.shape[1:]), 1, 0)
                 for w in (u, v))
-        smallmat.prefix_products(u[..., 0], u[..., 1], v[..., 0], v[..., 1])
-        return u[-1, ..., 0], u[-1, ..., 1], v[-1, ..., 0], v[-1, ..., 1]
+        smallmat.prefix_products(u, v)
+        return u[-1], v[-1]
 
-    # Traced, a block holds about 320 B per substep matrix, the stepwise engine
-    # 150 B per step matrix: each substep counts as ceil(2 * 320 / 150) = 5
+    # Traced, a block holds at most 210 B per substep matrix, the stepwise engine
+    # 116-130 B per step matrix: each substep counts as ceil(2 * 210 / 116) = 4
     # matrices, so that a substep block holds less than half a stepwise block.
-    advance.matrices = math.ceil(2 * 320 / 150) * n_sub
+    advance.matrices = math.ceil(2 * 210 / 116) * n_sub
     return advance
 
 
@@ -422,18 +422,19 @@ def decompose_pulse(schedule, noise: NoiseRealization | None,
     """
     if schedule.dim != 2:
         raise UnsupportedScheduleError("pulse decomposition requires a two-level schedule")
-    # Each step is the engine's own pair, u = [[alpha, -beta*], [beta, alpha*]].
+    # Each step is the engine's own pair, u = [[alpha, -beta*], [beta, alpha*]];
+    # no closure outlives the call, so the engine's columns go before the split.
     n, tau, grid, c = _samples(schedule, [noise], cfg.dt)
-    advance = _midpoint_step(schedule, grid[1::2], tau, c[:, 1::2])
-    u00, u01 = (u[:, 0, 0] for u in advance(0, n)[:2])
-    bad = ~(np.isfinite(u00) & np.isfinite(u01))
+    alpha, beta = (u[:, 0, 0] for u in _midpoint_step(schedule, grid[1::2], tau, c[:, 1::2])(0, n))
+    bad = ~(np.isfinite(alpha) & np.isfinite(beta))
     if bad.any():
         raise NumericEvolutionError(f"non-finite unitary at step {bad.argmax()}")
-    # Exact split u = exp(-i delta sz) * exp(-i gamma (cos phi sx + sin phi sy)).
-    gamma = np.arctan2(np.abs(u01), np.abs(u00))
-    delta = -np.angle(u00)
-    phi = np.where(np.abs(u01) < 1e-300, 0.0,
-                   -np.angle(1.0j * np.exp(1.0j * delta) * u01))
+    # Exact split u = exp(-i delta sz) * exp(-i gamma (cos phi sx + sin phi sy)):
+    # alpha = e^{-i delta} cos gamma, beta = -i e^{i (delta + phi)} sin gamma.
+    gamma = np.arctan2(np.abs(beta), np.abs(alpha))
+    delta = -np.angle(alpha)
+    phi = np.where(np.abs(beta) < 1e-300, 0.0,
+                   np.angle(1.0j * np.exp(-1.0j * delta) * beta))
     theta_before = np.concatenate([[0.0], np.cumsum(delta)[:-1]])
     return {"t_start": grid[:-1:2], "duration": np.full(len(delta), tau), "z_angle": delta,
             "xy_amplitude": gamma / tau, "xy_phase": phi - 2.0 * theta_before}

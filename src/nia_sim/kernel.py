@@ -22,12 +22,12 @@ the noise.
 `solve_memory_equation` tabulates g through the rank-one split
 g(t_i, t_j) = p_i conj(p_j), with the couplings from one vectorized
 `coupling_elements` call and the gap phase integrated once on the grid,
-and composes its trapezoid steps as a log-depth prefix product of 2x2
-matrices (`smallmat.prefix_products`, the scan all three solvers share:
-this one, the stepwise engine and the Runge-Kutta oracle).  The
-pointwise g, with an adaptive quadrature of the noisy phase, and the
-sequential form of the recurrence are test-side references
-(`tests/kernel_reference.py`).
+and composes its trapezoid steps, each the pair (a, c) of its matrix
+[[a, -conj(c)], [c, conj(a)]], as a log-depth prefix product
+(`smallmat.prefix_products`, the scan all three solvers share: this one,
+the stepwise engine and the Runge-Kutta oracle).  The pointwise g, with an
+adaptive quadrature of the noisy phase, and the sequential form of the
+recurrence are test-side references (`tests/kernel_reference.py`).
 
 The spectator model is two sectors with offsets, which this equation does
 not cover: `solve_memory_equation` refuses it, and `config.validate` refuses
@@ -135,10 +135,11 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
 
     Implicit trapezoid, solved in closed form, with trapezoid history
     quadrature; the rank-one phase split keeps the history integral O(1)
-    per step.  Each step is a linear map of (psi0, history), so the whole
-    run is a prefix product of 2x2 step matrices, composed by
-    `smallmat.prefix_products` in log2(n_points) vector passes.  The
-    formulation follows Jing et al., Phys. Rev. A (2014).
+    per step.  Each step maps (psi0, history) by [[a, -conj(c)], [c, conj(a)]],
+    the form of the generator [[0, -p], [conj(p), 0]], so the run is a prefix
+    product of pairs (a, c), in log2(n_points) vector passes of
+    `smallmat.prefix_products`.  The formulation follows Jing et al.,
+    Phys. Rev. A (2014).
     """
     if len(schedule.sectors) != 1:
         raise ValueError("the memory equation covers one-sector schedules only")
@@ -157,14 +158,14 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
     # f_i = -p_i hist_i and hist_i = hist_{i-1} + h/2 (q_{i-1} psi_{i-1}
     # + q_i psi_i), is linear in psi_i.  Its divisor is at least 1:
     # p_i q_i = c01(t_i)^2 is real and non-negative.  Solved, step i maps
-    # (psi, hist) at i - 1 to i by [[a, b], [c, d]].
+    # (psi, hist) at i - 1 to i by [[a, b], [c, d]], where q = conj(p) and a
+    # real gain, with 1 - gain hh^2 |p_i|^2 = gain, make b = -gain hh (p_{i-1}
+    # + p_i) = -conj(c) and d = 1 + hh q_i b = conj(a): the step is (a, c).
     hh = 0.5 * h
     gain = 1.0 / (1.0 + hh * hh * (p[1:] * q[1:]).real)
     a = gain * (1.0 - hh * hh * p[1:] * q[:-1])
-    b = -gain * hh * (p[:-1] + p[1:])
     c = hh * q[:-1] + hh * q[1:] * a
-    d = 1.0 + hh * q[1:] * b
-    smallmat.prefix_products(a, b, c, d)
+    smallmat.prefix_products(a, c)
     # From (psi, hist) = (1, 0) at t = 0 the products' first column is the run.
     psi = np.concatenate(([1.0 + 0.0j], a))
     hist = np.concatenate(([0.0j], c))

@@ -5,10 +5,10 @@ routines here only ever see two-level operators: the eigendecomposition
 of a complex Hermitian operator with a deterministic gauge, and the
 exponential of a real traceless generator x sx + z sz over whole stacks
 of coefficients (leading axes: steps, members, sectors).  That exponential
-lies in SU(2) and is returned as its first column (alpha, beta), the pair
-from which the stepwise engine builds each step's matrix.  General 2x2
-matrices, held as four entry arrays, are composed by `prefix_products`,
-the one scan of every solver.
+lies in SU(2) and is returned as its first column (alpha, beta).  Every
+matrix a solver composes has that form, [[alpha, -conj(beta)], [beta,
+conj(alpha)]] up to a real factor, and `prefix_products`, the one scan of
+every solver, composes such pairs.
 """
 from __future__ import annotations
 
@@ -113,32 +113,29 @@ def expm_unitary(x, z, dt) -> tuple[np.ndarray, np.ndarray]:
     return alpha, -1.0j * (x * s)
 
 
-def prefix_products(a, b, c, d) -> None:
-    """Prefix products of the matrices [[a, b], [c, d]] along the leading axis, in place.
+def prefix_products(alpha, beta) -> None:
+    """Prefix products of the pairs' matrices along the leading axis, in place.
 
-    Trailing axes (members, sectors) pass through.  Entry j ends as
-    M_j ... M_1 M_0, composed by doubling: after the pass of span s it holds
-    entries max(0, j - 2s + 1) .. j.  A non-finite matrix spoils its own and
-    every later prefix, and no earlier one.  Every pass runs in five
-    buffers allocated once per call, so that a long scan maps no fresh
-    temporaries pass after pass.
+    A pair is the first column of [[alpha, -conj(beta)], [beta, conj(alpha)]],
+    a form closed under products.  Trailing axes (members, sectors) pass
+    through.  Entry j ends as M_j ... M_1 M_0, composed by doubling: after
+    the pass of span s it holds entries max(0, j - 2s + 1) .. j.  A
+    non-finite matrix spoils its own and every later prefix, and no earlier
+    one.  Every pass runs in three buffers allocated once per call, so that
+    a long scan maps no fresh temporaries pass after pass.
     """
-    if len(a) < 2:
+    if len(alpha) < 2:
         return
-    buffers = [np.empty((len(a) - 1,) + a.shape[1:], dtype=np.result_type(a, b, c, d))
-               for _ in range(5)]
+    buffers = [np.empty((len(alpha) - 1,) + alpha.shape[1:], dtype=np.result_type(alpha, beta))
+               for _ in range(3)]
     span = 1
-    while span < len(a):
-        a2, b2, c2, d2 = a[span:], b[span:], c[span:], d[span:]
-        a1, b1, c1, d1 = a[:-span], b[:-span], c[:-span], d[:-span]
-        na, nb, nc, nd, tmp = (buf[:len(a2)] for buf in buffers)
+    while span < len(alpha):
+        a2, b2, a1, b1 = alpha[span:], beta[span:], alpha[:-span], beta[:-span]
+        na, nb, tmp = (buf[:len(a2)] for buf in buffers)
+        # M2 M1 e0 = (a2 a1 - conj(b2) b1, b2 a1 + conj(a2) b1).
         np.multiply(a2, a1, out=na)
-        na += np.multiply(b2, c1, out=tmp)
-        np.multiply(a2, b1, out=nb)
-        nb += np.multiply(b2, d1, out=tmp)
-        np.multiply(c2, a1, out=nc)
-        nc += np.multiply(d2, c1, out=tmp)
-        np.multiply(c2, b1, out=nd)
-        nd += np.multiply(d2, d1, out=tmp)
-        a2[...], b2[...], c2[...], d2[...] = na, nb, nc, nd
+        na -= np.multiply(np.conjugate(b2, out=tmp), b1, out=tmp)
+        np.multiply(b2, a1, out=nb)
+        nb += np.multiply(np.conjugate(a2, out=tmp), b1, out=tmp)
+        a2[...], b2[...] = na, nb
         span *= 2

@@ -5,7 +5,8 @@ Hamiltonian as matrices.  `evolve_oracle` runs the oracle with trajectory
 recording.  `sequential_rk4_step` is an engine for `evolve._propagate`
 that takes the oracle's substeps one at a time, applying the four stages
 to the identity's columns; the oracle composes the same substeps as
-transfer matrices, and this loop is the form it must reproduce.
+transfer matrices, each held as its first column, and this loop is the
+form it must reproduce.
 """
 import numpy as np
 
@@ -76,6 +77,13 @@ def sequential_rk4_step(schedule, mids, tau, c_mid):
                 k4 = -1.0j * _apply(edges[i + 1], psi + h * k3)
                 psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             out[k - start] = psi
-        # out[:, j, ..., i] is entry (i, j) of each step's matrix.
-        return out[:, 0, ..., 0], out[:, 1, ..., 0], out[:, 0, ..., 1], out[:, 1, ..., 1]
+        # out[:, j, ..., i] is entry (i, j) of each step's matrix R, a real
+        # polynomial in the pure quaternion -i h H, so [[u, -conj(v)], [v, conj(u)]]
+        # to rounding (measured: exactly, on every preset and the spectator);
+        # the engine protocol takes its first column (u, v).
+        u, v = out[:, 0, ..., 0], out[:, 0, ..., 1]
+        form = np.maximum(np.abs(out[:, 1, ..., 1] - u.conj()),
+                          np.abs(out[:, 1, ..., 0] + v.conj()))
+        assert form.max() <= 4.0 * np.finfo(float).eps, form.max()
+        return u, v
     return advance

@@ -103,9 +103,9 @@ class TestEvolveStepwise:
         s = single(total_time=1e-2)
         n, tau = evolve._plan_steps(s.total_time, 1e-6)
         advance = evolve._midpoint_step(s, (np.arange(n) + 0.5) * tau, tau, np.zeros((1, n)))
-        a, b, c, d = advance(0, n)
-        smallmat.prefix_products(a, b, c, d)
-        final = np.array([a[-1], c[-1]])
+        alpha, beta = advance(0, n)
+        smallmat.prefix_products(alpha, beta)
+        final = np.array([alpha[-1], beta[-1]])
         assert n == 10000
         assert abs(np.linalg.norm(final) ** 2 - 1.0) < 1e-10
 
@@ -174,7 +174,7 @@ class TestDenseReference:
 
     def test_every_sector_step_is_su2(self):
         # Each step matrix of the stepwise engine is [[alpha, -beta*], [beta, alpha*]]
-        # on every member and sector, bit for bit, with unit determinant.
+        # on every member and sector, held as its pair, with unit determinant.
         s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
         n, tau = evolve._plan_steps(s.total_time, 1e-6)
         mids = (np.arange(n) + 0.5) * tau
@@ -183,11 +183,9 @@ class TestDenseReference:
         advance = evolve._midpoint_step(s, mids, tau, c_mid)
         for start in range(0, n, 128):
             stop = min(n, start + 128)
-            u00, u01, u10, u11 = advance(start, stop)
-            assert u00.shape == (stop - start, 3, 2)
-            np.testing.assert_array_equal(u11, u00.conj())
-            np.testing.assert_array_equal(u01, -u10.conj())
-            assert np.abs(u00 * u11 - u01 * u10 - 1.0).max() <= 1e-14
+            alpha, beta = advance(start, stop)
+            assert alpha.shape == beta.shape == (stop - start, 3, 2)
+            assert np.abs(np.abs(alpha) ** 2 + np.abs(beta) ** 2 - 1.0).max() <= 1e-14
 
 
 class TestBatchedMembers:
@@ -297,8 +295,8 @@ class TestBlocks:
 
     A block of 17 matrices holds 5 steps of 3 pair members and 2 of 3
     spectator members: neither divides the 241 steps or aligns with
-    store_every = 7.  The oracle counts 50 matrices per step, so it takes
-    one step per block of 17, and 6 pair or 3 spectator steps per default
+    store_every = 7.  The oracle counts 40 matrices per step, so it takes
+    one step per block of 17, and 8 pair or 4 spectator steps per default
     block.  The default block splits the stepwise spectator run too.  The
     one-member pair run of 2300 steps fills two default blocks of 1024
     steps, each composed by a doubling scan of depth 10, before a partial
@@ -358,10 +356,10 @@ class TestBlocks:
 
         def make_step(schedule, mids, tau, c_mid):
             def advance(start, stop):
-                a, b, c, d = (np.full((stop - start, 3, 1), x, dtype=complex)
-                              for x in (1.0, 0.0, 0.0, 1.0))
-                d[np.arange(start, stop) >= bad_step, 1, 0] = np.nan
-                return a, b, c, d
+                alpha, beta = (np.full((stop - start, 3, 1), x, dtype=complex)
+                               for x in (1.0, 0.0))
+                alpha[np.arange(start, stop) >= bad_step, 1, 0] = np.nan
+                return alpha, beta
             return advance
 
         monkeypatch.setattr(evolve, "_BLOCK_MATRICES", 100)
@@ -639,7 +637,7 @@ class TestPulseDecomposition:
         s, noise, cfg = single(), fig3_noise() if noisy else None, EvolutionConfig(dt=1e-6)
         pulse = evolve.decompose_pulse(s, noise, cfg)
         n, tau, grid, c = evolve._samples(s, [noise], cfg.dt)
-        alpha, _, beta, _ = evolve._midpoint_step(s, grid[1::2], tau, c[:, 1::2])(0, n)
+        alpha, beta = evolve._midpoint_step(s, grid[1::2], tau, c[:, 1::2])(0, n)
         delta = pulse["z_angle"]
         theta = np.concatenate([[0.0], np.cumsum(delta)[:-1]])
         phi = pulse["xy_phase"] + 2.0 * theta

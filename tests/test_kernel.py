@@ -269,6 +269,30 @@ class TestPrefixProduct:
         assert np.abs(mem.defect - defect).max() < PREFIX_TOL * defect.max()
 
 
+    @pytest.mark.parametrize("case", ["fig3b", "unit-rms 4000", "unit-rms 80000"])
+    def test_step_is_the_pair_of_its_first_column(self, case):
+        # The trapezoid step [[a, b], [c, d]] has b = -conj(c) and d = conj(a),
+        # since q = conj(p) and 1 - gain hh^2 |p_i|^2 = gain, so the solver
+        # builds only (a, c).  Evaluated as written, b and d stay within
+        # 2.0 and 1.0 ulp of them (measured on these grids, on 15 noisy
+        # members at three levels and on fig4a); the bound is 4 ulp of each.
+        if case == "fig3b":
+            schedule, noise = load_config(case).schedule(), None
+        else:
+            schedule, noise = single(), _unit_rms_noise(float(case.split()[1]))
+        times = np.linspace(0.0, schedule.total_time, 1001)
+        p, _ = kernel._split_kernel(schedule, noise, times)
+        q, hh = p.conj(), 0.5 * (times[1] - times[0])
+        gain = 1.0 / (1.0 + hh * hh * (p[1:] * q[1:]).real)
+        a = gain * (1.0 - hh * hh * p[1:] * q[:-1])
+        b = -gain * hh * (p[:-1] + p[1:])
+        c = hh * q[:-1] + hh * q[1:] * a
+        d = 1.0 + hh * q[1:] * b
+        ulp = np.finfo(float).eps
+        assert (np.abs(b + c.conj()) <= 4.0 * ulp * np.abs(c)).all()
+        assert (np.abs(d - a.conj()) <= 4.0 * ulp * np.abs(a)).all()
+
+
 class TestAdiabaticDefect:
     def test_zero_at_origin(self):
         s = single()

@@ -201,33 +201,34 @@ class TestExpmUnitary:
 
 
 class TestPrefixProducts:
-    """The shared 2x2 scan against sequential left-multiplication."""
+    """The shared pair scan against sequential left-multiplication."""
 
     @pytest.mark.parametrize("length", [1, 2, 3, 7, 1000])
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_matches_sequential_products(self, length, seed):
-        # Random complex Gaussian (so non-unitary) matrices, with trailing
-        # (members, sectors) axes of (2, 3), passed once as contiguous copies
-        # and once as strided views laid out as the oracle passes its
-        # substeps: the scanned axis moved to the front of a reshaped array,
-        # whose storage must receive the products.
+        # Random complex Gaussian pairs (so non-unit quaternions), with
+        # trailing (members, sectors) axes of (2, 3), passed once as
+        # contiguous copies and once as strided views laid out as the oracle
+        # passes its substeps: the scanned axis moved to the front of a
+        # reshaped array, whose storage must receive the products.
         rng = np.random.default_rng(seed)
-        shape = (length, 2, 3, 2, 2)
-        m = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        shape = (length, 2, 3, 2)
+        pairs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        m = pair_matrices(pairs[..., 0], pairs[..., 1])
         expected = np.empty_like(m)
-        product = np.broadcast_to(np.eye(2, dtype=complex), shape[1:])
+        product = np.broadcast_to(np.eye(2, dtype=complex), m.shape[1:])
         for j in range(length):
             product = m[j] @ product
             expected[j] = product
-        entries = ((0, 0), (0, 1), (1, 0), (1, 1))
-        a, b, c, d = (m[..., i, k].copy() for i, k in entries)
-        smallmat.prefix_products(a, b, c, d)
-        copies = np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
-        storage = np.moveaxis(m, 0, 1).reshape((2 * length,) + shape[2:])
+        alpha, beta = (pairs[..., i].copy() for i in range(2))
+        smallmat.prefix_products(alpha, beta)
+        copies = pair_matrices(alpha, beta)
+        storage = np.moveaxis(pairs, 0, 1).reshape((2 * length,) + shape[2:])
         view = np.moveaxis(storage.reshape((2, length) + shape[2:]), 1, 0)
-        smallmat.prefix_products(*(view[..., i, k] for i, k in entries))
-        views = np.moveaxis(storage.reshape((2, length) + shape[2:]), 1, 0)
+        smallmat.prefix_products(view[..., 0], view[..., 1])
+        view = np.moveaxis(storage.reshape((2, length) + shape[2:]), 1, 0)
+        views = pair_matrices(view[..., 0], view[..., 1])
         # Relative to each prefix's largest entry: the products grow or decay.
         scale = np.abs(expected).max(axis=(-2, -1), keepdims=True)
         for got in (copies, views):
@@ -235,13 +236,14 @@ class TestPrefixProducts:
 
     @pytest.mark.parametrize("length", [2, 5, 1000])
     def test_passes_round_as_the_doubling_formula(self, length):
-        # Each pass in kept buffers takes the same products and sums, in the
-        # same order, as composing out of place: the bits agree.
+        # The four-entry doubling formula, composed out of place on the
+        # matrices [[alpha, -conj(beta)], [beta, conj(alpha)]], keeps that
+        # form bit for bit; the pair scan takes the same products and sums,
+        # in the same order, as its first column: the bits agree.
         rng = np.random.default_rng(length)
-        a, b, c, d = (rng.standard_normal((length, 3)) + 1j * rng.standard_normal((length, 3))
-                      for _ in range(4))
-        expected = [x.copy() for x in (a, b, c, d)]
-        ea, eb, ec, ed = expected
+        alpha, beta = (rng.standard_normal((length, 3)) + 1j * rng.standard_normal((length, 3))
+                       for _ in range(2))
+        ea, eb, ec, ed = alpha.copy(), -beta.conj(), beta.copy(), alpha.conj()
         span = 1
         while span < length:
             a2, b2, c2, d2 = ea[span:], eb[span:], ec[span:], ed[span:]
@@ -249,6 +251,7 @@ class TestPrefixProducts:
             ea[span:], eb[span:], ec[span:], ed[span:] = (a2 * a1 + b2 * c1, a2 * b1 + b2 * d1,
                                                           c2 * a1 + d2 * c1, c2 * b1 + d2 * d1)
             span *= 2
-        smallmat.prefix_products(a, b, c, d)
-        for got, want in zip((a, b, c, d), expected):
-            assert got.tobytes() == want.tobytes()
+        assert ed.tobytes() == ea.conj().tobytes() and eb.tobytes() == (-ec.conj()).tobytes()
+        smallmat.prefix_products(alpha, beta)
+        assert alpha.tobytes() == ea.tobytes()
+        assert beta.tobytes() == ec.tobytes()
