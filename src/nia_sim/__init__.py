@@ -1,9 +1,8 @@
 """Noise-induced adiabaticity simulations for driven two-level systems."""
 
-from .config import RunConfig, load_config, validate
-from .model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
-                    SingleQubitSchedule, SpectatorSchedule, TwoQubitSchedule,
-                    realize_noise)
+from .config import FrequencyConvention, RunConfig, load_config, validate
+from .model import (NoiseNormalization, NoiseSpec, SingleQubitSchedule, SpectatorSchedule,
+                    TwoQubitSchedule, realize_noise)
 
 __version__ = "0.1.0"
 

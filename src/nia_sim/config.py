@@ -8,9 +8,19 @@ cannot silently change an experiment.  Values are coerced at build time;
 physical constraints are checked by `validate`, which never throws and
 returns a list of human-readable violations (entries prefixed "warning:"
 do not block a run).
+
+All reference parameters are quoted in Hz-like numbers; the frequency
+convention decides whether a quoted value x means x rad/s ("angular") or
+2*pi*x rad/s ("hertz").  Calibration against the reference trajectories
+fixes angular as the default: under the 2*pi reading the noise-free sweeps
+are already adiabatic at the quoted passage times, which contradicts the
+reference curves (see README).  `RunConfig.schedule` and
+`RunConfig.noise_spec` apply the convention's factor once: every model
+object they build is in rad/s.
 """
 from __future__ import annotations
 
+import enum
 import hashlib
 import math
 import os
@@ -19,8 +29,7 @@ from importlib import resources
 
 import numpy as np
 
-from .model import (DEFAULT_CONVENTION, FrequencyConvention, NoiseNormalization,
-                    NoiseSpec, SingleQubitSchedule, SpectatorSchedule,
+from .model import (NoiseNormalization, NoiseSpec, SingleQubitSchedule, SpectatorSchedule,
                     TwoQubitSchedule)
 
 MODES = ("simulate", "ensemble", "sweep", "kernel", "pulse-export",
@@ -63,6 +72,21 @@ MAX_STEP_ROTATION = 2.0**13
 MAX_RK4_SUBSTEP_ROTATION = 2.0 * math.sqrt(2.0)
 # Keys that say where and how a run is written, not what it computes.
 _UNHASHED_KEYS = ("out", "timestamps")
+
+
+class FrequencyConvention(enum.Enum):
+    """How quoted frequency parameters map to angular frequencies."""
+
+    ANGULAR_DIRECT = "angular"  # quoted value used as rad/s
+    HERTZ = "hertz"             # quoted value multiplied by 2*pi
+
+    @property
+    def factor(self) -> float:
+        return 1.0 if self is FrequencyConvention.ANGULAR_DIRECT else 2.0 * np.pi
+
+
+#: Frozen default, fixed by the trajectory-level calibration runs.
+DEFAULT_CONVENTION = FrequencyConvention.ANGULAR_DIRECT
 
 
 class ConfigError(ValueError):
@@ -117,22 +141,22 @@ class RunConfig:
         return FrequencyConvention(self.convention)
 
     def noise_spec(self) -> NoiseSpec | None:
+        """The noise in rad/s, or None.  N is floor(omega_cut / omega0) of the
+        quoted values: the ratio of their rad/s images can floor one lower."""
         if not self.has_noise:
             return None
-        return NoiseSpec(
-            amplitude=self.noise_amplitude,
-            omega0=self.noise_omega0,
-            omega_cut=self.noise_omega_cut,
-            normalization=NoiseNormalization(self.noise_normalization),
-            seed=self.noise_seed if self.noise_seed is not None else 0,
-            convention=self.frequency_convention(),
-        )
+        f = self.frequency_convention().factor
+        return NoiseSpec(f * self.noise_amplitude, f * self.noise_omega0,
+                         int(np.floor(self.noise_omega_cut / self.noise_omega0)),
+                         self.noise_seed if self.noise_seed is not None else 0,
+                         normalization=NoiseNormalization(self.noise_normalization))
 
     def schedule(self):
-        drive = {"j0": self.j0, "total_time": self.total_time,
-                 "convention": self.frequency_convention()}
+        """The system's schedule, with J0 and J12 in rad/s."""
+        f = self.frequency_convention().factor
+        drive = {"j0": f * self.j0, "total_time": self.total_time}
         if self.system == "spectator":
-            return SpectatorSchedule(**drive, j12=self.j12)
+            return SpectatorSchedule(**drive, j12=f * self.j12)
         return _SCHEDULES[self.system](**drive)
 
     @property
@@ -394,13 +418,14 @@ def _violations(cfg: RunConfig) -> list[str]:
         if kernel and cfg.initial_vector()[schedule.sectors[0].indices[1]] != 0.0:
             bad.append("kernel mode solves only the level that starts in |0> (|01> for"
                        " the pair); initial_state must have no other amplitude")
-        f = cfg.frequency_convention().factor
-        worst = typical = f * cfg.j0
+        worst = typical = schedule.j0
         worst += max(abs(sec.z_offset) for sec in schedule.sectors)
         if cfg.has_noise:
             spec = cfg.noise_spec()
-            worst += float(spec.component_scale) * spec.n_components
-            typical += spec.component_scale * (spec.n_components / 2.0) ** 0.5
+            worst += float(spec.amplitude) * spec.n_components
+            typical += spec.amplitude * (spec.n_components / 2.0) ** 0.5
+            # The noise's top frequency, the cutoff that the solver checks.
+            omega_cut = spec.n_components * spec.omega0
         # The memory solver steps on np.linspace(0, T, kernel.points), exactly
         # T / (kernel.points - 1) apart; the engines step by dt.
         step = cfg.total_time / (cfg.kernel_points - 1) if kernel else cfg.dt
@@ -413,16 +438,16 @@ def _violations(cfg: RunConfig) -> list[str]:
                        f" {step / 10.0 * worst:.3g} rad, more than the"
                        f" {MAX_RK4_SUBSTEP_ROTATION:.3g} rad at which Runge-Kutta turns"
                        " unstable; lower dt, J0 or the noise")
-        # The memory solver's own limits: the grid resolves the noise cutoff,
-        # and, as k <= 1 on every schedule, the drive alone turns the kernel
-        # phase by up to 2 f J0 per unit time, with noise or without.
-        elif kernel and cfg.has_noise and spec.omega_cut_rad * step > 0.5 * math.pi:
+        # The memory solver's own limits: a grid that draws noise resolves its
+        # cutoff, and, as k <= 1 on every schedule, the drive alone turns the kernel
+        # phase by up to 2 J0 per unit time, with noise or without.
+        elif kernel and cfg.draws_noise and omega_cut * step > 0.5 * math.pi:
             bad.append(f"a memory-grid step of {step:.3g} s does not resolve noise.omega_cut:"
-                       f" omega_cut times the step is {spec.omega_cut_rad * step:.3g} rad,"
+                       f" omega_cut times the step is {omega_cut * step:.3g} rad,"
                        " more than pi/2; raise kernel.points")
-        elif kernel and 2.0 * f * cfg.j0 * step > 0.5:
+        elif kernel and 2.0 * schedule.j0 * step > 0.5:
             bad.append(f"a memory-grid step of {step:.3g} s may turn the kernel phase by"
-                       f" {2.0 * f * cfg.j0 * step:.3g} rad, more than 0.5 rad;"
+                       f" {2.0 * schedule.j0 * step:.3g} rad, more than 0.5 rad;"
                        " raise kernel.points or lower J0")
         elif step * typical > 0.5:
             what = "the memory-grid step" if kernel else "dt"
@@ -430,8 +455,8 @@ def _violations(cfg: RunConfig) -> list[str]:
                        " the step evolution may be under-resolved")
         # The engines sample the noise at the step midpoints, dt apart: past
         # their Nyquist limit, omega_cut dt = pi, the samples alias the noise.
-        if not kernel and cfg.draws_noise and spec.omega_cut_rad * step > math.pi:
-            bad.append(f"warning: noise.omega_cut times dt is {spec.omega_cut_rad * step:.3g}"
+        if not kernel and cfg.draws_noise and omega_cut * step > math.pi:
+            bad.append(f"warning: noise.omega_cut times dt is {omega_cut * step:.3g}"
                        " rad, more than pi; the step midpoints alias the noise")
     return bad
 

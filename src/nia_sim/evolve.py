@@ -114,14 +114,20 @@ def _samples(schedule, noises, dt):
     are realized and synthesized one at a time (traced: 8 B per phase
     component, synthesis peaks of 0.27 MiB on fig3d and 0.61 MiB on fig4b,
     besides a grid plan of 0.26 and 0.79 MiB that the first member builds);
-    only a member's row, 16 B per member-step, outlives it, up to half as
-    much again while the rows gather.
+    only a member's row, 16 B per member-step, outlives it.  `fromiter`
+    grows the rows' array as they arrive, from 4 rows and then by about
+    half, so a one-member run briefly holds 64 B per step there.  A
+    noise-free member's row is a broadcast zero, with no array of its own.
     """
     n, tau = _plan_steps(schedule.total_time, dt)
-    starts = np.arange(n) * tau
-    grid = np.append(0.0, np.stack([starts + 0.5 * tau, starts + tau], axis=1))
+    grid = np.empty(2 * n + 1)
+    grid[0] = 0.0
+    starts = grid[1::2]  # each step's start k tau, until it is moved to the midpoint
+    np.multiply(np.arange(n), tau, out=starts)
+    np.add(starts, tau, out=grid[2::2])
+    starts += 0.5 * tau
     grid[-1] = schedule.total_time
-    silent = np.zeros(2 * n + 1)
+    silent = np.broadcast_to(0.0, 2 * n + 1)
     # `map` drops each realization as soon as its row is synthesized, so the
     # members of a generator are alive one at a time; `fromiter` writes the
     # rows into one growing array, never a list of them.
@@ -270,7 +276,7 @@ def _trajectory(schedule, times, c, states, batched, s) -> metrics.Trajectory:
         # A copy of the imaginary part, so that the column does not keep rho01 alive.
         "pop0": pop0, "pop1": pop1, "im_coherence": rho01.imag.copy(),
         "fidelity_e0": fidelity,
-        "gap": -2.0 * s * (schedule.j0_rad + c) * k,
+        "gap": -2.0 * s * (schedule.j0 + c) * k,
         "noise": c,
     }
     if not batched:
@@ -287,7 +293,7 @@ def _midpoint_step(schedule, mids, tau, c_mid):
     def advance(start, stop):
         # The block's step pairs, shape (stop - start, M, n_sectors), in one
         # call; the module attribute keeps the call traceable.
-        g = (schedule.j0_rad + c_mid[:, start:stop].T)[..., None]
+        g = (schedule.j0 + c_mid[:, start:stop].T)[..., None]
         return smallmat.expm_unitary(g * a[start:stop, None, None],
                                      g * b[start:stop, None, None] + z_offsets, tau)
     return advance
@@ -308,7 +314,7 @@ def _rk4_step(schedule, mids, tau, c_mid):
     def advance(start, stop):
         a, b = schedule.ab((mids[start:stop, None, None] + tau * nodes).reshape(-1, 3).T)
         # Axes: substeps, members, sectors.
-        g = h * np.repeat(schedule.j0_rad + c_mid[:, start:stop].T, n_sub, axis=0)[..., None]
+        g = h * np.repeat(schedule.j0 + c_mid[:, start:stop].T, n_sub, axis=0)[..., None]
 
         def slope(node, u, v):
             """-i h H (u, v) at one node of every substep."""

@@ -80,7 +80,7 @@ def coupling_elements(schedule, t) -> CouplingElements:
     a, b = schedule.ab(t)
     k = np.hypot(a, b)
     c01 = -schedule.b0 / (2.0 * schedule.total_time * k * k)
-    gap = -2.0 * schedule.j0_rad * k
+    gap = -2.0 * schedule.j0 * k
     return CouplingElements(c01=c01, gap=gap)
 
 
@@ -103,13 +103,13 @@ def _int_sqrt_quadratic(alpha, beta, gamma, x):
 
 def _phase_on_grid(schedule, noise, times) -> np.ndarray:
     """Cumulative int_0^t E, refined below the noise resolution when needed."""
-    j0 = schedule.j0_rad
+    j0 = schedule.j0
     if noise is None:
         alpha, beta, gamma = _quadratic_kt(schedule)
         x = times / schedule.total_time
         anti = _int_sqrt_quadratic(alpha, beta, gamma, x)
         return -2.0 * j0 * schedule.total_time * (anti - anti[0])
-    res = np.pi / (5.0 * noise.spec.omega_cut_rad)
+    res = np.pi / (5.0 * (noise.spec.n_components * noise.spec.omega0))
     h = times[1] - times[0]
     sub = max(1, int(np.ceil(h / res)))
     n_fine = (len(times) - 1) * sub + 1
@@ -147,7 +147,8 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
         raise ResolutionError("memory grid needs at least 500 points")
     times = np.linspace(0.0, schedule.total_time, n_points)
     h = times[1] - times[0]
-    if noise is not None and noise.spec.omega_cut_rad * h > 0.5 * np.pi:
+    # The noise's top frequency N omega0 is its cutoff.
+    if noise is not None and noise.spec.n_components * noise.spec.omega0 * h > 0.5 * np.pi:
         raise ResolutionError("grid does not resolve the noise cutoff frequency")
     p, phi = _split_kernel(schedule, noise, times)
     if noise is None and np.max(np.abs(np.diff(phi))) > 0.5:

@@ -1,4 +1,4 @@
-"""Hamiltonian schedules, dephasing-noise synthesis, and unit conventions.
+"""Hamiltonian schedules and dephasing-noise synthesis, in rad/s.
 
 Three driven models are provided: a single-qubit sweep J0[a(t) sx + b(t) sz]
 with a(t)=t/T, b(t)=1-t/T; a two-qubit exchange sweep whose dynamics live on
@@ -33,35 +33,17 @@ exp(2 pi i phi) (a table of roots of unity and a short series) and either
 one small matrix product (moments) or one forward FFT per tile and one
 inverse FFT per sample tile (chirp-z).
 
-All reference parameters are quoted in Hz-like numbers; the frequency
-convention flag decides whether a quoted value x means x rad/s
-("angular-direct") or 2*pi*x rad/s ("hertz").  Calibration against the
-reference trajectories fixes angular-direct as the default: under the 2*pi
-reading the noise-free sweeps are already adiabatic at the quoted passage
-times, which contradicts the reference curves (see README).
+Every parameter of a model object is physical: frequencies and couplings
+in rad/s, times in s.  How a quoted Hz-like number maps to rad/s is read
+once, by `config.RunConfig`.
 """
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
-
-
-class FrequencyConvention(enum.Enum):
-    """How quoted frequency parameters map to angular frequencies."""
-
-    ANGULAR_DIRECT = "angular"  # quoted value used as rad/s
-    HERTZ = "hertz"             # quoted value multiplied by 2*pi
-
-    @property
-    def factor(self) -> float:
-        return 1.0 if self is FrequencyConvention.ANGULAR_DIRECT else 2.0 * np.pi
-
-
-#: Frozen default, fixed by the trajectory-level calibration runs.
-DEFAULT_CONVENTION = FrequencyConvention.ANGULAR_DIRECT
 
 
 class NoiseNormalization(enum.Enum):
@@ -88,12 +70,11 @@ class SingleQubitSchedule:
 
     This is the drive of every model: the single qubit is its one sector
     with b0 = 1, a sweep from J0 sz to J0 sx.  The other schedules subclass
-    it and state only their dimension, b0 and sectors.
+    it and state only their dimension, b0 and sectors.  j0 is in rad/s.
     """
 
     j0: float
     total_time: float
-    convention: FrequencyConvention = DEFAULT_CONVENTION
 
     dim = 2
     b0 = 1.0
@@ -102,10 +83,6 @@ class SingleQubitSchedule:
     def __post_init__(self):
         if not (self.total_time > 0.0 and self.j0 > 0.0):
             raise ValueError("T and J0 must be positive")
-
-    @property
-    def j0_rad(self) -> float:
-        return self.convention.factor * self.j0
 
     def ab(self, t):
         """Control coefficients (a, b) of the sx and sz terms."""
@@ -133,12 +110,11 @@ class TwoQubitSchedule(SingleQubitSchedule):
 class SpectatorSchedule(SingleQubitSchedule):
     """Single-qubit sweep with an undriven z-z-coupled spectator qubit.
 
-    j12 is the scalar coupling, quoted in the same unit system as J0 and
-    mapped by the convention.  The underlying coupling operator is
-    j12 * sz(x)sz / 4, whose hertz image is the familiar (pi*J12/2) sz(x)sz
-    form.  It is diagonal in the spectator's sz, so the model is two
-    driven-qubit sectors (spectator |0>, then |1>; the full state is
-    driven (x) spectator).  The spectator is taken in its own rotating
+    j12 is the scalar coupling in rad/s, like j0.  The coupling operator is
+    j12 * sz(x)sz / 4; for a J12 quoted in Hz (j12 = 2 pi J12) it is the
+    familiar (pi*J12/2) sz(x)sz form.  It is diagonal in the spectator's sz,
+    so the model is two driven-qubit sectors (spectator |0>, then |1>; the
+    full state is driven (x) spectator).  The spectator is taken in its own rotating
     frame: its offset term I(x)sz commutes with the whole Hamiltonian and
     leaves the driven qubit's reduced state, every output, unchanged.
     """
@@ -154,51 +130,44 @@ class SpectatorSchedule(SingleQubitSchedule):
 
     @property
     def sectors(self) -> tuple[Sector, ...]:
-        f = self.convention.factor
-        z = f * self.j12 / 4.0
+        z = self.j12 / 4.0
         return (Sector((0, 2), z), Sector((1, 3), -z))
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Parameters of the synthesized dephasing process.
+    """Parameters of the synthesized dephasing process, in rad/s.
 
-    amplitude, omega0 and omega_cut are quoted in the run's unit convention;
-    N = floor(omega_cut / omega0) components are used.
+    c(t) = amplitude * sum_j sin(j omega0 t + 2 pi phi_j), j = 1 .. n_components:
+    `amplitude` is each component's, so the process RMS is
+    amplitude sqrt(n_components / 2), and the top frequency is
+    n_components * omega0.
+
+    Built from its cutoff instead, it takes n_components = floor(omega_cut /
+    omega0); under UNIT_RMS `normalization` the amplitude given is the
+    process RMS, and it stores that times sqrt(2 / n_components).
     """
 
     amplitude: float
     omega0: float
-    omega_cut: float
-    normalization: NoiseNormalization = NoiseNormalization.LITERAL
+    n_components: int | None = None
     seed: int = 0
-    convention: FrequencyConvention = DEFAULT_CONVENTION
+    _: KW_ONLY
+    omega_cut: InitVar[float | None] = None
+    normalization: InitVar[NoiseNormalization] = NoiseNormalization.LITERAL
 
-    def __post_init__(self):
-        if not (self.omega0 > 0.0 and self.omega_cut >= self.omega0):
-            raise ValueError("need omega_cut >= omega0 > 0")
+    def __post_init__(self, omega_cut, normalization):
+        if not self.omega0 > 0.0:
+            raise ValueError("need omega0 > 0")
+        if self.n_components is None:
+            if omega_cut is None:
+                raise ValueError("need n_components or omega_cut")
+            object.__setattr__(self, "n_components", int(np.floor(omega_cut / self.omega0)))
         if self.n_components < 1:
             raise ValueError("need at least one noise component")
-
-    @property
-    def n_components(self) -> int:
-        return int(np.floor(self.omega_cut / self.omega0))
-
-    @property
-    def component_scale(self) -> float:
-        """Per-component amplitude in rad/s, including the normalization."""
-        amp = self.convention.factor * self.amplitude
-        if self.normalization is NoiseNormalization.UNIT_RMS:
-            amp *= np.sqrt(2.0 / self.n_components)
-        return amp
-
-    @property
-    def omega0_rad(self) -> float:
-        return self.convention.factor * self.omega0
-
-    @property
-    def omega_cut_rad(self) -> float:
-        return self.convention.factor * self.omega_cut
+        if normalization is NoiseNormalization.UNIT_RMS:
+            object.__setattr__(self, "amplitude",
+                               self.amplitude * np.sqrt(2.0 / self.n_components))
 
 
 @dataclass(frozen=True)
@@ -266,8 +235,8 @@ def noise_values(r: NoiseRealization, t0: float, h: float, count: int) -> np.nda
     if count < 1:
         raise ValueError("noise needs at least one sample")
     spec = r.spec
-    values = _grid_plan(spec.omega0_rad, spec.n_components, t0, h, count).sum(r.phases)
-    values *= spec.component_scale
+    values = _grid_plan(spec.omega0, spec.n_components, t0, h, count).sum(r.phases)
+    values *= spec.amplitude
     if not np.isfinite(values).all():
         raise FloatingPointError(f"non-finite noise value in realization {r.index}")
     return values
@@ -391,10 +360,10 @@ class _ChirpPlan:
     noise on one grid at once.
     """
 
-    def __init__(self, omega0_rad: float, n: int, t0: float, h: float, count: int):
+    def __init__(self, omega0: float, n: int, t0: float, h: float, count: int):
         from fractions import Fraction  # imported here: runs without noise never need it
 
-        w0 = Fraction(omega0_rad) / Fraction(_TWO_PI)
+        w0 = Fraction(omega0) / Fraction(_TWO_PI)
         self.n, self.count = n, count
         self.rate, self.rate0 = w0 * Fraction(h) % 1, w0 * Fraction(t0) % 1
         cols, rows = min(n, _TILE_COMPONENTS), min(count, _TILE_SAMPLES)
@@ -527,12 +496,12 @@ class _MomentPlan:
     one grid at once.
     """
 
-    def __init__(self, omega0_rad: float, n: int, t0: float, h: float, count: int,
+    def __init__(self, omega0: float, n: int, t0: float, h: float, count: int,
                  degree: int):
         from fractions import Fraction  # imported here: runs without noise never need it
 
         centre = Fraction(t0) + Fraction(h) * (count - 1) / 2
-        rate = Fraction(omega0_rad) / Fraction(_TWO_PI) * centre % 1
+        rate = Fraction(omega0) / Fraction(_TWO_PI) * centre % 1
         self.offset = _frozen(_turns(rate, np.arange(1, n + 1)))
         width = min(n, _MOMENT_BLOCK)
         blocks = -(-n // width)
@@ -543,7 +512,7 @@ class _MomentPlan:
         shift[0, :, 0] = 1.0
         basis = np.empty((count, degree + 1))
         basis[:, 0] = 1.0
-        x = (2 * np.arange(count) - (count - 1)) * (n * omega0_rad * h / 2)
+        x = (2 * np.arange(count) - (count - 1)) * (n * omega0 * h / 2)
         for d in range(1, degree + 1):
             np.multiply(powers[d - 1], ratio, out=powers[d])
             shift[d, :, 1:] = shift[d - 1, :, :-1]
@@ -575,16 +544,16 @@ class _MomentPlan:
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_plan(omega0_rad: float, n: int, t0: float, h: float, count: int):
+def _grid_plan(omega0: float, n: int, t0: float, h: float, count: int):
     """The plan of the latest grid: every member of a run reuses it.
 
     Keyed on the grid and the component set alone, so that noises which
     differ only in amplitude or seed share one plan.
     """
-    degree = _moment_degree(n, n * omega0_rad * h * (count - 1) / 2, count)
+    degree = _moment_degree(n, n * omega0 * h * (count - 1) / 2, count)
     if degree is None:
-        return _ChirpPlan(omega0_rad, n, t0, h, count)
-    return _MomentPlan(omega0_rad, n, t0, h, count, degree)
+        return _ChirpPlan(omega0, n, t0, h, count)
+    return _MomentPlan(omega0, n, t0, h, count, degree)
 
 
 def _check_time(schedule, t) -> None:

@@ -25,7 +25,7 @@ IZ = np.kron(I2, SZ)
 def h_pair(s, t, c=0.0):
     """(J0 + c) [x (s1+ s2- + h.c.) + (1 - x)(s1z - s2z)/4], x = t/T."""
     x = t / s.total_time
-    return (s.j0_rad + c) * (x * EXCHANGE + (1.0 - x) * ZDIFF)
+    return (s.j0 + c) * (x * EXCHANGE + (1.0 - x) * ZDIFF)
 
 
 def h_spectator(s, t, c=0.0, omega=0.0):
@@ -36,9 +36,8 @@ def h_spectator(s, t, c=0.0, omega=0.0):
     with the rest, so it only turns each spectator level's phase.
     """
     x = t / s.total_time
-    f = s.convention.factor
-    drive = (s.j0_rad + c) * (x * SX + (1.0 - x) * SZ)
-    return np.kron(drive, I2) + (f * s.j12 / 4.0) * ZZ + omega * IZ
+    drive = (s.j0 + c) * (x * SX + (1.0 - x) * SZ)
+    return np.kron(drive, I2) + (s.j12 / 4.0) * ZZ + omega * IZ
 
 
 def expm_hermitian(h, dt):

@@ -14,7 +14,7 @@ from nia_sim.model import NoiseRealization, noise_values
 
 def gap_integral(schedule, noise: NoiseRealization | None, s: float, t: float) -> float:
     """int_s^t E(u) du with E = -2 (J0 + c) k, closed form when noise-free."""
-    j0 = schedule.j0_rad
+    j0 = schedule.j0
     total_time = schedule.total_time
     if noise is None:
         alpha, beta, gamma = _quadratic_kt(schedule)
@@ -24,7 +24,7 @@ def gap_integral(schedule, noise: NoiseRealization | None, s: float, t: float) -
             - _int_sqrt_quadratic(alpha, beta, gamma, lo))
     if t <= s:
         return 0.0 if t == s else -gap_integral(schedule, noise, t, s)
-    res = np.pi / (5.0 * noise.spec.omega_cut_rad)
+    res = np.pi / (5.0 * (noise.spec.n_components * noise.spec.omega0))
     n = max(8, int(np.ceil(abs(t - s) / res)) + 1)
 
     def quad(m):

@@ -23,7 +23,7 @@ DIGITS = 30
 def sector_propagator(schedule, z_offset=0.0) -> np.ndarray:
     """U(T, 0) of one noise-free sector, as a complex (2, 2) array."""
     with mpmath.workdps(DIGITS):
-        j0, total = mpmath.mpf(schedule.j0_rad), mpmath.mpf(schedule.total_time)
+        j0, total = mpmath.mpf(schedule.j0), mpmath.mpf(schedule.total_time)
         b0 = mpmath.mpf(schedule.b0)
         r = mpmath.sqrt(1 + b0 * b0)
         drift = j0 * b0 + mpmath.mpf(z_offset)

@@ -39,25 +39,25 @@ def _long(f):
 def exact_noise(r, t0: float, h: float, ks) -> np.ndarray:
     """c(t0 + k h) in rad/s for each sample index k of `ks`, with exactly reduced phases."""
     spec = r.spec
-    w0 = Fraction(spec.omega0_rad)
+    w0 = Fraction(spec.omega0)
     rate = w0 * Fraction(h) / TWO_PI % 1
     rate0 = w0 * Fraction(t0) / TWO_PI % 1
     j = np.arange(1, spec.n_components + 1, dtype=np.int64)
     base = _frac_turns(rate0, j) + r.phases.astype(np.longdouble)  # turns
     out = np.array([np.sin((base + _frac_turns(rate, j * k)) * _LD_TWO_PI).sum()
                     for k in np.asarray(ks, dtype=np.int64)], dtype=float)
-    return spec.component_scale * out
+    return spec.amplitude * out
 
 
 def psd_estimate(spec: NoiseSpec, n_realizations: int, duration: float, dt: float):
     """Ensemble-averaged one-sided periodogram of sampled noise paths.
 
     Returns (angular frequencies rad/s, power density).  dt must resolve the
-    cutoff (dt < pi / omega_cut) or the estimate would alias.
+    top frequency N omega0 (dt < pi / (N omega0)) or the estimate would alias.
     """
     if n_realizations < 1:
         raise ValueError("need n_realizations >= 1")
-    if not dt < np.pi / spec.omega_cut_rad:
+    if not dt < np.pi / (spec.n_components * spec.omega0):
         raise ValueError("dt too coarse: aliasing above the cutoff frequency")
     n = int(round(duration / dt))
     if n < 8:

@@ -27,7 +27,7 @@ def h_single(s, t, c=0.0) -> np.ndarray:
     _check_time(s, t)
     a, b = s.ab(t)
     direction = np.multiply.outer(a, SX) + np.multiply.outer(b, SZ)
-    return (s.j0_rad + np.asarray(c))[..., None, None] * direction
+    return (s.j0 + np.asarray(c))[..., None, None] * direction
 
 
 def h_sectors(schedule, t, c=0.0) -> np.ndarray:

@@ -13,11 +13,9 @@ from nia_sim import config, evolve, kernel, metrics, model, smallmat
 from nia_sim.cli import _evolution_config, _run_ensemble, _simulate
 from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
-from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
-                           SingleQubitSchedule, realize_noise)
+from nia_sim.model import NoiseNormalization, NoiseSpec, SingleQubitSchedule, realize_noise
 from pulse_reference import reconstruct_propagator
 
-ANG = FrequencyConvention.ANGULAR_DIRECT
 ZERO = np.array([1.0, 0.0], dtype=complex)
 
 NOISE_FREE_PRESETS = ("fig3a", "fig3b", "fig3c", "fig4a")
@@ -169,7 +167,7 @@ def test_criterion_07_spectator_reproduction(capsys):
     base = evolve.evolve_stepwise(base_s, noise, ecfg, ZERO)
     errs = {}
     for j12 in (215.0, 0.0):
-        spec_s = model.SpectatorSchedule(base_s.j0, base_s.total_time, base_s.convention, j12=j12)
+        spec_s = model.SpectatorSchedule(base_s.j0, base_s.total_time, j12=j12)
         embedded = evolve.evolve_stepwise(spec_s, noise, ecfg, np.kron(ZERO, ZERO))
         errs[j12] = metrics.spectator_error(base, embedded)
     ok = errs[215.0] < 0.01 and errs[0.0] < 1e-9
@@ -179,7 +177,7 @@ def test_criterion_07_spectator_reproduction(capsys):
 
 
 def test_criterion_08_analytic_coupling_checks(capsys):
-    schedule = SingleQubitSchedule(j0=4000.0, total_time=5e-4, convention=ANG)
+    schedule = SingleQubitSchedule(j0=4000.0, total_time=5e-4)
     rng = np.random.default_rng(12345)
     delta = 1e-7 * schedule.total_time
     worst_rel = 0.0
@@ -200,7 +198,7 @@ def test_criterion_08_analytic_coupling_checks(capsys):
         # <E0|dE0/dt>, zero for the real eigenvectors.
         de0 = (es_hi.vectors[:, 1] - es_lo.vectors[:, 1]) / (2.0 * delta)
         fd_c00 = float(np.real(np.vdot(es.vectors[:, 1], de0)))
-        gap_eigh = schedule.j0_rad * (es.values[0] - es.values[1])
+        gap_eigh = schedule.j0 * (es.values[0] - es.values[1])
         worst_rel = max(worst_rel,
                         abs(ce.c01 - fd_c01) / abs(fd_c01),
                         abs(ce.gap - gap_eigh) / abs(gap_eigh),
@@ -243,7 +241,7 @@ def test_criterion_09_pulse_faithfulness(capsys):
 
 
 def test_criterion_10_defect_monotonicity(capsys):
-    schedule = SingleQubitSchedule(j0=4000.0, total_time=5e-4, convention=ANG)
+    schedule = SingleQubitSchedule(j0=4000.0, total_time=5e-4)
     m = 200
     levels = [0.0, 4000.0, 20000.0, 80000.0]  # RMS 0, J0, 5 J0, 20 J0
     samples = []
@@ -253,7 +251,7 @@ def test_criterion_10_defect_monotonicity(capsys):
             samples.append(np.full(m, kernel.max_defect(mem)))
             continue
         spec = NoiseSpec(amplitude=amp, omega0=1.0, omega_cut=5000.0, seed=3,
-                         normalization=NoiseNormalization.UNIT_RMS, convention=ANG)
+                         normalization=NoiseNormalization.UNIT_RMS)
         vals = [kernel.max_defect(
                     kernel.solve_memory_equation(schedule, realize_noise(spec, i),
                                                  1001))

@@ -67,6 +67,12 @@ UNRUNNABLE = [
     ("kernel", "fig3d", {"noise.amplitude": "0", "J0": "2e6"}, "may turn the kernel phase by"),
     # Noise does not lift the drive's share of that bound.
     ("kernel", "fig3d", {"noise.amplitude": "1", "J0": "2e6"}, "may turn the kernel phase by"),
+    # Finite quoted inputs whose hertz reading, 2 pi times them, overflows to inf.
+    ("ensemble", "fig3d", {"convention": "hertz", "noise.amplitude": "1e308"},
+     "may turn the state by"),
+    ("simulate", "fig3b", {"convention": "hertz", "J0": "1e308"}, "may turn the state by"),
+    ("simulate", "fig3b", {"system": "spectator", "convention": "hertz", "J12": "1e308"},
+     "may turn the state by"),
 ]
 
 
@@ -132,6 +138,42 @@ class TestConfigParsing:
         cfg = build_config({"noise.amplitude": "10", "noise.omega_cut": "100",
                             "noise.seed": "1", "sweep.values": "1,2"})
         assert sorted(key for key, _ in config.effective_items(cfg)) == sorted(PUBLIC_KEYS)
+
+
+class TestUnitConversion:
+    """The config reads the convention and the noise normalization; the model is in rad/s."""
+
+    def test_hertz_takes_n_from_the_quoted_ratio(self):
+        # omega_cut = 11 and omega0 = 1 quoted in Hz: the ratio in rad/s floors to 10.
+        cfg = load_config("fig3d", {"convention": "hertz", "noise.omega0": "1",
+                                    "noise.omega_cut": "11"})
+        assert np.floor((2.0 * np.pi * 11.0) / (2.0 * np.pi * 1.0)) == 10
+        assert cfg.noise_spec().n_components == 11
+
+    @pytest.mark.parametrize("convention", ["angular", "hertz"])
+    @pytest.mark.parametrize("normalization", ["literal", "unit-rms"])
+    def test_model_values_are_the_quoted_ones_converted(self, normalization, convention):
+        # Bit for bit the conversion written out, operation for operation:
+        # f A (times sqrt(2/N) under unit-rms), f omega0, f J0 and the
+        # spectator's sector offsets +-(f J12) / 4.
+        f = 1.0 if convention == "angular" else 2.0 * np.pi
+        for j0, j12, amplitude, omega0, omega_cut in [(4000.0, 215.0, 4000.0, 1.0, 5000.0),
+                                                      (123.456, 0.3, 0.1, 37.3, 5000.0),
+                                                      (1e-3, 1e5, 7e-9, 0.7, 11.0)]:
+            cfg = load_config("fig3d", {
+                "system": "spectator", "convention": convention, "J0": repr(j0),
+                "J12": repr(j12), "noise.amplitude": repr(amplitude),
+                "noise.omega0": repr(omega0), "noise.omega_cut": repr(omega_cut),
+                "noise.normalization": normalization})
+            n = int(np.floor(omega_cut / omega0))
+            scale = f * amplitude
+            if normalization == "unit-rms":
+                scale *= np.sqrt(2.0 / n)
+            spec, schedule = cfg.noise_spec(), cfg.schedule()
+            assert (spec.amplitude, spec.omega0, spec.n_components) == (scale, f * omega0, n)
+            assert schedule.j0 == f * j0
+            z = f * j12 / 4.0
+            assert [sec.z_offset for sec in schedule.sectors] == [z, -z]
 
 
 class TestValidate:
@@ -478,6 +520,21 @@ class TestCliRuns:
         assert cli.main(["kernel", "--config", "fig3b", "--set", "initial_state=1,0",
                          "--out", str(explicit)]) == 0
         assert body_bytes(explicit / "kernel.csv") == body_bytes(tmp_path / "kernel.csv")
+
+    def test_noise_free_kernel_needs_no_noise_grid(self, tmp_path):
+        # Amplitude 0 runs the noise-free solver, so a memory grid that does
+        # not resolve omega_cut (omega_cut h = 2 rad here) refuses only a
+        # noisy run; the noise-free one is fig3b's, byte for byte.
+        sets = ["--set", "T=0.4", "--set", "J0=100"]
+        for name, preset, extra in (("zero", "fig3d", ["--set", "noise.amplitude=0"]),
+                                    ("free", "fig3b", [])):
+            argv = ["kernel", "--config", preset, *extra, *sets, "--out", str(tmp_path / name)]
+            assert cli.main(argv) == 0
+        assert body_bytes(tmp_path / "zero/kernel.csv") == body_bytes(tmp_path / "free/kernel.csv")
+        noisy = load_config("fig3d", {"mode": "kernel", "noise.amplitude": "1", "T": "0.4",
+                                      "J0": "100"})
+        assert any("does not resolve noise.omega_cut" in v
+                   for v in config.blocking(validate(noisy)))
 
     def test_pulse_export(self, tmp_path):
         code = cli.main(["pulse-export", "--config", "fig3b", "--out", str(tmp_path)])

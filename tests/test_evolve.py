@@ -9,12 +9,10 @@ import oracle_reference as oref
 from nia_sim import evolve, metrics, model, smallmat
 from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
-from nia_sim.model import (FrequencyConvention, NoiseSpec, SingleQubitSchedule,
-                           SpectatorSchedule, TwoQubitSchedule, realize_noise)
+from nia_sim.model import (NoiseSpec, SingleQubitSchedule, SpectatorSchedule,
+                           TwoQubitSchedule, realize_noise)
 from noise_reference import exact_noise
 from pulse_reference import prefix_propagators, reconstruct_propagator
-
-ANG = FrequencyConvention.ANGULAR_DIRECT
 
 ZERO = np.array([1.0, 0.0], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -22,17 +20,16 @@ PAIR01 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
 
 
 def single(j0=4000.0, total_time=5e-4):
-    return SingleQubitSchedule(j0=j0, total_time=total_time, convention=ANG)
+    return SingleQubitSchedule(j0=j0, total_time=total_time)
 
 
 def rms(noise):
     spec = noise.spec
-    return spec.component_scale * np.sqrt(spec.n_components / 2.0)
+    return spec.amplitude * np.sqrt(spec.n_components / 2.0)
 
 
 def fig3_noise(seed=1, index=0):
-    spec = NoiseSpec(amplitude=4000.0, omega0=1.0, omega_cut=5000.0, seed=seed,
-                     convention=ANG)
+    spec = NoiseSpec(amplitude=4000.0, omega0=1.0, n_components=5000, seed=seed)
     return realize_noise(spec, index)
 
 
@@ -46,7 +43,7 @@ class _FrozenSchedule(SingleQubitSchedule):
 
 class TestEvolveStepwise:
     def test_constant_hamiltonian_keeps_populations(self):
-        s = _FrozenSchedule(j0=4000.0, total_time=5e-4, convention=ANG)
+        s = _FrozenSchedule(j0=4000.0, total_time=5e-4)
         traj = evolve.evolve_stepwise(s, None, EvolutionConfig(dt=1e-6), ZERO)
         np.testing.assert_allclose(traj.pop0, 1.0, atol=1e-10)
         np.testing.assert_allclose(traj.pop1, 0.0, atol=1e-10)
@@ -64,7 +61,7 @@ class TestEvolveStepwise:
         traj = evolve.evolve_stepwise(s, None, EvolutionConfig(dt=1e-6), PLUS)
         assert traj.fidelity_e0[0] == pytest.approx(0.5, abs=1e-15)
         a, b = s.ab(traj.times)
-        np.testing.assert_allclose(traj.gap, 2.0 * s.j0_rad * np.hypot(a, b), rtol=1e-12)
+        np.testing.assert_allclose(traj.gap, 2.0 * s.j0 * np.hypot(a, b), rtol=1e-12)
 
     def test_record_grid_and_final_time(self):
         s = single()
@@ -112,7 +109,7 @@ class TestEvolveStepwise:
     def test_two_qubit_block_invariance(self):
         # |00> and |11> sit at eigenvalue zero of the dense pair Hamiltonian,
         # and the engine keeps them as they are while it evolves the block.
-        s = TwoQubitSchedule(j0=100.0, total_time=0.01, convention=ANG)
+        s = TwoQubitSchedule(j0=100.0, total_time=0.01)
         initial = np.array([0.3, 0.8, 0.1, 0.5], dtype=complex)
         initial /= np.linalg.norm(initial)
         state = dense.midpoint_final(dense.h_pair, s, None, 1e-5, initial)
@@ -147,7 +144,7 @@ class TestDenseReference:
         # Hamiltonian: with it the dense state is the engine's, which runs in
         # the spectator's rotating frame, times exp(-+i omega T) on the
         # spectator's |0> and |1>.
-        s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
+        s = SpectatorSchedule(4000.0, 5e-4, j12=215.0)
         noise = fig3_noise(seed=5, index=2)
         initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
         initial /= np.linalg.norm(initial)
@@ -175,7 +172,7 @@ class TestDenseReference:
     def test_every_sector_step_is_su2(self):
         # Each step matrix of the stepwise engine is [[alpha, -beta*], [beta, alpha*]]
         # on every member and sector, held as its pair, with unit determinant.
-        s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
+        s = SpectatorSchedule(4000.0, 5e-4, j12=215.0)
         n, tau = evolve._plan_steps(s.total_time, 1e-6)
         mids = (np.arange(n) + 0.5) * tau
         c_mid = np.array([model.noise_values(fig3_noise(seed=5, index=i), 0.5 * tau, tau, n)
@@ -219,7 +216,7 @@ class TestBatchedMembers:
         self.check(dense.h_pair, cfg.schedule(), noises, cfg.dt, PAIR01)
 
     def test_spectator_members(self):
-        s = SpectatorSchedule(4000.0, 2e-4, ANG, j12=215.0)
+        s = SpectatorSchedule(4000.0, 2e-4, j12=215.0)
         noises = [fig3_noise(seed=5, index=i) for i in range(2)]
         initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
         initial /= np.linalg.norm(initial)
@@ -265,14 +262,14 @@ class TestEqualSteps:
         assert all(duration == self.T / self.N for duration in pulse["duration"])
 
     def test_pair_final_matches_dense(self):
-        s = TwoQubitSchedule(j0=4000.0, total_time=self.T, convention=ANG)
+        s = TwoQubitSchedule(j0=4000.0, total_time=self.T)
         noise = fig3_noise(seed=3, index=1)
         ref = dense.midpoint_final(dense.h_pair, s, noise, self.DT, PAIR01)
         final = evolve.final_state_stepwise(s, noise, EvolutionConfig(dt=self.DT), PAIR01)
         np.testing.assert_allclose(final, ref, rtol=0.0, atol=1e-12)
 
     def test_spectator_final_matches_dense(self):
-        s = SpectatorSchedule(4000.0, self.T, ANG, j12=215.0)
+        s = SpectatorSchedule(4000.0, self.T, j12=215.0)
         noise = fig3_noise(seed=5, index=2)
         initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
         initial /= np.linalg.norm(initial)
@@ -311,14 +308,12 @@ class TestBlocks:
     def system(self, name):
         """The run's dense Hamiltonian, schedule, initial state and member count."""
         if name == "pair":
-            return dense.h_pair, TwoQubitSchedule(j0=4000.0, total_time=self.T,
-                                                  convention=ANG), PAIR01, 3
+            return dense.h_pair, TwoQubitSchedule(j0=4000.0, total_time=self.T), PAIR01, 3
         if name == "long pair":
-            return dense.h_pair, TwoQubitSchedule(j0=4000.0, total_time=2300 * self.DT,
-                                                  convention=ANG), PAIR01, 1
+            return dense.h_pair, TwoQubitSchedule(j0=4000.0, total_time=2300 * self.DT), PAIR01, 1
         initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
         initial /= np.linalg.norm(initial)
-        s = SpectatorSchedule(4000.0, self.T, ANG, j12=215.0)
+        s = SpectatorSchedule(4000.0, self.T, j12=215.0)
         return dense.h_spectator, s, initial, 3
 
     @pytest.mark.parametrize("name, engine", [
@@ -403,6 +398,23 @@ class TestBlocks:
         per_member_step = (peaks[1] - peaks[0]) / (len(noises) * 1500)
         assert per_member_step < 32.0, per_member_step
 
+    def test_noise_free_run_holds_little_per_step(self):
+        # Traced peak growth of a one-member noise-free run from 2 * 10^4 to
+        # 4 * 10^4 steps: 80.0 B per step, set inside `_samples` by the grid
+        # (16 B) and `fromiter`'s first 4 rows (64 B).  A zero row kept
+        # beside the noise rows (16 B) crosses the bound.
+        peaks = []
+        for n in (20000, 40000):
+            tracemalloc.start()
+            try:
+                evolve.final_state_stepwise(single(total_time=n * 1e-6), None,
+                                            EvolutionConfig(dt=1e-6), ZERO)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_step = (peaks[1] - peaks[0]) / 20000
+        assert per_step < 88.0, per_step
+
     @pytest.mark.parametrize("sectors,bound", [(1, 100.0), (2, 140.0)])
     def test_bytes_per_member_record(self, sectors, bound):
         # Traced peak growth from 2 to 501 records of 100 noise-free members
@@ -415,7 +427,7 @@ class TestBlocks:
         if sectors == 1:
             s, initial = single(total_time=n * 1e-6), ZERO
         else:
-            s, initial = SpectatorSchedule(4000.0, n * 1e-6, ANG), np.kron(ZERO, ZERO)
+            s, initial = SpectatorSchedule(4000.0, n * 1e-6), np.kron(ZERO, ZERO)
         peaks = []
         for every in (n, 1):
             tracemalloc.start()
@@ -450,9 +462,9 @@ class TestStreamedSummary:
         if name == "single":
             return single(total_time=self.T), ZERO
         if name == "pair":
-            return TwoQubitSchedule(j0=4000.0, total_time=self.T, convention=ANG), PAIR01
+            return TwoQubitSchedule(j0=4000.0, total_time=self.T), PAIR01
         initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
-        return (SpectatorSchedule(4000.0, self.T, ANG, j12=215.0),
+        return (SpectatorSchedule(4000.0, self.T, j12=215.0),
                 initial / np.linalg.norm(initial))
 
     @pytest.mark.parametrize("size", [1, 17, evolve._BLOCK_MATRICES])
@@ -506,7 +518,7 @@ class TestStreamedSummary:
             if sectors == 1:
                 s, initial = single(total_time=n * 1e-6), ZERO
             else:
-                s, initial = SpectatorSchedule(4000.0, n * 1e-6, ANG), np.kron(ZERO, ZERO)
+                s, initial = SpectatorSchedule(4000.0, n * 1e-6), np.kron(ZERO, ZERO)
             peaks = []
             for every in (n, 1):
                 tracemalloc.start()
@@ -525,9 +537,9 @@ class TestStreamedSummary:
 class TestEvolveOracle:
     def test_larmor_closed_form(self):
         # Constant sz, initial |+>: Im(alpha beta*) = -sin(2 J0 t)/2.
-        s = _FrozenSchedule(j0=500.0, total_time=2e-3, convention=ANG)
+        s = _FrozenSchedule(j0=500.0, total_time=2e-3)
         traj = oref.evolve_oracle(s, None, EvolutionConfig(dt=1e-6), PLUS)
-        expected = -0.5 * np.sin(2.0 * s.j0_rad * traj.times)
+        expected = -0.5 * np.sin(2.0 * s.j0 * traj.times)
         np.testing.assert_allclose(traj.im_coherence, expected, atol=1e-8)
 
     def test_matches_stepwise_noise_free(self):
@@ -551,7 +563,7 @@ class TestEvolveOracle:
         # with its blocks counted at five matrices per substep, and 3.4 times
         # at one; tabulating every step's node Hamiltonians up front once made
         # it 12 times.
-        s = SpectatorSchedule(4000.0, 3e-4, ANG)
+        s = SpectatorSchedule(4000.0, 3e-4)
         cfg = EvolutionConfig(dt=1e-6)
         initial = np.kron(ZERO, ZERO)
         peaks = []
@@ -577,7 +589,7 @@ class TestOracleReference:
                                       "spectator"])
     def test_matches_the_sequential_loop(self, case):
         if case == "spectator":
-            s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
+            s = SpectatorSchedule(4000.0, 5e-4, j12=215.0)
             noises = [fig3_noise(seed=5, index=i) for i in range(2)]
             initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
             initial /= np.linalg.norm(initial)
@@ -621,7 +633,7 @@ class TestPulseDecomposition:
     @pytest.mark.parametrize("cls", [TwoQubitSchedule, SpectatorSchedule])
     def test_requires_two_level(self, cls):
         # The spectator subclasses the single sweep, so the refusal is by dimension.
-        s = cls(j0=100.0, total_time=0.01, convention=ANG)
+        s = cls(j0=100.0, total_time=0.01)
         with pytest.raises(evolve.UnsupportedScheduleError):
             evolve.decompose_pulse(s, None, EvolutionConfig(dt=1e-5))
 
@@ -655,7 +667,7 @@ class TestPulseDecomposition:
                 # From the midpoint of step 257, (257 + 1/2) us, on.
                 return np.where(np.asarray(t) > 257e-6, np.nan, a), b
 
-        s = Broken(j0=4000.0, total_time=5e-4, convention=ANG)
+        s = Broken(j0=4000.0, total_time=5e-4)
         with pytest.raises(evolve.NumericEvolutionError, match=r"step 257$"):
             evolve.decompose_pulse(s, None, EvolutionConfig(dt=1e-6))
 
@@ -665,22 +677,22 @@ class TestPulseDecomposition:
                 x = np.asarray(t) / self.total_time
                 return x, np.zeros_like(x)
 
-        s = PureX(j0=1000.0, total_time=1e-4, convention=ANG)
+        s = PureX(j0=1000.0, total_time=1e-4)
         pulse = evolve.decompose_pulse(s, None, EvolutionConfig(dt=1e-5))
         for k in range(len(pulse["duration"])):
             assert pulse["z_angle"][k] == pytest.approx(0.0, abs=1e-12)
             assert pulse["xy_phase"][k] == pytest.approx(0.0, abs=1e-9)
             mid = (k + 0.5) * 1e-5
-            assert pulse["xy_amplitude"][k] == pytest.approx(s.j0_rad * mid / s.total_time,
+            assert pulse["xy_amplitude"][k] == pytest.approx(s.j0 * mid / s.total_time,
                                                              rel=1e-9)
 
     def test_pure_z_drive(self):
-        s = _FrozenSchedule(j0=1000.0, total_time=1e-4, convention=ANG)
+        s = _FrozenSchedule(j0=1000.0, total_time=1e-4)
         pulse = evolve.decompose_pulse(s, None, EvolutionConfig(dt=1e-5))
         total_z = sum(pulse["z_angle"])
         for amplitude in pulse["xy_amplitude"]:
             assert amplitude == pytest.approx(0.0, abs=1e-9)
-        assert total_z == pytest.approx(s.j0_rad * s.total_time, rel=1e-9)
+        assert total_z == pytest.approx(s.j0 * s.total_time, rel=1e-9)
 
     def test_per_step_faithfulness(self):
         s = single()

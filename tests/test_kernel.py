@@ -5,24 +5,22 @@ from scipy import integrate
 
 import kernel_reference as kref
 from dense_reference import SX, SZ
-from nia_sim import kernel, smallmat
+from nia_sim import config, kernel, smallmat
 from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
-from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
-                           SingleQubitSchedule, SpectatorSchedule, TwoQubitSchedule,
-                           realize_noise)
+from nia_sim.model import (NoiseNormalization, NoiseSpec, SingleQubitSchedule,
+                           SpectatorSchedule, TwoQubitSchedule, realize_noise)
 from oracle_reference import evolve_oracle
 
-ANG = FrequencyConvention.ANGULAR_DIRECT
 ZERO = np.array([1.0, 0.0], dtype=complex)
 
 
 def single(j0=4000.0, total_time=5e-4):
-    return SingleQubitSchedule(j0=j0, total_time=total_time, convention=ANG)
+    return SingleQubitSchedule(j0=j0, total_time=total_time)
 
 
 def pair(j0=100.0, total_time=0.01):
-    return TwoQubitSchedule(j0=j0, total_time=total_time, convention=ANG)
+    return TwoQubitSchedule(j0=j0, total_time=total_time)
 
 
 def fd_coupling(schedule, t, delta=None):
@@ -33,7 +31,7 @@ def fd_coupling(schedule, t, delta=None):
     """
     if delta is None:
         delta = 1e-7 * schedule.total_time
-    j0 = schedule.j0_rad
+    j0 = schedule.j0
 
     def direction(u):
         a, b = schedule.ab(u)
@@ -53,7 +51,7 @@ class TestCouplingElements:
         s = single()
         ce = kernel.coupling_elements(s, 0.0)
         assert ce.c01 == pytest.approx(-1.0 / (2.0 * s.total_time), rel=1e-12)
-        assert ce.gap == pytest.approx(-2.0 * s.j0_rad, rel=1e-12)
+        assert ce.gap == pytest.approx(-2.0 * s.j0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_finite_difference_oracle(self, seed):
@@ -101,7 +99,7 @@ class TestCouplingElements:
             k = np.hypot(float(a), float(b))
             ce = kernel.coupling_elements(s, float(t))
             assert ce.c01 == pytest.approx(
-                s.j0_rad / (s.total_time * k * ce.gap), rel=1e-12)
+                s.j0 / (s.total_time * k * ce.gap), rel=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -128,8 +126,7 @@ class TestKernelValue:
     def test_modulus_factorization_with_noise(self):
         # Noise alters only the phase of g, never the modulus.
         s = single()
-        spec = NoiseSpec(amplitude=4000.0, omega0=1.0, omega_cut=5000.0, seed=2,
-                         convention=ANG)
+        spec = NoiseSpec(amplitude=4000.0, omega0=1.0, n_components=5000, seed=2)
         noise = realize_noise(spec, 0)
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -155,8 +152,7 @@ class TestKernelValue:
 
     def test_noisy_phase_reverses_with_the_interval(self):
         s = single()
-        spec = NoiseSpec(amplitude=400.0, omega0=10.0, omega_cut=2000.0, seed=7,
-                         convention=ANG)
+        spec = NoiseSpec(amplitude=400.0, omega0=10.0, n_components=200, seed=7)
         noise = realize_noise(spec, 0)
         forward = kref.gap_integral(s, noise, 1.0e-4, 4.0e-4)
         assert kref.gap_integral(s, noise, 4.0e-4, 1.0e-4) == -forward
@@ -172,14 +168,13 @@ class TestKernelValue:
         closed = kref.gap_integral(s, None, sv, t)
         grid = np.linspace(sv, t, 200001)
         a, b = s.ab(grid)
-        e = -2.0 * s.j0_rad * np.hypot(a, b)
+        e = -2.0 * s.j0 * np.hypot(a, b)
         ref = np.trapezoid(e, grid)
         assert closed == pytest.approx(ref, rel=1e-8)
 
     def test_noisy_phase_against_fine_quadrature(self):
         s = single()
-        spec = NoiseSpec(amplitude=400.0, omega0=10.0, omega_cut=2000.0, seed=7,
-                         convention=ANG)
+        spec = NoiseSpec(amplitude=400.0, omega0=10.0, n_components=200, seed=7)
         noise = realize_noise(spec, 0)
         t, sv = 4.0e-4, 1.0e-4
         got = kref.gap_integral(s, noise, sv, t)
@@ -187,7 +182,7 @@ class TestKernelValue:
         a, b = s.ab(grid)
         from nia_sim.model import noise_values
         c = noise_values(noise, sv, (t - sv) / 200000, 200001)
-        e = -2.0 * (s.j0_rad + c) * np.hypot(a, b)
+        e = -2.0 * (s.j0 + c) * np.hypot(a, b)
         ref = np.trapezoid(e, grid)
         assert got == pytest.approx(ref, rel=1e-6)
 
@@ -197,10 +192,30 @@ class TestSolveMemoryEquation:
         with pytest.raises(kernel.ResolutionError):
             kernel.solve_memory_equation(single(), None, 300)
 
+    @pytest.mark.parametrize("margin, refused", [(1.0 - 1e-9, False), (1.0 + 1e-9, True)])
+    def test_validate_and_solver_share_the_cutoff(self, margin, refused):
+        # omega_cut / omega0 = 5000.5 synthesizes N = 5000 components, whose
+        # top frequency, 5000 rad/s, is the cutoff that both the solver and
+        # `validate` resolve: a step of margin * pi / (2 * 5000) passes below
+        # margin 1 and is refused above it, by both.
+        points = 1001
+        cfg = load_config("fig3d", {
+            "mode": "kernel", "kernel.points": str(points), "J0": "100",
+            "T": repr(margin * 0.5 * np.pi / 5000.0 * (points - 1)),
+            "noise.amplitude": "1e-4", "noise.omega_cut": "5000.5"})
+        bad = config.blocking(config.validate(cfg))
+        assert ["does not resolve noise.omega_cut" in v for v in bad] == [True] * refused
+        noise = realize_noise(cfg.noise_spec(), 0)
+        if refused:
+            with pytest.raises(kernel.ResolutionError):
+                kernel.solve_memory_equation(cfg.schedule(), noise, points)
+        else:
+            kernel.solve_memory_equation(cfg.schedule(), noise, points)
+
     def test_refuses_the_spectator(self):
         # Two sectors with offsets: the one-component equation does not describe them.
         with pytest.raises(ValueError, match="one-sector"):
-            kernel.solve_memory_equation(SpectatorSchedule(4000.0, 5e-4, ANG), None, 1000)
+            kernel.solve_memory_equation(SpectatorSchedule(4000.0, 5e-4), None, 1000)
 
     def test_initial_condition_and_bound(self):
         mem = kernel.solve_memory_equation(single(), None, 800)
@@ -241,7 +256,7 @@ class TestSolveMemoryEquation:
 
 def _unit_rms_noise(amplitude):
     spec = NoiseSpec(amplitude=amplitude, omega0=1.0, omega_cut=5000.0, seed=3,
-                     normalization=NoiseNormalization.UNIT_RMS, convention=ANG)
+                     normalization=NoiseNormalization.UNIT_RMS)
     return realize_noise(spec, 0)
 
 
@@ -318,8 +333,7 @@ class TestAdiabaticDefect:
         # fig3d preset parameters: frozen regression factor, at least 3x reduction.
         s = single()
         clean = kernel.max_defect(kernel.solve_memory_equation(s, None, 2001))
-        spec = NoiseSpec(amplitude=4000.0, omega0=1.0, omega_cut=5000.0, seed=1,
-                         convention=ANG)
+        spec = NoiseSpec(amplitude=4000.0, omega0=1.0, n_components=5000, seed=1)
         noisy = []
         for i in range(10):
             mem = kernel.solve_memory_equation(s, realize_noise(spec, i), 2001)
@@ -337,7 +351,7 @@ class TestPhaseOnGrid:
         # t = 0 the difference anti - anti[0] cancels more digits.
         def gap(t):
             a, b = s.ab(t)
-            return -2.0 * s.j0_rad * float(np.hypot(a, b))
+            return -2.0 * s.j0 * float(np.hypot(a, b))
 
         times = np.linspace(0.0, s.total_time, 1001)
         phi = kernel._phase_on_grid(s, None, times)
@@ -349,8 +363,7 @@ class TestPhaseOnGrid:
         # The solver's cumulative gap phase, with noise, against the pointwise
         # reference quadrature.
         s = single()
-        spec = NoiseSpec(amplitude=400.0, omega0=1.0, omega_cut=300.0, seed=3,
-                         convention=ANG)
+        spec = NoiseSpec(amplitude=400.0, omega0=1.0, n_components=300, seed=3)
         noise = realize_noise(spec, 2)
         times = np.linspace(0.0, s.total_time, 1001)
         phi = kernel._phase_on_grid(s, noise, times)

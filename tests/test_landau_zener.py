@@ -11,7 +11,7 @@ import lz_reference as lz
 from nia_sim import evolve
 from nia_sim.config import load_config
 from nia_sim.evolve import EvolutionConfig
-from nia_sim.model import FrequencyConvention, SpectatorSchedule
+from nia_sim.model import SpectatorSchedule
 
 # Each noise-free preset's exact final pop0, to the 10 digits of the
 # ROADMAP's table, and a bound on the engine's infidelity against the exact
@@ -58,7 +58,7 @@ def test_second_order_rate():
 def test_spectator_sectors():
     # Both sectors, with offsets +-53.75 rad/s, from a state that weights
     # them unequally.  Measured infidelities 2.6e-12 and 4.4e-12; bound 1e-11.
-    schedule = SpectatorSchedule(4000.0, 3e-4, FrequencyConvention.ANGULAR_DIRECT, j12=215.0)
+    schedule = SpectatorSchedule(4000.0, 3e-4, j12=215.0)
     initial = np.array([0.6, 0.3j, -0.5, 0.2 + 0.4j])
     initial /= np.linalg.norm(initial)
     exact = lz.final_sector_states(schedule, initial)

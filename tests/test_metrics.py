@@ -7,20 +7,18 @@ from hypothesis import strategies as st
 from dense_reference import SX, SZ
 from nia_sim import evolve, metrics, model, smallmat
 from nia_sim.evolve import EvolutionConfig
-from nia_sim.model import (FrequencyConvention, NoiseSpec, SingleQubitSchedule,
-                           SpectatorSchedule, TwoQubitSchedule, realize_noise)
+from nia_sim.model import (NoiseSpec, SingleQubitSchedule, SpectatorSchedule,
+                           TwoQubitSchedule, realize_noise)
 
-ANG = FrequencyConvention.ANGULAR_DIRECT
 ZERO = np.array([1.0, 0.0], dtype=complex)
 
 
 def single(j0=4000.0, total_time=5e-4):
-    return SingleQubitSchedule(j0=j0, total_time=total_time, convention=ANG)
+    return SingleQubitSchedule(j0=j0, total_time=total_time)
 
 
 def fig3_noise(index=0, seed=1):
-    spec = NoiseSpec(amplitude=4000.0, omega0=1.0, omega_cut=5000.0, seed=seed,
-                     convention=ANG)
+    spec = NoiseSpec(amplitude=4000.0, omega0=1.0, n_components=5000, seed=seed)
     return realize_noise(spec, index)
 
 
@@ -53,7 +51,7 @@ class TestBasisMetrics:
     def test_bell_block_state(self):
         # Read through the pair model's one sector, |01> -> |0>, |10> -> |1>.
         state = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        pair = TwoQubitSchedule(j0=100.0, total_time=0.01, convention=ANG)
+        pair = TwoQubitSchedule(j0=100.0, total_time=0.01)
         (block,) = model.sector_states(pair, state)
         pop0, pop1, im = metrics.basis_metrics(block)
         assert pop0 == pytest.approx(0.5)
@@ -89,7 +87,7 @@ class TestReducedQubit:
         # Partial trace of |psi><psi| over the spectator, driven (x) spectator.
         m = state.reshape(2, 2)
         expected = m @ m.conj().T
-        spec = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
+        spec = SpectatorSchedule(4000.0, 5e-4, j12=215.0)
         sectors = model.sector_states(spec, state)
         np.testing.assert_allclose(metrics.reduced_density(sectors),
                                    (expected[0, 0], expected[1, 1], expected[0, 1]), atol=1e-15)
@@ -121,9 +119,9 @@ class TestEigenstateFidelity:
         "zero": (single(), ZERO, None),
         "one": (single(), np.array([0.0, 1.0], dtype=complex), None),
         "plus": (single(), np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), None),
-        "pair01": (TwoQubitSchedule(j0=100.0, total_time=0.01, convention=ANG),
+        "pair01": (TwoQubitSchedule(j0=100.0, total_time=0.01),
                    np.array([0.0, 1.0, 0.0, 0.0], dtype=complex), None),
-        "spectator": (SpectatorSchedule(4000.0, 5e-4, ANG, j12=300.0),
+        "spectator": (SpectatorSchedule(4000.0, 5e-4, j12=300.0),
                       np.kron([0.6, 0.8], [1.0, 1.0]) / np.sqrt(2.0),
                       [fig3_noise(index=i) for i in range(3)]),
     }
@@ -150,7 +148,7 @@ class TestEigenstateFidelity:
             expected = np.einsum("i,mij,j->m", v.conj(), rho[:, i], v).real
             np.testing.assert_allclose(fidelity[:, i], expected, rtol=0.0, atol=1e-12)
             # E1 - E0 with the tracked level first, scaled by the noisy prefactor.
-            split = (schedule.j0_rad + c[:, i]) * (eig.values[1] - eig.values[0])
+            split = (schedule.j0 + c[:, i]) * (eig.values[1] - eig.values[0])
             np.testing.assert_allclose(gap[:, i], -split if upper else split,
                                        rtol=1e-12, atol=0.0)
 
@@ -209,7 +207,7 @@ class TestAggregate:
 class TestSpectatorError:
     def run_pair(self, j12, noise=None):
         base_s = single()
-        spec_s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=j12)
+        spec_s = SpectatorSchedule(4000.0, 5e-4, j12=j12)
         cfg = EvolutionConfig(dt=1e-6)
         base = evolve.evolve_stepwise(base_s, noise, cfg, ZERO)
         init4 = np.kron(ZERO, ZERO)
@@ -235,7 +233,7 @@ class TestSpectatorError:
     def test_purity_of_reduced_state(self):
         _, embedded = self.run_pair(215.0, noise=fig3_noise())
         # Reconstruct a final reduced state from a fresh run for the bound.
-        spec_s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
+        spec_s = SpectatorSchedule(4000.0, 5e-4, j12=215.0)
         state = evolve.final_state_stepwise(spec_s, fig3_noise(),
                                             EvolutionConfig(dt=1e-6),
                                             np.kron(ZERO, ZERO))

@@ -1,4 +1,4 @@
-"""Schedules, noise synthesis, spectra, and convention mapping."""
+"""Schedules, noise synthesis, spectra, and the convention mapping of their configs."""
 import os
 import subprocess
 import sys
@@ -10,37 +10,36 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import SX, SZ, h_pair, h_spectator
-from nia_sim import model, smallmat
-from nia_sim.model import (FrequencyConvention, NoiseNormalization, NoiseSpec,
-                           SingleQubitSchedule, SpectatorSchedule,
-                           TwoQubitSchedule, noise_values, realize_noise)
+from nia_sim import FrequencyConvention, model, smallmat
+from nia_sim.config import build_config, load_config
+from nia_sim.model import (NoiseNormalization, NoiseSpec, SingleQubitSchedule,
+                           SpectatorSchedule, TwoQubitSchedule, noise_values, realize_noise)
 from noise_reference import exact_noise, psd_estimate
 from oracle_reference import h_sectors, h_single
 
-ANG = FrequencyConvention.ANGULAR_DIRECT
-
 
 def single(j0=4000.0, total_time=5e-4):
-    return SingleQubitSchedule(j0=j0, total_time=total_time, convention=ANG)
+    return SingleQubitSchedule(j0=j0, total_time=total_time)
 
 
 class TestHSingle:
     def test_endpoints(self):
         s = single()
-        np.testing.assert_allclose(h_single(s, 0.0), s.j0_rad * SZ, atol=1e-12)
+        np.testing.assert_allclose(h_single(s, 0.0), s.j0 * SZ, atol=1e-12)
         np.testing.assert_allclose(h_single(s, s.total_time),
-                                   s.j0_rad * SX, atol=1e-12)
+                                   s.j0 * SX, atol=1e-12)
 
     def test_midpoint_with_noise_equal_j0(self):
         s = single()
-        h = h_single(s, 0.5 * s.total_time, c=s.j0_rad)
-        expected = s.j0_rad * (SX + SZ)
+        h = h_single(s, 0.5 * s.total_time, c=s.j0)
+        expected = s.j0 * (SX + SZ)
         np.testing.assert_allclose(h, expected, atol=1e-9)
 
     def test_hertz_convention_scales_by_two_pi(self):
-        s_ang = single()
-        s_hz = SingleQubitSchedule(j0=4000.0, total_time=5e-4,
-                                   convention=FrequencyConvention.HERTZ)
+        # fig3b's schedule is single(), J0 = 4000 and T = 5e-4, read in both conventions.
+        s_ang, s_hz = (load_config("fig3b", {"convention": c}).schedule()
+                       for c in ("angular", "hertz"))
+        assert s_ang == single()
         np.testing.assert_allclose(h_single(s_hz, 1e-4),
                                    2.0 * np.pi * h_single(s_ang, 1e-4), atol=1e-9)
 
@@ -67,7 +66,7 @@ class TestHSingle:
         clean = smallmat.eigh(h_single(s, t, 0.0))
         noisy = smallmat.eigh(h_single(s, t, c))
         np.testing.assert_allclose(noisy.vectors, clean.vectors, atol=1e-10)
-        np.testing.assert_allclose(noisy.values, (1.0 + c / s.j0_rad) * clean.values,
+        np.testing.assert_allclose(noisy.values, (1.0 + c / s.j0) * clean.values,
                                    rtol=1e-9, atol=1e-9)
 
 
@@ -75,20 +74,20 @@ class TestHPair:
     """The dense 4x4 pair Hamiltonian and its one sector, the {|01>, |10>} block."""
 
     def setup_method(self):
-        self.s = TwoQubitSchedule(j0=100.0, total_time=0.01, convention=ANG)
+        self.s = TwoQubitSchedule(j0=100.0, total_time=0.01)
 
     def test_t0_is_z_difference(self):
         h = h_pair(self.s, 0.0)
-        np.testing.assert_allclose(h, self.s.j0_rad * np.diag([0.0, 0.5, -0.5, 0.0]),
+        np.testing.assert_allclose(h, self.s.j0 * np.diag([0.0, 0.5, -0.5, 0.0]),
                                    atol=1e-12)
 
     def test_tT_pure_exchange_eigenvectors(self):
         h = h_pair(self.s, self.s.total_time)
         expected = np.zeros((4, 4))
-        expected[1, 2] = expected[2, 1] = self.s.j0_rad
+        expected[1, 2] = expected[2, 1] = self.s.j0
         np.testing.assert_allclose(h, expected, atol=1e-12)
         bell = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        np.testing.assert_allclose(h @ bell, self.s.j0_rad * bell, atol=1e-9)
+        np.testing.assert_allclose(h @ bell, self.s.j0 * bell, atol=1e-9)
 
     def test_block_extremes_are_invariant(self):
         for t in np.linspace(0.0, self.s.total_time, 7):
@@ -104,7 +103,7 @@ class TestHPair:
             h = h_pair(self.s, t, c=17.0)
             block = h[1:3, 1:3]
             a, b = self.s.ab(t)
-            expected = (self.s.j0_rad + 17.0) * (a * SX + b * SZ)
+            expected = (self.s.j0 + 17.0) * (a * SX + b * SZ)
             np.testing.assert_allclose(block, expected, atol=1e-12)
             np.testing.assert_allclose(h_sectors(self.s, t, 17.0), [block], atol=1e-12)
 
@@ -113,20 +112,20 @@ class TestHSpectator:
     """The dense 4x4 spectator Hamiltonian and its two sectors."""
 
     def test_decoupled_limit(self):
-        s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=0.0)
+        s = SpectatorSchedule(4000.0, 5e-4, j12=0.0)
         t = 2e-4
         np.testing.assert_allclose(h_spectator(s, t, 5.0),
                                    np.kron(h_single(single(), t, 5.0), np.eye(2)),
                                    atol=1e-12)
 
     def test_t0_decoupled(self):
-        s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=0.0)
+        s = SpectatorSchedule(4000.0, 5e-4, j12=0.0)
         np.testing.assert_allclose(h_spectator(s, 0.0),
-                                   s.j0_rad * np.kron(SZ, np.eye(2)),
+                                   s.j0 * np.kron(SZ, np.eye(2)),
                                    atol=1e-12)
 
     def test_coupling_traceless_on_spectator(self):
-        s = SpectatorSchedule(4000.0, 5e-4, ANG, j12=215.0)
+        s = SpectatorSchedule(4000.0, 5e-4, j12=215.0)
         h = h_spectator(s, 1e-4, 3.0)
         coupling = h - np.kron(h_single(single(), 1e-4, 3.0), np.eye(2))
         # Partial trace over the spectator of the z-z term vanishes.
@@ -135,8 +134,10 @@ class TestHSpectator:
 
     @pytest.mark.parametrize("convention", list(FrequencyConvention))
     def test_sectors_are_the_dense_blocks(self, convention):
-        # The spectator's sz levels |0>, |1> pick indices (0, 2) and (1, 3).
-        s = SpectatorSchedule(4000.0, 5e-4, convention, j12=215.0)
+        # The spectator's sz levels |0>, |1> pick indices (0, 2) and (1, 3);
+        # the config reads J0 = 4000 and J12 = 215 in either convention.
+        s = load_config("fig3b", {"system": "spectator", "J12": "215",
+                                  "convention": convention.value}).schedule()
         for t in np.linspace(0.0, s.total_time, 7):
             h = h_spectator(s, t, 3.0)
             blocks = [h[np.ix_(idx, idx)] for idx in ([0, 2], [1, 3])]
@@ -146,13 +147,13 @@ class TestHSpectator:
 
     def test_negative_j12_rejected(self):
         with pytest.raises(ValueError):
-            SpectatorSchedule(4000.0, 5e-4, ANG, j12=-1.0)
+            SpectatorSchedule(4000.0, 5e-4, j12=-1.0)
 
 
 def test_models_with_equal_parameters_differ():
     # The pair and spectator schedules subclass the single sweep; dataclass
     # equality still compares the classes.
-    schedules = [cls(4000.0, 5e-4, ANG)
+    schedules = [cls(4000.0, 5e-4)
                  for cls in (SingleQubitSchedule, TwoQubitSchedule, SpectatorSchedule)]
     for s in schedules:
         assert [s == t for t in schedules] == [s is t for t in schedules]
@@ -160,19 +161,29 @@ def test_models_with_equal_parameters_differ():
 
 class TestNoise:
     def test_single_component_closed_form(self):
-        spec = NoiseSpec(amplitude=3.0, omega0=10.0, omega_cut=10.0, convention=ANG)
+        spec = NoiseSpec(amplitude=3.0, omega0=10.0, n_components=1)
         r = model.NoiseRealization(spec=spec, index=0, phases=np.zeros(1))
         assert noise_values(r, 0.0, 0.0, 1)[0] == pytest.approx(0.0, abs=1e-12)
         t = 0.0123
         assert noise_values(r, t, 0.0, 1)[0] == pytest.approx(3.0 * np.sin(10.0 * t), rel=1e-12)
 
     def test_component_count(self):
-        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=5000.0, convention=ANG)
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=5000.0)
         assert spec.n_components == 5000
 
+    @pytest.mark.parametrize("normalization", list(NoiseNormalization))
+    def test_cutoff_form_is_the_configs_spec(self, normalization):
+        # The benchmark's memory check builds its spec from the cutoff.
+        spec = NoiseSpec(amplitude=20000.0, omega0=1.0, omega_cut=5000.0, seed=4,
+                         normalization=normalization)
+        cfg = build_config({"noise.amplitude": "20000", "noise.omega_cut": "5000",
+                            "noise.seed": "4", "noise.normalization": normalization.value})
+        assert spec == cfg.noise_spec()
+        assert spec.amplitude == (20000.0 * np.sqrt(2.0 / 5000)
+                                  if normalization is NoiseNormalization.UNIT_RMS else 20000.0)
+
     def test_deterministic_and_reproducible(self):
-        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=100.0, seed=42,
-                         convention=ANG)
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, n_components=100, seed=42)
         a = realize_noise(spec, 3)
         b = realize_noise(spec, 3)
         np.testing.assert_array_equal(a.phases, b.phases)
@@ -180,16 +191,14 @@ class TestNoise:
                                       noise_values(b, 0.0, 1.0 / 49, 50))
 
     def test_realizations_differ(self):
-        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=100.0, seed=42,
-                         convention=ANG)
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, n_components=100, seed=42)
         assert not np.array_equal(realize_noise(spec, 0).phases,
                                   realize_noise(spec, 1).phases)
 
     def test_phases_in_turns_name_the_radian_draw(self):
         # 2 pi times the phases is the generator's uniform(0, 2 pi) draw bit
         # for bit, so a seed names the same noise path in either unit.
-        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=5000.0, seed=42,
-                         convention=ANG)
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, n_components=5000, seed=42)
         for i in (0, 7):
             phases = realize_noise(spec, i).phases
             assert phases.min() >= 0.0 and phases.max() < 1.0
@@ -200,34 +209,33 @@ class TestNoise:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_rejected(self):
         # Both the engines and the memory solver sample noise only through here.
-        spec = NoiseSpec(amplitude=1e308, omega0=1.0, omega_cut=5000.0, convention=ANG)
+        spec = NoiseSpec(amplitude=1e308, omega0=1.0, n_components=5000)
         with pytest.raises(FloatingPointError, match="non-finite noise value"):
             noise_values(realize_noise(spec, 0), 0.0, 1e-6, 100)
 
     def test_seeds_above_2_63_stay_distinct(self):
         # Negative seeds are taken modulo 2^64, so they land there too.
-        phases = [realize_noise(NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=10.0,
-                                          seed=seed, convention=ANG)).phases
+        phases = [realize_noise(NoiseSpec(amplitude=1.0, omega0=1.0, n_components=10,
+                                          seed=seed)).phases
                   for seed in (-5, -6, 2**63 + 1, 2**63 + 2)]
         for i in range(4):
             for j in range(i):
                 assert not np.array_equal(phases[i], phases[j])
 
     def test_negative_time_rejected(self):
-        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=10.0, convention=ANG)
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, n_components=10)
         with pytest.raises(ValueError):
             noise_values(realize_noise(spec, 0), -1.0, 0.0, 1)[0]
 
     @pytest.mark.parametrize("h, count", [(-1e-6, 4), (1e-6, 0)])
     def test_bad_spacing_or_count_rejected(self, h, count):
-        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=10.0, convention=ANG)
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, n_components=10)
         with pytest.raises(ValueError):
             noise_values(realize_noise(spec, 0), 0.0, h, count)
 
     def test_literal_rms(self):
         # RMS of N equal-amplitude independent-phase sinusoids: alpha sqrt(N/2).
-        spec = NoiseSpec(amplitude=2.0, omega0=1.0, omega_cut=200.0, seed=5,
-                         convention=ANG)
+        spec = NoiseSpec(amplitude=2.0, omega0=1.0, n_components=200, seed=5)
         h = 1000.0 / spec.omega0 / 200000
         acc = 0.0
         for i in range(5):
@@ -238,7 +246,7 @@ class TestNoise:
 
     def test_unit_rms(self):
         spec = NoiseSpec(amplitude=2.0, omega0=1.0, omega_cut=200.0, seed=5,
-                         normalization=NoiseNormalization.UNIT_RMS, convention=ANG)
+                         normalization=NoiseNormalization.UNIT_RMS)
         h = 1000.0 / spec.omega0 / 200000
         acc = 0.0
         for i in range(5):
@@ -251,6 +259,10 @@ class TestNoise:
             NoiseSpec(amplitude=1.0, omega0=0.0, omega_cut=10.0)
         with pytest.raises(ValueError):
             NoiseSpec(amplitude=1.0, omega0=10.0, omega_cut=5.0)
+        with pytest.raises(ValueError):
+            NoiseSpec(amplitude=1.0, omega0=10.0, n_components=0)
+        with pytest.raises(ValueError, match="n_components or omega_cut"):
+            NoiseSpec(amplitude=1.0, omega0=10.0)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 6000), count=st.integers(2, 6000),
@@ -276,8 +288,7 @@ class TestNoise:
     def test_uniform_grid_matches_exact_reference(self, n, count, omega0, t0_units,
                                                   h_units, exponent, seed):
         # Dyadic t0 and h put every t0 + k h exactly on a double.
-        spec = NoiseSpec(amplitude=1.0, omega0=omega0, omega_cut=omega0 * (n + 0.5),
-                         seed=seed, convention=ANG)
+        spec = NoiseSpec(amplitude=1.0, omega0=omega0, n_components=n, seed=seed)
         t0, h = t0_units * 2.0 ** -exponent, h_units * 2.0 ** -exponent
         tile = model._TILE_SAMPLES
         edges = [k for e in range(tile, count, tile) for k in (e - 1, e)]
@@ -286,7 +297,7 @@ class TestNoise:
         ks = ks[ks < count]
         r = realize_noise(spec, 2)
         got = noise_values(r, t0, h, count)[ks]
-        rms = spec.component_scale * np.sqrt(n / 2.0)
+        rms = spec.amplitude * np.sqrt(n / 2.0)
         assert np.max(np.abs(got - exact_noise(r, t0, h, ks))) / rms < 1e-12
 
 
@@ -347,8 +358,7 @@ class TestChirpPlan:
         return noise_values(r, t0, h, count)
 
     def test_reuse_is_bit_identical(self):
-        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=20000.5, seed=3,
-                         convention=ANG)
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, n_components=20000, seed=3)
         a, b = realize_noise(spec, 0), realize_noise(spec, 1)
         # Grids B, C, D and E each differ from A in one of t0, h and count;
         # E is short enough for the moment sum.
@@ -390,8 +400,7 @@ class TestChirpPlan:
         # on the spec would be rebuilt for each of them.
         model._grid_plan.cache_clear()
         for amplitude in (4000.0, 20000.0, 80000.0, 4000.0):
-            spec = NoiseSpec(amplitude=amplitude, omega0=1.0, omega_cut=5000.0, seed=7,
-                             normalization=NoiseNormalization.UNIT_RMS, convention=ANG)
+            spec = NoiseSpec(amplitude=amplitude, omega0=1.0, n_components=5000, seed=7)
             noise_values(realize_noise(spec, 0), 0.0, 5e-7, 1001)
         info = model._grid_plan.cache_info()
         assert (info.misses, info.hits) == (1, 3)
@@ -400,8 +409,7 @@ class TestChirpPlan:
         # 2^19 components in 64 tiles by 5 samples overflow the budget.  The
         # plan keeps 29 kernel transforms and one offset; filled in tile
         # order it kept 20 of each.  Dropped ones are rebuilt bit for bit.
-        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=2 ** 19 + 0.5, seed=2,
-                         convention=ANG)
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, n_components=2 ** 19, seed=2)
         r = realize_noise(spec, 0)
         fresh = self.fresh(r, 0.0, 2.0 ** -14, 5)
         plan = model._grid_plan(1.0, 2 ** 19, 0.0, 2.0 ** -14, 5)
@@ -419,7 +427,7 @@ class TestChirpPlan:
         # 2 x 10^6 samples are 489 tiles; the plan keeps the leading ones and
         # the others are rebuilt, so the call holds its output, the plan and
         # one tile's temporaries (about 2 MB), never a factor per tile.
-        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=5000.5, convention=ANG)
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, n_components=5000)
         r = realize_noise(spec, 0)
         model._grid_plan.cache_clear()
         tracemalloc.start()
@@ -433,8 +441,7 @@ class TestChirpPlan:
 
 class TestPsdEstimate:
     def test_single_line(self):
-        spec = NoiseSpec(amplitude=1.0, omega0=50.0, omega_cut=50.0, seed=0,
-                         convention=ANG)
+        spec = NoiseSpec(amplitude=1.0, omega0=50.0, n_components=1, seed=0)
         omega, psd = psd_estimate(spec, n_realizations=20, duration=4.0, dt=0.01)
         peak = omega[np.argmax(psd)]
         assert peak == pytest.approx(50.0, rel=0.05)
@@ -443,15 +450,14 @@ class TestPsdEstimate:
 
     def test_flat_in_band_and_parseval(self):
         # Scaled-down white spec: same construction, fewer components.
-        spec = NoiseSpec(amplitude=1.0, omega0=5.0, omega_cut=500.0, seed=3,
-                         convention=ANG)
+        spec = NoiseSpec(amplitude=1.0, omega0=5.0, n_components=100, seed=3)
         # Duration an integer number of base periods: harmonics sit on bins.
-        duration = 8.0 * 2.0 * np.pi / spec.omega0_rad
+        duration = 8.0 * 2.0 * np.pi / spec.omega0
         omega, psd = psd_estimate(spec, n_realizations=100,
                                   duration=duration, dt=duration / 8192.0)
-        band = (omega >= 10.0 * spec.omega0_rad) & (omega <= 0.9 * spec.omega_cut_rad)
+        band = (omega >= 10.0 * spec.omega0) & (omega <= 0.9 * spec.n_components * spec.omega0)
         # Average over one harmonic spacing per window before the band check.
-        win = int(round(spec.omega0_rad / (omega[1] - omega[0])))
+        win = int(round(spec.omega0 / (omega[1] - omega[0])))
         smooth = np.convolve(psd[band], np.ones(win) / win, mode="valid")[::win]
         assert smooth.max() / smooth.min() < 2.0  # flat within 3 dB
         domega = omega[1] - omega[0]
@@ -460,6 +466,6 @@ class TestPsdEstimate:
         assert total_power == pytest.approx(rms_sq, rel=0.05)
 
     def test_aliasing_precondition(self):
-        spec = NoiseSpec(amplitude=1.0, omega0=1.0, omega_cut=1000.0, convention=ANG)
+        spec = NoiseSpec(amplitude=1.0, omega0=1.0, n_components=1000)
         with pytest.raises(ValueError):
             psd_estimate(spec, 1, 1.0, dt=0.1)
