@@ -193,10 +193,6 @@ def _mode_pulse_export(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _infidelity(a, b) -> float:
-    return abs(1.0 - abs(np.vdot(a, b)) ** 2)
-
-
 def _check_result(cfg: RunConfig, out_dir: str, line: str, passed: bool) -> int:
     """Print a check mode's verdict line, write it to `<mode>.txt`, return its exit code."""
     line += " PASS" if passed else " FAIL"
@@ -214,7 +210,7 @@ def _mode_oracle_check(cfg: RunConfig, out_dir: str) -> int:
     initial = cfg.initial_vector()
     final_step = evolve.final_state_stepwise(schedule, noise, ecfg, initial)
     final_orc = evolve.final_state_oracle(schedule, noise, ecfg, initial)
-    inf = _infidelity(final_step, final_orc)
+    inf = abs(1.0 - abs(np.vdot(final_step, final_orc)) ** 2)
     bound = 1e-6 if noise is None else 1e-4
     return _check_result(cfg, out_dir, f"oracle-check: infidelity = {inf:.3e} (bound {bound:.0e})",
                          inf < bound)
@@ -254,7 +250,10 @@ def _parse_args(argv):
 
 
 def run(cfg: RunConfig) -> int:
-    """Validated dispatch: a refused config exits 1 before anything is written."""
+    """Validated dispatch: a refused config exits 1 before anything is written.
+
+    An output directory that cannot be made is a ConfigError, as `main` reports it.
+    """
     violations = validate(cfg)
     bad = blocking(violations)
     if bad:
@@ -263,7 +262,10 @@ def run(cfg: RunConfig) -> int:
     for warning in violations:  # nothing blocks, so every entry is a warning
         print(warning, file=sys.stderr)
     out_dir = cfg.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
     return _MODE_RUNNERS[cfg.mode](cfg, out_dir)
 
 

@@ -50,8 +50,8 @@ MAX_NOISE_COMPONENTS = 10**7
 #: ask for.  A run holds every member's noise, 16 B per member-step (up to
 #: 24 B while the members' rows gather).  An ensemble reduces its records
 #: over the members run by run; a trajectory keeps, per member-record, the
-#: states and the metrics made from them: 85 B at the peak on one sector
-#: and 117 B on two (traced).  Recording every step at the cap, 2000 fig3d
+#: metrics made from each run's states: 54 B at the peak on one sector and
+#: 53 B on two (traced).  Recording every step at the cap, 2000 fig3d
 #: members peak at 19.9 MiB traced and 67 MiB max RSS, and as spectator
 #: runs at 22.0 MiB traced; fig4b's 100 members x 1000 steps is a tenth of
 #: the cap.
@@ -269,8 +269,11 @@ def build_config(pairs: dict, overrides: dict | None = None) -> RunConfig:
 def load_config(source: str, overrides: dict | None = None) -> RunConfig:
     """Load from a file path or a packaged preset name (fig3a ... fig4b)."""
     if os.path.exists(source):
-        with open(source, encoding="utf-8") as fh:
-            pairs = parse_pairs(fh)
+        try:
+            with open(source, encoding="utf-8") as fh:
+                pairs = parse_pairs(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {source!r}: {exc}") from exc
     elif source in PRESET_NAMES:
         text = resources.files("nia_sim").joinpath(f"presets/{source}.cfg").read_text("utf-8")
         pairs = parse_pairs(text.splitlines())
@@ -373,7 +376,7 @@ def _violations(cfg: RunConfig) -> list[str]:
         if cfg.noise_omega_cut is None:
             bad.append("noise.omega_cut required when noise.amplitude is set")
         elif not (cfg.noise_omega0 > 0.0 and cfg.noise_omega_cut >= cfg.noise_omega0):
-            bad.append("NoiseSpec invariant: need noise.omega_cut >= noise.omega0 > 0")
+            bad.append("noise.omega_cut must be >= noise.omega0 > 0")
         elif cfg.noise_omega_cut / cfg.noise_omega0 >= MAX_NOISE_COMPONENTS + 1:
             bad.append(f"noise.omega_cut / noise.omega0 asks for more than "
                        f"{MAX_NOISE_COMPONENTS} noise components")
@@ -465,16 +468,12 @@ def blocking(violations: list[str]) -> list[str]:
     return [v for v in violations if not v.startswith("warning:")]
 
 
-def apply_sweep_value(cfg: RunConfig, value: float) -> RunConfig:
-    """Copy of cfg with the swept parameter replaced by one sweep value."""
-    return replace(cfg, **{_KEY_TO_FIELD[cfg.sweep_parameter]: value})
-
-
 def runs(cfg: RunConfig) -> list[RunConfig]:
     """The config of each run the mode makes: one per sweep value, the driven
     qubit alone and then with its spectator for a spectator check, else cfg."""
     if cfg.mode == "sweep":
-        return [apply_sweep_value(cfg, value) for value in cfg.sweep_values]
+        return [replace(cfg, **{_KEY_TO_FIELD[cfg.sweep_parameter]: value})
+                for value in cfg.sweep_values]
     if cfg.mode == "spectator-check":
         return [replace(cfg, system=system) for system in ("single", "spectator")]
     return [cfg]

@@ -15,10 +15,12 @@ applications", CMU-CS-90-190) and applies each prefix to the block's
 starting states.  A non-finite step spoils every later prefix of its block,
 so the loop's check still names it.  The loop checks and records
 once per block, and restores every recorded state's norm, which removes
-rounding drift only.  It yields the records in runs as it makes them: an
-ensemble summary (`evolve_stepwise(..., reduce=metrics.aggregate)`)
-reduces each run over the members, so no run holds a per-member stack of
-states or metric columns; a trajectory joins them (`_gather`).
+rounding drift only.  It yields the records in runs as it makes them, and
+each run's states become its metric columns at once: an ensemble summary
+(`evolve_stepwise(..., reduce=metrics.aggregate)`) reduces them over the
+members, a trajectory keeps them, and the runs' results are joined once
+(`metrics.concatenate`).  So no result holds a stack of states, and a
+summary no per-member column beyond its run.
 
 A run takes n = ceil(T/dt) equal steps of tau = T/n, so dt is the largest
 step.  Everything it samples lies on one grid, the half steps k tau/2 for
@@ -155,8 +157,8 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     are left).  Each run is (times, c, states): the times of r >= 2
     consecutive records, every member's noise at them, shape (M, r), and
     the sector states there, a C-contiguous (M, r, n_sectors, 2) array.
-    The first run starts at t = 0; `_gather` joins them all.  The input
-    checks run when the first run is asked for.
+    The first run starts at t = 0.  The input checks run when the first
+    run is asked for.
 
     The run advances in blocks of at most `_BLOCK_MATRICES` matrices (at
     least one step each): one per step, member and sector, or as many as
@@ -181,10 +183,11 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
     # a block's coefficients, step pairs and states peak at about 0.11 MiB
     # on one sector and 0.13 MiB on two, whatever the step count.  Its records wait
     # for a run of 4 blocks' sector states (32 B each, 0.125 MiB) or 16
-    # records, whichever is more.  Gathered, they take 32 B per member,
-    # record and sector, and `_trajectory` then peaks at 85 B per
-    # member-record on one sector and 117 B on two; reduced run by run, a
-    # summary holds one run's states and columns, whatever the record count.
+    # records, whichever is more.  A run's states are gone once `_evolve`
+    # has made its columns, so a trajectory peaks at 54 B per member-record
+    # on one sector and 53 B on two: its six 8 B columns, and one column's
+    # runs while `metrics.concatenate` joins it.  A summary holds one run's
+    # states and columns, whatever the record count.
     n, tau, grid, c = _samples(schedule, noises, cfg.dt)
     steps = np.arange(n)
     # Record every store_every-th step (at most the n-th) and the last; None: the last.
@@ -233,14 +236,6 @@ def _propagate(schedule, noises, cfg, initial, make_step, store_every):
             yield grid[taken], c[:, taken], run_states
             held, filled = [], 1 + hi
         psi = kept[-1] if hi > lo and record[hi - 1] == stop - 1 else out[-1]
-
-
-def _gather(runs):
-    """The record times, noise and states of all `_propagate` runs, joined."""
-    times, c, states = zip(*runs)
-    # First, so that the runs' states are freed before the noise is joined.
-    states = np.concatenate(states, axis=1)
-    return np.concatenate(times), np.concatenate(c, axis=1), states
 
 
 def _tracked_level(states) -> float:
@@ -354,18 +349,17 @@ def _rk4_step(schedule, mids, tau, c_mid):
 
 def _evolve(schedule, noise, cfg, initial, make_step, reduce=None):
     noises, batched = _members(noise)
-    runs = _propagate(schedule, noises, cfg, initial, make_step, cfg.store_every)
-    whole = reduce is None
-    if whole:  # one trajectory of all the records
-        runs, reduce = [_gather(runs)], lambda traj: traj
     parts, level = [], None
-    for times, c, states in runs:
-        if level is None:  # the first run, from t = 0
-            level = _tracked_level(states)
-        # A summary reduces over the member axis, so its runs keep one.  No
-        # run's metric columns outlive it while the loop makes the next.
-        parts.append(reduce(_trajectory(schedule, times, c, states, batched or not whole, level)))
-    return parts[0] if whole else metrics.concatenate(parts)
+    for times, c, states in _propagate(schedule, noises, cfg, initial, make_step, cfg.store_every):
+        # The first run, from t = 0, picks the tracked level.  A summary
+        # reduces over the member axis, so its runs keep one, and reduces
+        # each run in place: no run's member columns outlive it while the
+        # loop makes the next.
+        level = _tracked_level(states) if level is None else level
+        parts.append(_trajectory(schedule, times, c, states, batched or reduce is not None, level))
+        if reduce is not None:
+            parts[-1] = reduce(parts[-1])
+    return metrics.concatenate(parts)
 
 
 def _final_state(schedule, noise, cfg, initial, make_step) -> np.ndarray:
@@ -423,7 +417,7 @@ def decompose_pulse(schedule, noise: NoiseRealization | None,
     Returns the pulse table's columns, one entry per engine step: its start
     `t_start` on the engine's grid, `duration`, z increment `z_angle`, and an
     equatorial rotation of rate `xy_amplitude` whose phase `xy_phase` is in
-    the accumulated frame, so the whole run reconstructs as one trailing z
+    the accumulated frame, so the run reconstructs as one trailing z
     rotation (of the summed z angles) applied after the equatorial product.
     """
     if schedule.dim != 2:

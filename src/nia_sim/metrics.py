@@ -104,13 +104,25 @@ def aggregate(traj: Trajectory) -> EnsembleSummary:
     return EnsembleSummary(times=traj.times, m=m, mean=mean, se=se)
 
 
-def concatenate(summaries) -> EnsembleSummary:
-    """One summary of consecutive record blocks, each reduced over the same members."""
-    def joined(field):
-        return {name: np.concatenate([getattr(s, field)[name] for s in summaries])
-                for name in METRIC_NAMES}
-    return EnsembleSummary(times=np.concatenate([s.times for s in summaries]),
-                           m=summaries[0].m, mean=joined("mean"), se=joined("se"))
+def concatenate(parts):
+    """One result of consecutive runs of records, from each run's result in order.
+
+    A trajectory and a summary join alike: each array, alone or in a dict
+    field, along its last (record) axis; any other field, such as
+    `EnsembleSummary.m`, is the first run's.  `parts` is emptied and each
+    field's runs are freed as soon as it is joined, so a trajectory never
+    holds two full copies of its columns.  A single run comes back as it is.
+    """
+    if len(parts) == 1:
+        return parts.pop()
+    kind, runs = type(parts[0]), [dict(vars(part)) for part in parts]
+    parts.clear()
+
+    def joined(values):
+        if isinstance(values[0], dict):
+            return {key: joined([v[key] for v in values]) for key in values[0]}
+        return np.concatenate(values, axis=-1) if isinstance(values[0], np.ndarray) else values[0]
+    return kind(**{name: joined([run.pop(name) for run in runs]) for name in list(runs[0])})
 
 
 def spectator_error(base: Trajectory, embedded: Trajectory) -> float:

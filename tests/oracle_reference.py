@@ -2,7 +2,8 @@
 
 `h_single` and `h_sectors` tabulate the drive and each sector's 2x2
 Hamiltonian as matrices.  `evolve_oracle` runs the oracle with trajectory
-recording.  `sequential_rk4_step` is an engine for `evolve._propagate`
+recording.  `gather` joins the runs of records that `evolve._propagate`
+yields.  `sequential_rk4_step` is an engine for `evolve._propagate`
 that takes the oracle's substeps one at a time, applying the four stages
 to the identity's columns; the oracle composes the same substeps as
 transfer matrices, each held as its first column, and this loop is the
@@ -44,6 +45,12 @@ def evolve_oracle(schedule, noise, cfg, initial):
     is taken as in `evolve.evolve_stepwise`.
     """
     return evolve._evolve(schedule, noise, cfg, initial, evolve._rk4_step)
+
+
+def gather(runs):
+    """The record times, noise and states of all `evolve._propagate` runs, joined."""
+    times, c, states = zip(*runs)
+    return np.concatenate(times), np.concatenate(c, axis=1), np.concatenate(states, axis=1)
 
 
 def _apply(op, psi) -> np.ndarray:

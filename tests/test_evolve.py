@@ -327,8 +327,8 @@ class TestBlocks:
         runs = []
         for size in (evolve._BLOCK_MATRICES, 1, 17):
             monkeypatch.setattr(evolve, "_BLOCK_MATRICES", size)
-            runs.append((evolve._gather(evolve._propagate(s, noises, cfg, initial, make_step,
-                                                          self.STORE_EVERY)),
+            runs.append((oref.gather(evolve._propagate(s, noises, cfg, initial, make_step,
+                                                       self.STORE_EVERY)),
                          final_state(s, noises, cfg, initial)))
         (times, c, states), finals = runs[0]
         n, _ = evolve._plan_steps(s.total_time, self.DT)
@@ -415,14 +415,14 @@ class TestBlocks:
         per_step = (peaks[1] - peaks[0]) / 20000
         assert per_step < 88.0, per_step
 
-    @pytest.mark.parametrize("sectors,bound", [(1, 100.0), (2, 140.0)])
+    @pytest.mark.parametrize("sectors,bound", [(1, 65.0), (2, 63.8)])
     def test_bytes_per_member_record(self, sectors, bound):
         # Traced peak growth from 2 to 501 records of 100 noise-free members
-        # over 500 steps: 84.6 B per member-record on one sector and 116.6 B
-        # on two (the states, the three density entries, the six columns and
-        # their temporaries), bounded with a 20% margin.  Building the
-        # (M, records, 2, 2) density stack, from a conjugate copy of the
-        # states, made it 133.0 and 179.7 B.
+        # over 500 steps: 54.2 B per member-record on one sector and 53.2 B
+        # on two (the six columns, and one column's runs while they are
+        # joined), bounded with a 20% margin.  Joining every run's states
+        # before making the columns made it 84.9 and 117.0 B; building the
+        # (M, records, 2, 2) density stack too, 133.0 and 179.7 B.
         n, members = 500, 100
         if sectors == 1:
             s, initial = single(total_time=n * 1e-6), ZERO
@@ -446,7 +446,8 @@ class TestStreamedSummary:
 
     `evolve_stepwise(..., reduce=metrics.aggregate)` reduces the records
     over the members as the loop yields them, and must give the bits of
-    `metrics.aggregate` on the gathered trajectory at the same block size.
+    `metrics.aggregate` on the whole trajectory at the same block size; a
+    trajectory, made run by run alike, the bits of the joined runs'.
     241 steps recorded every 7th (and the last), 36 records: at a block of
     one matrix, and at 17 for 7 or 20 members, each block records one step
     at most, so records wait to be yielded in runs of 16 or more, the
@@ -484,6 +485,33 @@ class TestStreamedSummary:
             np.testing.assert_array_equal(streamed.mean[metric], gathered.mean[metric])
             np.testing.assert_array_equal(streamed.se[metric], gathered.se[metric])
 
+    @pytest.mark.parametrize("size", [1, 17, evolve._BLOCK_MATRICES])
+    @pytest.mark.parametrize("members", [1, 20])
+    @pytest.mark.parametrize("name", ["single", "pair", "spectator"])
+    def test_trajectory_matches_the_joined_runs(self, monkeypatch, name, members, size):
+        # A trajectory is made run by run too, and must give the bits of
+        # `_trajectory` on every run's records joined.  One realization, not
+        # a list of one, gives the same columns without the member axis.
+        monkeypatch.setattr(evolve, "_BLOCK_MATRICES", size)
+        s, initial = self.system(name)
+        noises = [fig3_noise(seed=4, index=i) for i in range(members)]
+        cfg = EvolutionConfig(dt=self.DT, store_every=self.STORE_EVERY)
+        streamed = evolve.evolve_stepwise(s, noises, cfg, initial)
+        times, c, states = oref.gather(evolve._propagate(s, noises, cfg, initial,
+                                                         evolve._midpoint_step,
+                                                         self.STORE_EVERY))
+        joined = evolve._trajectory(s, times, c, states, True, evolve._tracked_level(states))
+        results = [(streamed, joined)]
+        if members == 1:
+            results.append((evolve.evolve_stepwise(s, noises[0], cfg, initial),
+                            evolve._trajectory(s, times, c, states, False,
+                                               evolve._tracked_level(states))))
+        for result, expected in results:
+            assert result.times.tobytes() == times.tobytes()
+            for metric in metrics.METRIC_NAMES:
+                assert result.metric(metric).shape == expected.metric(metric).shape
+                assert result.metric(metric).tobytes() == expected.metric(metric).tobytes(), metric
+
     def test_records_are_handed_on_in_order_in_runs_of_two_or_more(self, monkeypatch):
         # One step per block: the records at steps 6, 13, ..., 237 and 240
         # arrive one per block, and the last alone in its block.
@@ -498,9 +526,9 @@ class TestStreamedSummary:
             assert run_c.shape == run_states.shape[:2] == (2, len(run_times))
             assert run_states.shape[2:] == (len(s.sectors), 2)
         assert min(len(times) for times, _, _ in runs) >= 2
-        times, c, states = evolve._gather(evolve._propagate(s, noises, cfg, initial,
-                                                            evolve._midpoint_step,
-                                                            self.STORE_EVERY))
+        times, c, states = oref.gather(evolve._propagate(s, noises, cfg, initial,
+                                                         evolve._midpoint_step,
+                                                         self.STORE_EVERY))
         np.testing.assert_array_equal(np.concatenate([run[0] for run in runs]), times)
         np.testing.assert_array_equal(np.concatenate([run[1] for run in runs], axis=1), c)
         np.testing.assert_array_equal(np.concatenate([run[2] for run in runs], axis=1), states)
@@ -510,8 +538,8 @@ class TestStreamedSummary:
         # What recording every step adds to the traced peak over recording
         # the last alone, for 100 noise-free members, from 500 to 2000 steps:
         # measured -3.2 B per member-record on one sector and -2.8 B on two,
-        # as a summary holds one run of records at a time.  Gathered
-        # (`test_bytes_per_member_record`), it grows 82.9 and 115.0 B.
+        # as a summary holds one run of records at a time.  A trajectory's
+        # columns (`test_bytes_per_member_record`) grow it by about 54 B.
         members = 100
         added = []
         for n in (500, 2000):
@@ -601,9 +629,9 @@ class TestOracleReference:
                       else [None])
             initial = run.initial_vector()
             cfg = EvolutionConfig(dt=run.dt, store_every=run.store_every)
-        times, c, states = evolve._gather(evolve._propagate(s, noises, cfg, initial,
-                                                            oref.sequential_rk4_step,
-                                                            cfg.store_every))
+        times, c, states = oref.gather(evolve._propagate(s, noises, cfg, initial,
+                                                         oref.sequential_rk4_step,
+                                                         cfg.store_every))
         loop = evolve._trajectory(s, times, c, states, True, evolve._tracked_level(states))
         traj = oref.evolve_oracle(s, noises, cfg, initial)
         np.testing.assert_array_equal(traj.times, loop.times)

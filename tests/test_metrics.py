@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_reference as oref
 from dense_reference import SX, SZ
 from nia_sim import evolve, metrics, model, smallmat
 from nia_sim.evolve import EvolutionConfig
@@ -134,8 +135,8 @@ class TestEigenstateFidelity:
         cfg = EvolutionConfig(dt=schedule.total_time / 500, store_every=5)
         traj = evolve.evolve_stepwise(schedule, noise, cfg, initial)
         noises = noise if noise is not None else [None]
-        _, c, states = evolve._gather(evolve._propagate(schedule, noises, cfg, initial,
-                                                        evolve._midpoint_step, cfg.store_every))
+        _, c, states = oref.gather(evolve._propagate(schedule, noises, cfg, initial,
+                                                     evolve._midpoint_step, cfg.store_every))
         rho = density_matrix(states)
         fidelity = np.atleast_2d(traj.fidelity_e0)
         gap = np.atleast_2d(traj.gap)
