@@ -3,13 +3,17 @@
 Usage: nia-sim <mode> --config <file-or-preset> [--set key=value ...]
                 [--seed S] [--out DIR]
 
-Every run goes through `evolve.evolve_stepwise`: a single trajectory with
-noise realization 0, or a whole ensemble in one batched call that
-propagates all members together.  Outputs are CSV files with a
-`#`-prefixed metadata preamble (config hash, all effective parameters,
-seeds); the body below the header row is byte-reproducible given the same
-config.  Exit codes: 0 success, 1 usage error, 2 numeric failure, 3
-check-mode threshold failure.
+`simulate`, `ensemble`, `sweep` and `spectator-check` run through
+`evolve.evolve_stepwise`: a single trajectory with noise realization 0, or
+a whole ensemble in one batched call that propagates all members
+together.  `kernel` solves the memory equation, `pulse-export` reads the
+engine's steps and `oracle-check` compares the engine's final state with
+the Runge-Kutta oracle's.  Every output file is written by `_write_rows`
+under a `#`-prefixed metadata preamble (the run's mode, config hash, all
+effective parameters, seeds); the body below the header row is
+byte-reproducible given the same config.  Exit codes: 0 success, 1 usage
+error or unwritable output, 2 numeric failure, 3 check-mode threshold
+failure.
 """
 from __future__ import annotations
 
@@ -69,8 +73,8 @@ def _run_ensemble(cfg: RunConfig) -> metrics.EnsembleSummary:
                                   cfg.initial_vector(), reduce=metrics.aggregate)
 
 
-def _preamble(cfg: RunConfig, mode: str, extra: dict | None = None) -> list[str]:
-    lines = [f"# nia-sim {mode}", f"# config_hash = {config_hash(cfg)}"]
+def _preamble(cfg: RunConfig, extra: dict | None = None) -> list[str]:
+    lines = [f"# nia-sim {cfg.mode}", f"# config_hash = {config_hash(cfg)}"]
     if cfg.timestamps:
         lines.append(f"# generated = {time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
     items = [*effective_items(cfg), *(extra or {}).items()]
@@ -100,15 +104,13 @@ def _write_rows(path: str, preamble: list[str], header: list[str], table,
             fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def write_trajectory(path: str, cfg: RunConfig, traj: metrics.Trajectory,
-                     mode: str = "simulate") -> None:
+def write_trajectory(path: str, cfg: RunConfig, traj: metrics.Trajectory) -> None:
     header = ["t", *metrics.METRIC_NAMES]
-    table = np.column_stack([traj.times, *(traj.metric(name) for name in metrics.METRIC_NAMES)])
-    _write_rows(path, _preamble(cfg, mode), header, table)
+    table = np.column_stack([traj.times, *(getattr(traj, name) for name in metrics.METRIC_NAMES)])
+    _write_rows(path, _preamble(cfg), header, table)
 
 
-def write_summary(path: str, cfg: RunConfig, summary: metrics.EnsembleSummary,
-                  mode: str = "ensemble") -> None:
+def write_summary(path: str, cfg: RunConfig, summary: metrics.EnsembleSummary) -> None:
     header = ["t"]
     cols = [summary.times]
     for name in metrics.METRIC_NAMES:
@@ -118,7 +120,7 @@ def write_summary(path: str, cfg: RunConfig, summary: metrics.EnsembleSummary,
     extra = {"members": summary.m}
     if cfg.draws_noise:
         extra["seeds"] = " ".join(map(str, range(summary.m)))
-    _write_rows(path, _preamble(cfg, mode, extra), header, np.column_stack(cols))
+    _write_rows(path, _preamble(cfg, extra), header, np.column_stack(cols))
 
 
 def _mode_simulate(cfg: RunConfig, out_dir: str) -> int:
@@ -146,20 +148,20 @@ def _mode_sweep(cfg: RunConfig, out_dir: str) -> int:
         member_path = os.path.join(out_dir, f"sweep_{i:03d}.csv")
         if sub.members > 1:
             summary = _run_ensemble(sub)
-            write_summary(member_path, sub, summary, mode="sweep")
+            write_summary(member_path, sub, summary)
             finals = [summary.mean[name][-1] for name in _SWEEP_METRICS]
             errors = [summary.se[name][-1] for name in _SWEEP_METRICS]
         else:
             traj = _simulate(sub)
-            write_trajectory(member_path, sub, traj, mode="sweep")
-            finals = [traj.metric(name)[-1] for name in _SWEEP_METRICS]
+            write_trajectory(member_path, sub, traj)
+            finals = [getattr(traj, name)[-1] for name in _SWEEP_METRICS]
             errors = [0.0] * len(_SWEEP_METRICS)
         summary_rows.append([value, *finals, *errors])
     header = [param.replace(".", "_"), *(f"final_{name}" for name in _SWEEP_METRICS),
               *(f"final_se_{name}" for name in _SWEEP_METRICS)]
     extra = {"sweep_base_hash": base_hash}
     _write_rows(os.path.join(out_dir, "sweep_summary.csv"),
-                _preamble(cfg, "sweep", extra), header, summary_rows)
+                _preamble(cfg, extra), header, summary_rows)
     print(f"sweep: {len(cfg.sweep_values)} values of {param} written")
     return EXIT_OK
 
@@ -174,9 +176,8 @@ def _mode_kernel(cfg: RunConfig, out_dir: str) -> int:
     table = np.column_stack([memory.times, np.abs(psi0) ** 2, psi0.real, psi0.imag,
                              memory.defect, c01 ** 2])
     header = ["t", "psi0_abs2", "psi0_re", "psi0_im", "defect", "kernel_mod_diag"]
-    _write_rows(os.path.join(out_dir, "kernel.csv"), _preamble(cfg, "kernel"),
-                header, table)
-    print(f"kernel: max defect = {kernel.max_defect(memory):.6g}, "
+    _write_rows(os.path.join(out_dir, "kernel.csv"), _preamble(cfg), header, table)
+    print(f"kernel: max defect = {memory.defect.max():.6g}, "
           f"|psi0(T)|^2 = {abs(memory.psi0[-1]) ** 2:.6f}")
     return EXIT_OK
 
@@ -187,19 +188,21 @@ def _mode_pulse_export(cfg: RunConfig, out_dir: str) -> int:
     names = ["t_start", "duration", "xy_amplitude", "xy_phase", "z_angle"]
     path = os.path.join(out_dir, "pulses.txt")
     # The column names are a comment line, so that the body is numbers only.
-    _write_rows(path, _preamble(cfg, "pulse-export"), ["# " + names[0], *names[1:]],
+    _write_rows(path, _preamble(cfg), ["# " + names[0], *names[1:]],
                 np.column_stack([pulse[name] for name in names]), sep="\t")
     print(f"pulse-export: {len(pulse['t_start'])} steps written to {path}")
     return EXIT_OK
 
 
 def _check_result(cfg: RunConfig, out_dir: str, line: str, passed: bool) -> int:
-    """Print a check mode's verdict line, write it to `<mode>.txt`, return its exit code."""
+    """Print a check mode's verdict line, write it to `<mode>.txt`, return its exit code.
+
+    The file is the preamble and the verdict line: the header of a table with no rows.
+    """
     line += " PASS" if passed else " FAIL"
     print(line)
-    path = os.path.join(out_dir, cfg.mode.replace("-", "_") + ".txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([*_preamble(cfg, cfg.mode), line]) + "\n")
+    _write_rows(os.path.join(out_dir, cfg.mode.replace("-", "_") + ".txt"), _preamble(cfg),
+                [line], np.empty((0, 1)))
     return EXIT_OK if passed else EXIT_THRESHOLD
 
 
@@ -250,10 +253,7 @@ def _parse_args(argv):
 
 
 def run(cfg: RunConfig) -> int:
-    """Validated dispatch: a refused config exits 1 before anything is written.
-
-    An output directory that cannot be made is a ConfigError, as `main` reports it.
-    """
+    """Validated dispatch: a refused config exits 1 before anything is written."""
     violations = validate(cfg)
     bad = blocking(violations)
     if bad:
@@ -262,10 +262,7 @@ def run(cfg: RunConfig) -> int:
     for warning in violations:  # nothing blocks, so every entry is a warning
         print(warning, file=sys.stderr)
     out_dir = cfg.out or "."
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
+    os.makedirs(out_dir, exist_ok=True)
     return _MODE_RUNNERS[cfg.mode](cfg, out_dir)
 
 
@@ -295,6 +292,11 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"nia-sim: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    # `load_config` reports its own OSError as a ConfigError: one here is output
+    # that cannot be made or written.
+    except OSError as exc:
+        print(f"nia-sim: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,13 +14,12 @@ convention decides whether a quoted value x means x rad/s ("angular") or
 2*pi*x rad/s ("hertz").  Calibration against the reference trajectories
 fixes angular as the default: under the 2*pi reading the noise-free sweeps
 are already adiabatic at the quoted passage times, which contradicts the
-reference curves (see README).  `RunConfig.schedule` and
-`RunConfig.noise_spec` apply the convention's factor once: every model
-object they build is in rad/s.
+reference curves (see README).  `CONVENTIONS` holds each convention's
+factor; `RunConfig.schedule` and `RunConfig.noise_spec` apply it once:
+every model object they build is in rad/s.
 """
 from __future__ import annotations
 
-import enum
 import hashlib
 import math
 import os
@@ -41,6 +40,8 @@ SYSTEMS = tuple(_SCHEDULES)
 SWEEPABLE = ("T", "J0", "noise.amplitude", "noise.omega_cut", "J12")
 
 PRESET_NAMES = ("fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b")
+# The rad/s of a quoted frequency of 1 under each convention.
+CONVENTIONS = {"angular": 1.0, "hertz": 2.0 * math.pi}
 
 #: Most noise components N = floor(omega_cut / omega0) a run may ask for:
 #: 400 times fig4b's 25 000.  A realization's phases take 8 B per component,
@@ -74,21 +75,6 @@ MAX_RK4_SUBSTEP_ROTATION = 2.0 * math.sqrt(2.0)
 _UNHASHED_KEYS = ("out", "timestamps")
 
 
-class FrequencyConvention(enum.Enum):
-    """How quoted frequency parameters map to angular frequencies."""
-
-    ANGULAR_DIRECT = "angular"  # quoted value used as rad/s
-    HERTZ = "hertz"             # quoted value multiplied by 2*pi
-
-    @property
-    def factor(self) -> float:
-        return 1.0 if self is FrequencyConvention.ANGULAR_DIRECT else 2.0 * np.pi
-
-
-#: Frozen default, fixed by the trajectory-level calibration runs.
-DEFAULT_CONVENTION = FrequencyConvention.ANGULAR_DIRECT
-
-
 class ConfigError(ValueError):
     """Malformed config input: unknown key, bad syntax, or uncoercible value."""
 
@@ -107,7 +93,7 @@ class RunConfig:
     total_time: float = field(default=0.0005, metadata={"key": "T"})
     dt: float = 1e-6
     j0: float = field(default=4000.0, metadata={"key": "J0"})
-    convention: str = DEFAULT_CONVENTION.value
+    convention: str = "angular"         # a CONVENTIONS key; calibration fixed the default
     realizations: int = 1
     initial_state: str = ""             # empty: per-system default
     store_every: int = 1
@@ -137,15 +123,12 @@ class RunConfig:
         """
         return bool(self.noise_amplitude)
 
-    def frequency_convention(self) -> FrequencyConvention:
-        return FrequencyConvention(self.convention)
-
     def noise_spec(self) -> NoiseSpec | None:
         """The noise in rad/s, or None.  N is floor(omega_cut / omega0) of the
         quoted values: the ratio of their rad/s images can floor one lower."""
         if not self.has_noise:
             return None
-        f = self.frequency_convention().factor
+        f = CONVENTIONS[self.convention]
         return NoiseSpec(f * self.noise_amplitude, f * self.noise_omega0,
                          int(np.floor(self.noise_omega_cut / self.noise_omega0)),
                          self.noise_seed if self.noise_seed is not None else 0,
@@ -153,7 +136,7 @@ class RunConfig:
 
     def schedule(self):
         """The system's schedule, with J0 and J12 in rad/s."""
-        f = self.frequency_convention().factor
+        f = CONVENTIONS[self.convention]
         drive = {"j0": f * self.j0, "total_time": self.total_time}
         if self.system == "spectator":
             return SpectatorSchedule(**drive, j12=f * self.j12)
@@ -357,9 +340,7 @@ def _violations(cfg: RunConfig) -> list[str]:
                        f" {MAX_MEMBER_STEPS} member-steps")
     if not cfg.j0 > 0.0:
         bad.append("J0 must be positive")
-    try:
-        cfg.frequency_convention()
-    except ValueError:
+    if cfg.convention not in CONVENTIONS:
         bad.append("convention must be 'angular' or 'hertz'")
     if cfg.realizations < 1:
         bad.append("realizations must be >= 1")

@@ -35,7 +35,7 @@ a `kernel` run with system = spectator before any output.
 
 The adiabatic condition is the vanishing of |int_0^t g(t,s) psi0(s) ds|;
 the solver computes that magnitude once at every grid point
-(`MemorySolution.defect`), and `max_defect` takes its largest value.
+(`MemorySolution.defect`).
 """
 from __future__ import annotations
 
@@ -171,8 +171,3 @@ def solve_memory_equation(schedule, noise: NoiseRealization | None,
     psi = np.concatenate(([1.0 + 0.0j], a))
     hist = np.concatenate(([0.0j], c))
     return MemorySolution(times=times, psi0=psi, defect=np.abs(p * hist))
-
-
-def max_defect(memory: MemorySolution) -> float:
-    """Largest adiabatic defect over the whole grid."""
-    return float(np.max(memory.defect))

@@ -33,11 +33,6 @@ class Trajectory:
     gap: np.ndarray
     noise: np.ndarray
 
-    def metric(self, name: str) -> np.ndarray:
-        if name not in METRIC_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
-
 
 @dataclass(frozen=True)
 class EnsembleSummary:
@@ -98,8 +93,8 @@ def aggregate(traj: Trajectory) -> EnsembleSummary:
     if traj.pop0.ndim != 2:
         raise ValueError("aggregate needs a batched trajectory, columns (M, n_records)")
     m = len(traj.pop0)
-    mean = {name: traj.metric(name).mean(axis=0) for name in METRIC_NAMES}
-    se = {name: traj.metric(name).std(axis=0, ddof=1) / np.sqrt(m) if m > 1
+    mean = {name: getattr(traj, name).mean(axis=0) for name in METRIC_NAMES}
+    se = {name: getattr(traj, name).std(axis=0, ddof=1) / np.sqrt(m) if m > 1
           else np.zeros(traj.times.size) for name in METRIC_NAMES}
     return EnsembleSummary(times=traj.times, m=m, mean=mean, se=se)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nia_sim
 from nia_sim import cli, config, evolve, metrics, model
 from nia_sim.config import (ConfigError, build_config, load_config, parse_pairs,
                             validate)
@@ -98,6 +99,11 @@ RUN_KEYS = ("# realizations", "# members", "# seeds")
 def body_bytes(path):
     with open(path, "rb") as fh:
         return b"".join(l for l in fh if not l.startswith(b"#"))
+
+
+def test_public_names_resolve():
+    # `from nia_sim import *` imports every name that `__all__` lists.
+    assert [name for name in nia_sim.__all__ if not hasattr(nia_sim, name)] == []
 
 
 class TestConfigParsing:
@@ -415,7 +421,7 @@ class TestCliRuns:
         summary, traj = cli._run_ensemble(cfg), cli._simulate(cfg)
         assert summary.m == 1
         for name in metrics.METRIC_NAMES:
-            np.testing.assert_array_equal(summary.mean[name], traj.metric(name))
+            np.testing.assert_array_equal(summary.mean[name], getattr(traj, name))
             assert not summary.se[name].any(), name
         # The preamble lists the one member that ran and no seeds.
         assert cli.main(["ensemble", "--config", "fig3d", "--set", "noise.amplitude=0",
@@ -508,6 +514,30 @@ class TestCliRuns:
             text = (out / "trajectory.csv").read_text("utf-8")
             stamps.append([l for l in text.splitlines() if l.startswith("# config_hash")])
         assert stamps[0] == stamps[1] and len(stamps[0]) == 1
+
+    @pytest.mark.parametrize("mode, preset, sets, files", [
+        ("simulate", "fig3a", [], ["trajectory.csv"]),
+        ("ensemble", "fig3d", ["realizations=2"], ["ensemble.csv"]),
+        # A noisy sweep writes summaries, a noise-free one trajectories.
+        ("sweep", "fig3d", ["sweep.parameter=noise.amplitude", "sweep.values=0,4000",
+                            "realizations=2"],
+         ["sweep_000.csv", "sweep_001.csv", "sweep_summary.csv"]),
+        ("sweep", "fig3a", ["sweep.parameter=T", "sweep.values=0.0003,0.0004"],
+         ["sweep_000.csv", "sweep_001.csv", "sweep_summary.csv"]),
+        ("kernel", "fig3b", [], ["kernel.csv"]),
+        ("pulse-export", "fig3b", [], ["pulses.txt"]),
+        ("oracle-check", "fig3b", [], ["oracle_check.txt"]),
+        ("spectator-check", "fig3b", [], ["spectator_check.txt"]),
+    ])
+    def test_every_output_names_its_mode_first(self, tmp_path, mode, preset, sets, files):
+        argv = [mode, "--config", preset, "--out", str(tmp_path)]
+        for item in sets:
+            argv += ["--set", item]
+        assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_THRESHOLD)
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+        for name in files:
+            with open(tmp_path / name, encoding="utf-8") as fh:
+                assert fh.readline() == f"# nia-sim {mode}\n", name
 
     def test_kernel_mode(self, tmp_path):
         code = cli.main(["kernel", "--config", "fig3b", "--out", str(tmp_path)])
@@ -692,6 +722,18 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("nia-sim: ") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "latin1.cfg"]
         assert (tmp_path / "file").read_text("utf-8") == ""
+
+    @pytest.mark.parametrize("mode, taken", [("simulate", "trajectory.csv"),
+                                             ("oracle-check", "oracle_check.txt")])
+    def test_unwritable_output_file_is_usage(self, tmp_path, capsys, mode, taken):
+        # The output file's name is taken by a directory.  A check mode has
+        # printed its verdict before it writes; a run prints after.
+        (tmp_path / taken).mkdir()
+        assert cli.main([mode, "--config", "fig3b", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.count("\n") == 1 and err.startswith("nia-sim: ") and "Traceback" not in err
+        assert out.startswith(f"{mode}: ") == (mode == "oracle-check")
+        assert [p.name for p in tmp_path.iterdir()] == [taken]
 
     def test_every_mode_has_a_runner(self):
         # A mode that `validate` accepts but no runner serves would end in a KeyError.

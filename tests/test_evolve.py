@@ -232,7 +232,7 @@ class TestBatchedMembers:
                                            cfg, ZERO)
         np.testing.assert_array_equal(generated.times, listed.times)
         for name in metrics.METRIC_NAMES:
-            np.testing.assert_array_equal(generated.metric(name), listed.metric(name))
+            np.testing.assert_array_equal(getattr(generated, name), getattr(listed, name))
 
     def test_empty_ensemble_refused(self):
         with pytest.raises(ValueError, match="at least one member"):
@@ -509,8 +509,9 @@ class TestStreamedSummary:
         for result, expected in results:
             assert result.times.tobytes() == times.tobytes()
             for metric in metrics.METRIC_NAMES:
-                assert result.metric(metric).shape == expected.metric(metric).shape
-                assert result.metric(metric).tobytes() == expected.metric(metric).tobytes(), metric
+                assert getattr(result, metric).shape == getattr(expected, metric).shape
+                assert (getattr(result, metric).tobytes()
+                        == getattr(expected, metric).tobytes()), metric
 
     def test_records_are_handed_on_in_order_in_runs_of_two_or_more(self, monkeypatch):
         # One step per block: the records at steps 6, 13, ..., 237 and 240
@@ -636,7 +637,7 @@ class TestOracleReference:
         traj = oref.evolve_oracle(s, noises, cfg, initial)
         np.testing.assert_array_equal(traj.times, loop.times)
         for name in metrics.METRIC_NAMES:
-            np.testing.assert_allclose(traj.metric(name), loop.metric(name), rtol=0.0,
+            np.testing.assert_allclose(getattr(traj, name), getattr(loop, name), rtol=0.0,
                                        atol=1e-12, err_msg=name)
         final = evolve.final_state_oracle(s, noises, cfg, initial)
         indices = np.array([sec.indices for sec in s.sectors])

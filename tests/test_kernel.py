@@ -327,17 +327,17 @@ class TestAdiabaticDefect:
     def test_long_t_much_smaller(self):
         short = kernel.solve_memory_equation(single(), None, 2001)
         long_run = kernel.solve_memory_equation(single(total_time=0.05), None, 4001)
-        assert kernel.max_defect(long_run) < 0.1 * kernel.max_defect(short)
+        assert long_run.defect.max() < 0.1 * short.defect.max()
 
     def test_noise_shrinks_defect(self):
         # fig3d preset parameters: frozen regression factor, at least 3x reduction.
         s = single()
-        clean = kernel.max_defect(kernel.solve_memory_equation(s, None, 2001))
+        clean = kernel.solve_memory_equation(s, None, 2001).defect.max()
         spec = NoiseSpec(amplitude=4000.0, omega0=1.0, n_components=5000, seed=1)
         noisy = []
         for i in range(10):
             mem = kernel.solve_memory_equation(s, realize_noise(spec, i), 2001)
-            noisy.append(kernel.max_defect(mem))
+            noisy.append(mem.defect.max())
         assert np.mean(noisy) < clean / 3.0
 
 

@@ -197,7 +197,7 @@ class TestAggregate:
         runs = [evolve.evolve_stepwise(s, n, cfg, ZERO) for n in noises]
         assert batched.m == 3
         for name in metrics.METRIC_NAMES:
-            stack = np.stack([run.metric(name) for run in runs])
+            stack = np.stack([getattr(run, name) for run in runs])
             np.testing.assert_allclose(batched.mean[name], np.mean(stack, axis=0),
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(batched.se[name],

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import SX, SZ, h_pair, h_spectator
-from nia_sim import FrequencyConvention, model, smallmat
-from nia_sim.config import build_config, load_config
+from nia_sim import model, smallmat
+from nia_sim.config import CONVENTIONS, build_config, load_config
 from nia_sim.model import (NoiseNormalization, NoiseSpec, SingleQubitSchedule,
                            SpectatorSchedule, TwoQubitSchedule, noise_values, realize_noise)
 from noise_reference import exact_noise, psd_estimate
@@ -132,12 +132,12 @@ class TestHSpectator:
         reduced = coupling[0::2, 0::2] + coupling[1::2, 1::2]
         np.testing.assert_allclose(reduced, 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("convention", list(FrequencyConvention))
+    @pytest.mark.parametrize("convention", list(CONVENTIONS))
     def test_sectors_are_the_dense_blocks(self, convention):
         # The spectator's sz levels |0>, |1> pick indices (0, 2) and (1, 3);
         # the config reads J0 = 4000 and J12 = 215 in either convention.
         s = load_config("fig3b", {"system": "spectator", "J12": "215",
-                                  "convention": convention.value}).schedule()
+                                  "convention": convention}).schedule()
         for t in np.linspace(0.0, s.total_time, 7):
             h = h_spectator(s, t, 3.0)
             blocks = [h[np.ix_(idx, idx)] for idx in ([0, 2], [1, 3])]
